@@ -2,7 +2,8 @@
 
     python -m pytest perfbench/test_perfbench.py
 
-Every workload runs in both modes and passes its correctness gate; every
+Every workload, including cli_builtin, which BENCHMARK.json leaves out,
+runs in both modes and passes its correctness gate; every
 metric named in BENCHMARK.json is emitted with its unit; the gate flags a
 perturbed reference and accepts a change far inside its tolerance; traced
 self times add up to the operation time.
@@ -40,7 +41,7 @@ def _run(workload: str, trace: int) -> dict:
     return json.loads(proc.stdout.strip().splitlines()[-1])
 
 
-@pytest.fixture(scope="module", params=[w["name"] for w in BENCHMARK["workloads"]])
+@pytest.fixture(scope="module", params=sorted(workloads.WORKLOADS))
 def results(request):
     name = request.param
     return name, {trace: _run(name, trace) for trace in (0, 1)}
