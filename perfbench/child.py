@@ -1,25 +1,19 @@
-"""Fresh-interpreter helpers for the benchmark; not meant to be run by hand.
+"""Fresh-interpreter set-up probe for the benchmark; not meant to be run by hand.
 
-    child.py setup WORKLOAD SEED SMOKE
-        Import fracasym, load the workload's configs, print one JSON line:
-        the monotonic time when it was ready, the import and config-load
-        times and the number of scipy modules the import loaded.
+    child.py WORKLOAD SEED SMOKE
 
-    child.py cli SPANS_PATH SPAWNED -- ARGV...
-        Record the interpreter's start-up since SPAWNED (a perf_counter
-        reading of the parent; the clock is system-wide), time
-        `import fracasym.cli`, install the span wrappers, run
-        `fracasym.cli.main(ARGV)` and save the spans to SPANS_PATH.  The exit
-        code is the CLI's.
+Import fracasym and fracasym.cli, load the workload's configs, and print one
+JSON line: the perf_counter reading when it was ready (the clock is
+system-wide, so the parent can subtract its spawn time), the import and
+config-load times and the number of scipy modules the import loaded.
 """
 
+import json
 import sys
 import time
 
 
-def _setup(workload: str, seed: int, smoke: bool) -> int:
-    import json
-
+def main(workload: str, seed: int, smoke: bool) -> int:
     t0 = time.perf_counter()
     import fracasym  # noqa: F401
     import fracasym.cli  # noqa: F401
@@ -36,26 +30,7 @@ def _setup(workload: str, seed: int, smoke: bool) -> int:
     return 0
 
 
-def _cli(spans_path: str, spawned: float, argv: list[str]) -> int:
-    from spans import Tracer, instrumented
-
-    tracer = Tracer()
-    tracer.op_id = 0
-    tracer.record("cli.startup", spawned, time.perf_counter(), -1)
-    with tracer.span("cli.import"):
-        import fracasym.cli
-    try:
-        with instrumented(tracer), tracer.span("cli.main"):
-            code = fracasym.cli.main(argv)
-    finally:
-        tracer.save(spans_path)
-    return code
-
-
 if __name__ == "__main__":
-    mode, rest = sys.argv[1], sys.argv[2:]
-    if mode == "setup":
-        sys.exit(_setup(rest[0], int(rest[1]), rest[2] == "1"))
-    if mode == "cli" and rest[2] == "--":
-        sys.exit(_cli(rest[0], float(rest[1]), rest[3:]))
-    sys.exit(f"child.py: unknown mode {sys.argv[1:]}")
+    if len(sys.argv) != 4:
+        sys.exit(f"usage: child.py WORKLOAD SEED SMOKE, not {sys.argv[1:]}")
+    sys.exit(main(sys.argv[1], int(sys.argv[2]), sys.argv[3] == "1"))

@@ -2,10 +2,9 @@
 
     python3 perfbench/record_references.py
 
-Writes perfbench/references.json.  For cli_builtin: each builtin config's
-exit code, CHECK verdicts, and CSV header and row count.  For solve_large,
-at the full and the smoke N: each problem's verdicts, measured values and
-sampled CSV rows, with the scales the comparisons use.  References change
+Writes perfbench/references.json: for solve_large, at the full and the
+smoke N, each problem's verdicts, measured values and sampled CSV rows, with
+the scales the comparisons use.  References change
 only on purpose; review the diff before committing it.
 """
 
@@ -24,15 +23,8 @@ def main() -> int:
     tmp = HERE.parent / ".perfbench_run" / "record"
     shutil.rmtree(tmp, ignore_errors=True)
     tmp.mkdir(parents=True)
-    refs = {"cli_builtin": {}, "solve_large": {}}
+    refs = {"solve_large": {}}
     try:
-        cli = workloads.CliBuiltin(0, False, tmp)
-        cli.load()
-        for key in sorted(cli.inputs):
-            _, observed, stderr = cli.observe(key)
-            assert observed is not None, f"{key} timed out"
-            refs["cli_builtin"][key] = observed
-            print(key, observed["exit_code"], stderr)
         for smoke in (False, True):
             large = workloads.SolveLarge(0, smoke, tmp)
             large.load()

@@ -1,17 +1,19 @@
-"""fracasym benchmark: end-to-end and per-layer metrics for three workloads.
+"""fracasym benchmark: end-to-end and per-layer metrics for two workloads.
 
-    python3 perfbench/run.py --workload {cli_builtin,solve_large,sweep_small}
+    python3 perfbench/run.py --workload {solve_large,sweep_small}
         [--seed N] [--seconds S] [--trace 0|1] [--smoke]
 
 Run from anywhere; the package is imported from the `src/` directory next to
 `perfbench/`.  Each run sets up, warms up, then runs whole cycles over the
-workload's inputs until --seconds have passed, checking every operation's
-outputs.  The last line of standard output is one JSON object with the keys
-`correct`, `attempted`, `failed` and `metrics`: the end-to-end metrics with
---trace 0, the per-layer metrics with --trace 1.  The line before it stamps
-the environment.  A full record goes to `.perfbench_run/` at the root of the
-checkout, and with --trace 1 so do the spans.  --smoke runs one cycle at tiny
-sizes.  See perfbench/README.md for what each metric means.
+workload's inputs until --seconds (by default run_seconds of BENCHMARK.json)
+have passed, checking every operation's outputs; untraced runs time a
+reference loop after each operation (see end_to_end).  The last line of standard
+output is one JSON object with the keys `correct`, `attempted`, `failed`
+and `metrics`: the end-to-end metrics with --trace 0, the per-layer metrics
+with --trace 1.  The line before it stamps the environment.  A full record
+goes to `.perfbench_run/` at the root of the checkout, and with --trace 1 so
+do the spans.  --smoke runs one cycle at tiny sizes.  See perfbench/README.md
+for what each metric means.
 """
 
 from __future__ import annotations
@@ -34,7 +36,8 @@ ROOT = HERE.parent
 SRC = ROOT / "src"
 OUT = ROOT / ".perfbench_run"
 
-SETUP_RUNS = 5
+# Set-up is timed in this many fresh interpreters, and the fastest counts.
+SETUP_RUNS = 10
 SCALING_OP = -2  # op id of the extra traced solves that only feed the scaling fit
 # Each is set to 1 unless the caller set it: the client is single-threaded,
 # and on two shared cores multi-threaded BLAS dot products ran slower and
@@ -42,17 +45,23 @@ SCALING_OP = -2  # op id of the extra traced solves that only feed the scaling f
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 SOLVER_SPANS = ("solvers.solve_direct", "solvers.solve_sequential")
+# The CPUs the benchmark may use, before it pins itself to the first of them:
+# the ratio of operation to reference time differed by about 4 % between the
+# two CPUs of a shared host, and a process left free could land on either.
+CPUS = sorted(os.sched_getaffinity(0))
 
 
 def measure_setup(name: str, seed: int, smoke: bool) -> list[dict]:
     """Fresh interpreters that import fracasym and load the workload's configs."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
     runs = []
     for _ in range(1 if smoke else SETUP_RUNS):
         spawned = time.perf_counter()
         proc = subprocess.run(
-            [sys.executable, str(HERE / "child.py"), "setup", name, str(seed),
+            [sys.executable, str(HERE / "child.py"), name, str(seed),
              "1" if smoke else "0"],
-            capture_output=True, text=True, env=workloads.child_env(), timeout=120)
+            capture_output=True, text=True, env=env, timeout=120)
         if proc.returncode != 0:
             raise RuntimeError(f"setup child failed: {proc.stderr.strip()}")
         info = json.loads(proc.stdout.strip().splitlines()[-1])
@@ -63,42 +72,55 @@ def measure_setup(name: str, seed: int, smoke: bool) -> list[dict]:
 
 def run_cycles(wl, seconds: float, trace: bool, smoke: bool, tracer):
     """Whole cycles over wl.inputs until `seconds` have passed.  When tracing,
-    cycles alternate traced and untraced, starting traced."""
-    ops, cycles = [], []
+    cycles alternate traced and untraced, starting traced.  Otherwise each
+    operation is followed by passes of the reference loop until they have
+    taken as long as the operation; they are recorded as [wall, passes]."""
+    ops, cycles, refs = [], [], []
     started = time.perf_counter()
     while True:
         traced = trace and len(cycles) % 2 == 0
         first = len(ops)
-        with spans.instrumented(tracer) if traced and wl.in_process else nullcontext():
+        with spans.instrumented(tracer) if traced else nullcontext():
             for key in wl.inputs:
                 if traced:
                     tracer.op_id = len(ops)
                 op = wl.run(key, tracer if traced else None)
                 op.traced = traced
                 ops.append(op)
+                if not trace:
+                    refs.append([0.0, 0])
+                    while refs[-1][0] < op.wall:
+                        refs[-1][0] += workloads.reference_loop(wl.ref_sizes)
+                        refs[-1][1] += 1
         cycles.append((traced, list(range(first, len(ops)))))
         enough = len(cycles) >= (2 if trace else 1)
         if enough and (smoke or time.perf_counter() - started >= seconds):
-            return ops, cycles
+            return ops, cycles, refs
 
 
-def end_to_end(wl, setup, ops, failed_frac: float) -> dict:
-    # Timings are taken from the fastest operation: on a shared host,
-    # interference halves single-core speed for seconds at a time, which
-    # spread the median operation time by up to a quarter between runs while
-    # the fastest one spread by 4 to 11 percent.  The median and p90 go to
-    # the run record.
+def end_to_end(wl, setup, ops, refs, failed_frac: float) -> dict:
+    # Operation time is reported relative to a reference loop that runs, for
+    # as long again, after every operation.  On a shared host, interference
+    # slows single-core speed, at times to about half, in bursts far shorter
+    # than a solve_large operation and at a level that drifts over minutes.
+    # A 2.5 s operation averages over the bursts, so even the fastest one of
+    # a 30 s run follows the drift (quartile spread 0.11 to 0.29 over sets of
+    # ten runs), while the ratio of the mean operation to the mean reference
+    # pass, timed in alternation over the same run, cancels it.  Whole cycles
+    # run, so the mix of inputs is fixed.  Wall times, their median and p90 go
+    # to the run record.  Set-up is the fastest of SETUP_RUNS fresh processes.
+    op_mean = statistics.fmean(op.wall for op in ops)
+    ref_pass = sum(wall for wall, _ in refs) / sum(passes for _, passes in refs)
     return {
-        "setup_s": (statistics.median(r["setup_s"] for r in setup), "s"),
-        "op_min_s": (min(op.wall for op in ops), "s"),
-        "grid_steps_per_s": (max(op.steps / op.wall for op in ops), "1/s"),
+        "setup_s": (min(r["setup_s"] for r in setup), "s"),
+        "op_time_rel": (op_mean / ref_pass, "1"),
         "peak_rss_mb": (wl.peak_rss_mb(), "MB"),
         "ok_frac": (1.0 - failed_frac, "frac"),
         "closed_form_err_max": (wl.closed_form_err_max, "1"),
     }
 
 
-def per_layer(setup, ops, cycles, tracer, failed_frac: float) -> tuple[dict, list[str], dict]:
+def per_layer(setup, ops, cycles, tracer, failed_frac: float) -> tuple[dict, list[str], dict, dict]:
     import numpy as np
 
     t = tracer.table()
@@ -141,9 +163,9 @@ def per_layer(setup, ops, cycles, tracer, failed_frac: float) -> tuple[dict, lis
     untraced_walls = [ops[i].wall for traced, ids in cycles if not traced for i in ids]
     op_spans = in_ops & (names == "op")
     metrics = {
-        "cli.import_s": (statistics.median(r["import_s"] for r in setup), "s"),
+        "cli.import_s": (min(r["import_s"] for r in setup), "s"),
         "cli.scipy_modules_at_import": (setup[0]["scipy_modules_at_import"], "count"),
-        "harness.load_config_s": (statistics.median(r["load_config_s"] for r in setup), "s"),
+        "harness.load_config_s": (min(r["load_config_s"] for r in setup), "s"),
         "harness.self_s": (per_op(layer == "harness", "self"), "s"),
         "solvers.solve_s": (per_op(np.isin(names, SOLVER_SPANS)), "s"),
         "solvers.self_s": (per_op(layer == "solvers", "self"), "s"),
@@ -174,9 +196,8 @@ def per_layer(setup, ops, cycles, tracer, failed_frac: float) -> tuple[dict, lis
     op_time = t["dur"][op_spans].sum()
     shares = {key: float(t["self"][in_ops & (layer == key)].sum() / op_time)
               for key in spans.LAYERS}
-    shares.update({key: float(t["dur"][in_ops & (names == key)].sum() / op_time)
-                   for key in ("cli.import", "core.pc_sums")})
-    return metrics, failures, shares
+    shares["core.pc_sums"] = float(t["dur"][in_ops & (names == "core.pc_sums")].sum() / op_time)
+    return metrics, failures, shares, counts
 
 
 def source_digest() -> str:
@@ -211,7 +232,7 @@ def environment(wl, args) -> dict:
         "FRACASYM_PURE_PYTHON": os.environ.get("FRACASYM_PURE_PYTHON"),
         "python": platform.python_version(), "numpy": numpy.__version__,
         "scipy": scipy.__version__, "nproc": os.cpu_count(),
-        "cpus_usable": len(os.sched_getaffinity(0)),
+        "cpus_usable": len(CPUS), "pinned_cpu": CPUS[0],
         "threads": {v: os.environ.get(v) for v in THREAD_VARS},
         "git_commit": git_commit(), "source_digest": source_digest(),
         "machine": platform.machine(), "platform": platform.platform(),
@@ -222,7 +243,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=10.0)
+    parser.add_argument("--seconds", type=float,
+                        default=json.loads((ROOT / "BENCHMARK.json").read_text())["run_seconds"])
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     parser.add_argument("--smoke", action="store_true",
                         help="one cycle at tiny sizes, for testing the benchmark")
@@ -240,30 +262,33 @@ def main(argv=None) -> int:
 
         warm = wl.warmup()
         tracer = spans.Tracer() if args.trace else None
-        ops, cycles = run_cycles(wl, args.seconds, bool(args.trace), args.smoke, tracer)
+        ops, cycles, refs = run_cycles(wl, args.seconds, bool(args.trace), args.smoke, tracer)
         failures = [f"{op.key}: {p}" for op in warm + ops for p in op.failures]
         attempted = len(warm) + len(ops)
         failed = sum(1 for op in warm + ops if op.failures)
+        shares = counts = None
         if args.trace:
-            if wl.in_process:
-                tracer.op_id = SCALING_OP
-                with spans.instrumented(tracer):
-                    wl.scaling_ops()
-            metrics, more, shares = per_layer(setup, ops, cycles, tracer, failed / attempted)
+            tracer.op_id = SCALING_OP
+            with spans.instrumented(tracer):
+                wl.scaling_ops()
+            metrics, more, shares, counts = per_layer(setup, ops, cycles, tracer,
+                                                      failed / attempted)
             failures += more
             tracer.save(OUT / f"spans_{wl.name}.npz")
         else:
-            metrics, shares = end_to_end(wl, setup, ops, failed / attempted), None
+            metrics = end_to_end(wl, setup, ops, refs, failed / attempted)
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
 
     walls = [op.wall for op in ops]
     record = {"env": env, "metrics": metrics, "failures": failures, "setup": setup,
-              "layer_shares": shares,
-              "ops": [[op.key, op.wall, op.traced] for op in ops],
-              "op_p50_s": statistics.median(walls),
+              "layer_shares": shares, "cycle_counts": counts,
+              "ops": [[op.key, op.wall, op.traced] for op in ops], "refs": refs,
+              "op_min_s": min(walls), "op_p50_s": statistics.median(walls),
+              "grid_steps_per_s": max(op.steps / op.wall for op in ops),
               "op_p90_s": statistics.quantiles(walls, n=10)[-1] if len(walls) > 1 else None,
-              "samples_beyond_p90": len(walls) // 10}
+              "samples_beyond_p90": len(walls) // 10,
+              "grid_steps_per_s_all_ops": sum(op.steps for op in ops) / sum(walls)}
     (OUT / f"BENCH_{wl.name}_trace{args.trace}.json").write_text(
         json.dumps(record, indent=1, sort_keys=True) + "\n")
     for p in failures:
@@ -280,6 +305,7 @@ if __name__ == "__main__":
         sys.exit(f"perfbench: no fracasym sources in {SRC}")
     for var in THREAD_VARS:
         os.environ.setdefault(var, "1")
+    os.sched_setaffinity(0, CPUS[:1])
     sys.path.insert(0, str(SRC))
     import fracasym
 

@@ -21,13 +21,14 @@ from collections import Counter
 from contextlib import contextmanager
 from time import perf_counter
 
+import numpy as np
+
 _COLUMNS = (("name", "i"), ("start", "d"), ("end", "d"), ("parent", "i"),
             ("op", "i"), ("work", "q"))
 
 # Layer prefix of every span name.  "rhs" is the problem's right-hand side,
 # called by the solvers; "op" is the benchmark's own operation span.
-LAYERS = ("op", "cli", "harness", "solvers", "rhs", "core", "fracops", "bounds",
-          "asymptotics")
+LAYERS = ("op", "harness", "solvers", "rhs", "core", "fracops", "bounds", "asymptotics")
 
 
 class Tracer:
@@ -66,12 +67,6 @@ class Tracer:
         self._ends[i] = perf_counter()
         self._stack.pop()
 
-    def record(self, name: str, start: float, end: float, parent: int) -> None:
-        """Append a span whose times were taken elsewhere."""
-        for append, value in zip(self._appends,
-                                 (self.name_id(name), parent, self.op_id, 0, end, start)):
-            append(value)
-
     @contextmanager
     def span(self, name: str, work: int = 0):
         i = self.begin(self.name_id(name), work)
@@ -102,42 +97,14 @@ class Tracer:
 
         return traced
 
-    # numpy is imported on use below, so that a traced child's import span
-    # covers numpy's own import as it does in an untraced run.
-
     def save(self, path) -> None:
-        import numpy as np
-
         np.savez(path, names=np.array(self.names, dtype=str),
                  counts=json.dumps({str(k): v for k, v in self.counts.items()}),
                  **{key: np.frombuffer(col, dtype=col.typecode)
                     for key, col in self.cols.items()})
 
-    def absorb(self, path, parent: int) -> float:
-        """Append the spans a child process saved under span `parent` and
-        the current operation; returns the end of the child's last span."""
-        import numpy as np
-
-        with np.load(path) as data:
-            remap = [self.name_id(str(n)) for n in data["names"]]
-            base = len(self.cols["start"])
-            c = self.cols
-            c["name"].extend(remap[k] for k in data["name"])
-            c["start"].extend(data["start"].tolist())
-            c["end"].extend(data["end"].tolist())
-            c["parent"].extend((p + base if p >= 0 else parent)
-                               for p in data["parent"].tolist())
-            c["op"].extend([self.op_id] * data["start"].size)
-            c["work"].extend(data["work"].tolist())
-            for counts in json.loads(str(data["counts"])).values():
-                for key, value in counts.items():
-                    self.count(key, value)
-            return float(data["end"].max())
-
     def table(self) -> dict[str, np.ndarray]:
         """Columns as numpy arrays plus each span's duration and self time."""
-        import numpy as np
-
         t = {key: np.frombuffer(col, dtype=col.typecode).copy()
              for key, col in self.cols.items()}
         t["dur"] = t["end"] - t["start"]

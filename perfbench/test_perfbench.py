@@ -2,11 +2,12 @@
 
     python -m pytest perfbench/test_perfbench.py
 
-Every workload, including cli_builtin, which BENCHMARK.json leaves out,
-runs in both modes and passes its correctness gate; every
-metric named in BENCHMARK.json is emitted with its unit; the gate flags a
-perturbed reference and accepts a change far inside its tolerance; traced
-self times add up to the operation time.
+Every workload runs in both modes and passes its correctness gate; every
+metric named in BENCHMARK.json is emitted with its unit; in an untraced run
+every operation is followed by reference passes that take at least as long;
+counts and the closed-form error repeat exactly between two runs with the
+same seed; the gate flags a perturbed reference and accepts a change far
+inside its tolerance; traced self times add up to the operation time.
 """
 
 import copy
@@ -24,8 +25,7 @@ ROOT = HERE.parent
 BENCHMARK = json.loads((ROOT / "BENCHMARK.json").read_text())
 
 # Largest share of a traced operation's time that may fall outside every
-# layer span: the benchmark's own bookkeeping around the call, and for the
-# CLI the fork before the child's start-up span begins.
+# layer span: the benchmark's own bookkeeping around the call.
 UNATTRIBUTED_MARGIN = 0.02
 
 sys.path[:0] = [str(ROOT / "src"), str(HERE)]
@@ -44,12 +44,14 @@ def _run(workload: str, trace: int) -> dict:
 @pytest.fixture(scope="module", params=sorted(workloads.WORKLOADS))
 def results(request):
     name = request.param
-    return name, {trace: _run(name, trace) for trace in (0, 1)}
+    # two runs per mode, both with seed 3; the spans file is the second
+    # traced run's
+    return name, {trace: [_run(name, trace) for _ in range(2)] for trace in (0, 1)}
 
 
 def test_workload_runs_and_passes_its_gate(results):
     _, by_trace = results
-    for result in by_trace.values():
+    for result in by_trace[0] + by_trace[1]:
         assert result["correct"] is True
         assert result["failed"] == 0 and result["attempted"] >= 1
 
@@ -57,15 +59,33 @@ def test_workload_runs_and_passes_its_gate(results):
 def test_every_metric_is_emitted_with_its_unit(results):
     _, by_trace = results
     for trace, group in ((0, "end_to_end"), (1, "per_layer")):
-        metrics = by_trace[trace]["metrics"]
+        metrics = by_trace[trace][0]["metrics"]
         assert {k: v["unit"] for k, v in metrics.items()} == {
             m["name"]: m["unit"] for m in BENCHMARK[group]}
         assert all(math.isfinite(v["value"]) for v in metrics.values())
 
 
+def test_each_operation_is_followed_by_as_long_a_reference(results):
+    name, _ = results
+    record = json.loads((ROOT / ".perfbench_run" / f"BENCH_{name}_trace0.json").read_text())
+    assert len(record["refs"]) == len(record["ops"])
+    for (_, wall, _), (ref_wall, passes) in zip(record["ops"], record["refs"]):
+        assert passes >= 1 and ref_wall >= wall
+
+
+def test_counts_and_closed_form_error_repeat_between_runs(results):
+    _, by_trace = results
+    for runs in by_trace.values():
+        first, second = (run["metrics"] for run in runs)
+        exact = [k for k, v in first.items()
+                 if v["unit"] in ("count", "B") or k == "closed_form_err_max"]
+        assert exact
+        assert {k: first[k] for k in exact} == {k: second[k] for k in exact}
+
+
 def test_traced_self_times_add_up_to_the_operation_time(results):
     name, by_trace = results
-    assert by_trace[1]["metrics"]["trace.unattributed_frac"]["value"] <= UNATTRIBUTED_MARGIN
+    assert by_trace[1][1]["metrics"]["trace.unattributed_frac"]["value"] <= UNATTRIBUTED_MARGIN
     with np.load(ROOT / ".perfbench_run" / f"spans_{name}.npz") as data:
         names = data["names"][data["name"]]
         dur = data["end"] - data["start"]
@@ -87,12 +107,8 @@ def test_gate_flags_a_perturbed_reference(tmp_path):
     row = large.refs["sl_example63_forced"]["samples"]["2048"]
     row[1] *= 1 + 1e-4
     assert large.run("sl_example63_forced").failures
-
-    cli = workloads.CliBuiltin(0, True, tmp_path)
-    cli.load()
-    assert cli.run("hypothesis_violation").failures == []
-    cli.refs["hypothesis_violation"]["exit_code"] = 0
-    assert cli.run("hypothesis_violation").failures
+    large.refs["sl_example63_forced"]["checks"][0][1] = "FAIL"
+    assert any("checks" in f for f in large.run("sl_example63_forced").failures)
 
 
 def test_gate_accepts_changes_far_inside_its_tolerance():

@@ -1,12 +1,9 @@
 """The benchmark's workloads: their inputs, one operation each, and the
 correctness gate every operation passes through.
 
-All three are closed loops with one client: each operation starts when the
-previous one has finished.
+Both are closed loops with one client in the benchmark's own process: each
+operation starts when the previous one has finished.
 
-cli_builtin   one fresh `python -m fracasym.cli` process per operation,
-              cycling through every builtin config.  What a CLI user pays:
-              mostly `import fracasym`, then config, checks and CSV writing.
 solve_large   in-process `harness.run` at N = 32768 with CSV output.  The
               O(N^2) history sums in `_core.pc_sums` dominate.
 sweep_small   in-process `harness.convergence_study` on manufactured
@@ -18,12 +15,7 @@ sweep_small   in-process `harness.convergence_study` on manufactured
 from __future__ import annotations
 
 import json
-import os
-import re
 import resource
-import shutil
-import subprocess
-import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -33,7 +25,6 @@ import numpy as np
 from fracasym import harness
 
 HERE = Path(__file__).resolve().parent
-ROOT = HERE.parent
 REFERENCES = HERE / "references.json"
 
 # Relative tolerance of the reference comparisons, applied to each value's
@@ -41,8 +32,6 @@ REFERENCES = HERE / "references.json"
 # accurate quadrature weights (about 1e-7 at N = 32768), and rejects any
 # change that moves a result by a millionth of its size.
 RTOL = 1e-6
-
-CLI_TIMEOUT_S = 120
 
 
 @dataclass
@@ -54,6 +43,36 @@ class Op:
     traced: bool = False
 
 
+_REFERENCE_DATA: dict[int, list[np.ndarray]] = {}
+
+
+def reference_loop(sizes) -> float:
+    """Wall time of one pass of a fixed history-sum loop that uses no
+    fracasym code.
+
+    For each n in sizes, at every step m = 1..n (every n // 8192-th step
+    when n > 8192) it forms the four sums of a sequential predictor-corrector
+    step, sum_{j<m} w[m-j] * f[j] over four weight vectors, with the
+    reversed-view numpy dot products the numpy kernels use, on fixed random
+    data.  Its working set is that of the solver's history sums at the same
+    n.  Timed in alternation with the operations, it measures how fast the
+    shared host runs at the time.
+    """
+    for n in sizes:
+        if n not in _REFERENCE_DATA:
+            rng = np.random.default_rng(n)
+            _REFERENCE_DATA[n] = [rng.random(n + 1) for _ in range(4)] + [rng.random(n)]
+    t0 = time.perf_counter()
+    for n in sizes:
+        w1, w2, w3, w4, f = _REFERENCE_DATA[n]
+        for m in range(1, n + 1, max(1, n // 8192)):
+            float(np.dot(w1[1:m + 1][::-1], f[:m]))
+            float(np.dot(w2[1:m][::-1], f[1:m]))
+            float(np.dot(w3[1:m + 1][::-1], f[:m]))
+            float(np.dot(w4[1:m][::-1], f[1:m]))
+    return time.perf_counter() - t0
+
+
 def grid_steps(config) -> int:
     """Grid steps one run or study of `config` solves (every level of a study)."""
     return config.n_steps * (2 ** config.refinement_levels - 1)
@@ -61,13 +80,6 @@ def grid_steps(config) -> int:
 
 def load_references(workload: str) -> dict:
     return json.loads(REFERENCES.read_text()).get(workload, {}) if REFERENCES.is_file() else {}
-
-
-def child_env() -> dict:
-    env = dict(os.environ)
-    paths = [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
-    env["PYTHONPATH"] = os.pathsep.join(paths)
-    return env
 
 
 def _timed(fn, tracer):
@@ -111,8 +123,8 @@ def compare(observed: dict, ref: dict, rtol: float = RTOL) -> list[str]:
 
 class Workload:
     name = ""
-    in_process = True
     size = 0  # the N the workload solves at, for the environment stamp
+    ref_sizes: tuple[int, ...] = ()  # grid sizes of the reference loop
 
     def __init__(self, seed: int, smoke: bool, tmp: Path | None):
         self.seed, self.smoke, self.tmp = seed, smoke, tmp
@@ -134,94 +146,7 @@ class Workload:
         """Extra traced solves that widen the N range of the scaling fit."""
 
     def peak_rss_mb(self) -> float:
-        who = resource.RUSAGE_SELF if self.in_process else resource.RUSAGE_CHILDREN
-        return resource.getrusage(who).ru_maxrss / 1024.0
-
-
-# --------------------------------------------------------------------------
-# cli_builtin
-
-_CHECK_LINE = re.compile(r"^CHECK (\S+): (\S+) measured=(\S*)", re.M)
-_STUDY_CONFIGS = ("manufactured_tau2", "manufactured_tau2_seq")
-# the smoke cycle still covers both commands and the exit-code-2 path
-_SMOKE_CLI = ("zero_rhs", "hypothesis_violation", "manufactured_tau2")
-
-
-def cli_observed(returncode: int, stdout: str, config, out_dir: Path) -> dict:
-    csv = None
-    if config.output.get("csv_path"):
-        path = out_dir / config.output["csv_path"]
-        if path.is_file():
-            lines = path.read_text().splitlines()
-            csv = {"header": lines[0] if lines else "", "rows": len(lines) - 1}
-    return {"exit_code": returncode,
-            "checks": [[name, status] for name, status, _ in _CHECK_LINE.findall(stdout)],
-            "csv": csv}
-
-
-class CliBuiltin(Workload):
-    name = "cli_builtin"
-    in_process = False
-
-    def load(self):
-        from fracasym import catalog
-
-        ids = list(_SMOKE_CLI if self.smoke else catalog.builtin_config_ids())
-        self.configs = {i: harness.load_builtin_config(i) for i in ids}
-        order = np.random.default_rng(self.seed).permutation(len(ids))
-        self.inputs = [ids[k] for k in order]
-        self.size = max(c.n_steps for c in self.configs.values())
-        self.refs = load_references(self.name)
-
-    def warmup(self):
-        return [self.run(self.inputs[0])]
-
-    def run(self, key, tracer=None):
-        op, observed, stderr = self.observe(key, tracer)
-        if observed is not None:
-            op.failures = compare(observed, self.refs.get(key, {"reference": None}))
-        if op.failures and stderr:
-            op.failures.append("stderr: " + stderr.splitlines()[-1])
-        return op
-
-    def observe(self, key, tracer=None):
-        config = self.configs[key]
-        out_dir = self.tmp / key
-        shutil.rmtree(out_dir, ignore_errors=True)
-        argv = ["study" if key in _STUDY_CONFIGS else "solve", key, "--out-dir", str(out_dir)]
-        spans_path = self.tmp / "child_spans.npz"
-        spans_path.unlink(missing_ok=True)
-
-        def call():
-            if tracer is None:
-                cmd = [sys.executable, "-m", "fracasym.cli", *argv]
-            else:  # the child's start-up span begins at this spawn time
-                cmd = [sys.executable, str(HERE / "child.py"), "cli", str(spans_path),
-                       repr(time.perf_counter()), "--", *argv]
-            return subprocess.run(cmd, capture_output=True, text=True, env=child_env(),
-                                  timeout=CLI_TIMEOUT_S, cwd=self.tmp)
-
-        op = Op(key, grid_steps(config), 0.0)
-        try:
-            if tracer is None:
-                proc, op.wall = _timed(call, None)
-            else:
-                with tracer.span("op") as i:
-                    proc = call()
-                op.wall = tracer.cols["end"][i] - tracer.cols["start"][i]
-                if spans_path.is_file():
-                    last = tracer.absorb(spans_path, i)
-                    # interpreter shutdown, after the child's last span
-                    tracer.record("cli.exit", last, tracer.cols["end"][i], i)
-        except subprocess.TimeoutExpired:
-            op.failures.append(f"timed out after {CLI_TIMEOUT_S} s")
-            return op, None, ""
-        observed = cli_observed(proc.returncode, proc.stdout, config, out_dir)
-        errors = [float(m) for name, _, m in _CHECK_LINE.findall(proc.stdout)
-                  if name == "closed_form"]
-        if errors:
-            self.closed_form_err_max = np.nanmax([self.closed_form_err_max, *errors])
-        return op, observed, proc.stderr.strip()
+        return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
 
 
 # --------------------------------------------------------------------------
@@ -281,6 +206,7 @@ class SolveLarge(Workload):
 
     def load(self):
         self.size = 4096 if self.smoke else 32768
+        self.ref_sizes = (self.size,)
         self.configs = {key: self._config(key, self.size) for key in LARGE_PROBLEMS}
         self.inputs = sorted(self.configs, reverse=self.seed % 2 == 1)
         # accuracy probe: a manufactured sequential problem at the same N
@@ -337,6 +263,7 @@ _SWEEP_TOLERANCE = {"direct": 1e-6, "sequential": 1e-3}  # largest seen: 1.6e-7,
 class SweepSmall(Workload):
     name = "sweep_small"
     size = 1024
+    ref_sizes = (256, 512, 1024)
 
     def load(self):
         # alpha is stratified over (0.3, 0.9) per kind, so the largest error
@@ -383,4 +310,4 @@ class SweepSmall(Workload):
         return op
 
 
-WORKLOADS = {w.name: w for w in (CliBuiltin, SolveLarge, SweepSmall)}
+WORKLOADS = {w.name: w for w in (SolveLarge, SweepSmall)}
