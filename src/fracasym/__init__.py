@@ -9,8 +9,8 @@ reproducible, config-described experiment runs.
 
 from ._core import backend_name
 from .asymptotics import (SlopeEstimate, TailEstimate, boundedness_verdict,
-                          improper_tail, integrable_limit_check, lhopital_residual,
-                          power_slope)
+                          improper_tail, integrable_limit_check, lhopital_lemma_term,
+                          lhopital_residual, power_slope)
 from .bounds import (BoundReport, ComparisonFunction, LipschitzClassFunction,
                      bihari_bound, bihari_inverse, bihari_transform,
                      convolution_holder_constant, growth_envelope_constants,
@@ -62,6 +62,7 @@ __all__ = [
     "TailEstimate",
     "power_slope",
     "lhopital_residual",
+    "lhopital_lemma_term",
     "improper_tail",
     "integrable_limit_check",
     "boundedness_verdict",

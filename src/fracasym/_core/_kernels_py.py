@@ -3,12 +3,20 @@
 Reference semantics for the compiled backend; every function here has a
 signature-identical twin in _kernels.pyx.  All weight arrays are built by
 the callers, so these routines are pure triangular-convolution number
-crunching.
+crunching.  The whole-grid operators convolve by FFT; pc_sums is the
+direct per-step sum that the blocked history sums are tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+
+def _conv_head(x: np.ndarray, w: np.ndarray, count: int) -> np.ndarray:
+    """First `count` entries of the linear convolution x * w, by real FFT."""
+    size = 1 << (2 * count - 1).bit_length()  # > 2*count - 2: no wrap-around
+    spec = np.fft.rfft(x[:count], size) * np.fft.rfft(w[:count], size)
+    return np.fft.irfft(spec, size)[:count]
 
 
 def conv_lower(b: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
@@ -19,7 +27,7 @@ def conv_lower(b: np.ndarray, g: np.ndarray, scale: float) -> np.ndarray:
     n = g.size
     out = np.zeros(n + 1)
     if n:
-        out[1:] = scale * np.convolve(g, b[1:])[:n]
+        out[1:] = scale * _conv_head(g, b[1:], n)
     return out
 
 
@@ -34,7 +42,7 @@ def trap_apply(a: np.ndarray, c: np.ndarray, f: np.ndarray, scale: float) -> np.
     if n >= 1:
         acc = c[1:] * f[0] + f[1:]
         if n >= 2:
-            acc[1:] += np.convolve(f[1:n], a[1:])[: n - 1]
+            acc[1:] += _conv_head(f[1:n], a[1:], n - 1)
         out[1:] = scale * acc
     return out
 

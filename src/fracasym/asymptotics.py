@@ -27,6 +27,7 @@ __all__ = [
     "SlopeEstimate",
     "power_slope",
     "lhopital_residual",
+    "lhopital_lemma_term",
     "TailIntegrand",
     "make_integrand",
     "TailEstimate",
@@ -99,11 +100,27 @@ def lhopital_residual(sol: Solution) -> float:
     below |b1|/T^alpha when the two parts have opposite signs (0.0472
     against 0.05 for example46 at T = 400).
     """
+    return abs(_signed_lhopital_residual(sol))
+
+
+def lhopital_lemma_term(sol: Solution) -> float:
+    """The signed L'Hopital lemma term at the final node,
+    J^alpha(Dalpha x)(T)/T^alpha - Dalpha x(T)/Gamma(1+alpha).
+
+    It is the signed residual of `lhopital_residual` minus the
+    initial-value term b1/T^alpha, so it carries no floor and tends to 0
+    as T grows when the lemma's hypotheses hold (about -1.10/T for
+    example46).
+    """
+    return _signed_lhopital_residual(sol) - sol.spec.b1 / sol.x.t_end ** sol.spec.alpha
+
+
+def _signed_lhopital_residual(sol: Solution) -> float:
     alpha = sol.spec.alpha
     t_end = sol.x.t_end
     x_tail = sol.x.values[-1] / t_end ** alpha
     d_tail = sol.dalpha_x.values[-1] / gamma_fn(1.0 + alpha)
-    return abs(float(x_tail - d_tail))
+    return float(x_tail - d_tail)
 
 
 @dataclass(frozen=True)
@@ -251,12 +268,14 @@ class BoundednessVerdict(NamedTuple):
     within_bound: bool
 
 
-def boundedness_verdict(sol: Solution, bound: BoundReport) -> BoundednessVerdict:
+def boundedness_verdict(sol: Solution, bound: BoundReport,
+                        tolerance: float = 1e-9) -> BoundednessVerdict:
     """Compare trajectory sups against a uniform-bound report.
 
     sup |x| is over the whole grid; sup |Dbeta x| only over tau >= tau0
     (taken from the report), matching the region where the derivative bound
-    is claimed.
+    is claimed.  Both sups are within the bound when they do not exceed
+    C * (1 + tolerance).
     """
     c = bound.constants["C"]
     tau0 = bound.constants.get("tau0", 0.0)
@@ -264,5 +283,6 @@ def boundedness_verdict(sol: Solution, bound: BoundReport) -> BoundednessVerdict
     taus = sol.dbeta_x.taus
     mask = taus >= tau0
     sup_db = float(np.max(np.abs(sol.dbeta_x.values[mask]))) if np.any(mask) else 0.0
-    within = bool(sup_x <= c * (1.0 + 1e-9) and sup_db <= c * (1.0 + 1e-9))
+    limit = c * (1.0 + tolerance)
+    within = bool(sup_x <= limit and sup_db <= limit)
     return BoundednessVerdict(sup_x=sup_x, sup_dbeta=sup_db, within_bound=within)

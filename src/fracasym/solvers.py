@@ -21,6 +21,12 @@ fixed point.  When the plain fixed-point iteration stalls (strong coupling
 through the derivative argument makes it non-contractive), the same scalar
 equation is solved by bracketed root finding before giving up.
 
+The predictor and corrector history sums of every step come from
+`_core.history.BlockedHistory`: terms within the current aligned window of
+128 nodes are summed directly, and the rest of the history arrives in dyadic
+square blocks, each added by one FFT once its last f-value exists.  A solve
+costs O(N log^2 N) in the sums, and the per-step loop dominates.
+
 Right-hand sides flagged singular_at_zero are never evaluated at tau = 0:
 the first subinterval of every convolution uses an open (right-endpoint)
 product rule instead.
@@ -36,7 +42,8 @@ from typing import Callable
 import numpy as np
 from scipy.optimize import brentq
 
-from ._core import kernels
+from ._core import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
+from ._core.history import BlockedHistory
 from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rectangle_coefficients, rl_integral, trapezoid_coefficients
 from .gamma import gamma_fn
@@ -153,9 +160,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     if not singular:
         fhist[0] = _eval_rhs(f, 0, taus[0], x[0], v[0])
 
-    j0 = 1 if singular else 0
+    history = BlockedHistory(bx, ax, bv, av, fhist, 1 if singular else 0)
     for m in range(1, n + 1):
-        px, cxs, pv, cvs = kernels.pc_sums(bx, ax, bv, av, fhist, m, j0)
+        px, cxs, pv, cvs = history.sums(m)
         if singular and m >= 2:
             # open first subinterval: node 0's weight moves onto node 1
             px += bx[m] * fhist[1]

@@ -175,3 +175,10 @@ def test_boundedness_linear_growth_fails():
     verdict = boundedness_verdict(sol, report)
     assert verdict.sup_x == 100.0
     assert not verdict.within_bound
+
+
+def test_boundedness_tolerance_moves_the_verdict():
+    sol = synthetic_solution(lambda t: t, t_end=100.0, n=512)
+    report = BoundReport(source="uniform_bound", constants={"C": 99.99, "tau0": 1.0})
+    assert not boundedness_verdict(sol, report).within_bound
+    assert boundedness_verdict(sol, report, tolerance=1e-3).within_bound

@@ -3,8 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from fracasym import ConfigError
-from fracasym import cli, harness
+from fracasym import BoundReport, ConfigError, solve_sequential
+from fracasym import catalog, cli, harness
 
 
 def make_config(**overrides):
@@ -119,6 +119,78 @@ def test_csv_determinism(tmp_path):
     r1 = harness.run(config, out_dir=tmp_path / "a")
     r2 = harness.run(config, out_dir=tmp_path / "b")
     assert r1.csv_path.read_bytes() == r2.csv_path.read_bytes()
+
+
+def test_csv_writer_matches_row_by_row_format(tmp_path):
+    config = harness.load_builtin_config("example46")
+    spec = catalog.build_problem_spec(config.problem)
+    sol = solve_sequential(spec, 50.0, 256)
+    path = tmp_path / "out.csv"
+    harness._write_csv(path, sol, None)  # no bound curve: a NaN column
+
+    taus = sol.x.taus
+    ratio = np.full(taus.size, np.nan)
+    ratio[1:] = sol.x.values[1:] / taus[1:] ** spec.alpha
+    cols = (taus, sol.x.values, sol.dbeta_x.values, sol.dalpha_x.values,
+            np.full(taus.size, np.nan), ratio)
+    lines = [harness.CSV_HEADER]
+    for i in range(taus.size):
+        lines.append(",".join(f"{col[i]:.16e}" for col in cols))
+    assert path.read_bytes() == ("\n".join(lines) + "\n").encode("utf-8")
+    assert path.read_text().splitlines()[1].endswith(",nan,nan")
+
+
+def _example46_lhopital(t_end, b1, tolerance):
+    base = harness.load_builtin_config("example46")
+    problem = dict(base.problem, b1=b1)
+    config = harness.load_config({
+        "id": "lhopital", "problem": problem,
+        "grid": {"t_end": t_end, "n_steps": 4096},
+        "checks": [{"name": "lhopital", "tolerance": tolerance}]})
+    return harness.run(config, expectations={})
+
+
+def test_lhopital_verdict_bounds_the_lemma_term():
+    # T = 50: the raw residual 0.119 holds the floor b1/T^alpha = 0.141;
+    # the lemma term is about -1.1/T
+    report = _example46_lhopital(50.0, 1.0, 0.1)
+    check, = report.checks
+    lemma = report.measured["lhopital_lemma_term"]
+    raw = report.measured["lhopital_residual"]
+    assert check.status == "PASS"
+    assert check.measured == abs(lemma)
+    assert lemma == pytest.approx(-0.0223, abs=5e-4)
+    assert raw == pytest.approx(0.119132286, rel=1e-6)
+    assert lemma == pytest.approx(raw - 1.0 / 50.0 ** 0.5, rel=1e-12)  # signed residual > 0
+
+
+def test_lhopital_fails_when_the_lemma_term_exceeds_tolerance():
+    # b1 = 0.2, T = 20: floor 0.0447 and lemma term -0.047 nearly cancel, so
+    # the raw residual (0.0025) is under the tolerance and the lemma is not
+    report = _example46_lhopital(20.0, 0.2, 0.01)
+    check, = report.checks
+    assert report.measured["lhopital_residual"] < 0.01
+    assert check.measured == abs(report.measured["lhopital_lemma_term"]) > 0.01
+    assert check.status == "FAIL"
+    assert report.exit_code == 1
+
+
+def test_boundedness_check_applies_its_tolerance(monkeypatch, tmp_path):
+    config = harness.load_builtin_config("example63_forced")
+    sup_x = harness.run(config, out_dir=tmp_path).measured["sup_x"]
+
+    def tight_bound(*args, **kwargs):  # C just under sup |x|
+        return BoundReport(source="uniform_bound",
+                           constants={"C": sup_x / (1.0 + 1e-6), "tau0": 0.0})
+
+    monkeypatch.setattr(harness, "uniform_bound_constant", tight_bound)
+    statuses = {}
+    for tol in (1e-9, 1e-5):
+        check = dict(config.checks[0], tolerance=tol)
+        doc = {"id": "bounded", "problem": config.problem, "grid": config.grid,
+               "checks": [check]}
+        statuses[tol] = harness.run(harness.load_config(doc)).checks[0].status
+    assert statuses == {1e-9: "FAIL", 1e-5: "PASS"}
 
 
 def test_report_line_format(tmp_path):
