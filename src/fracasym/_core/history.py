@@ -63,7 +63,7 @@ class BlockedHistory:
         self._next_block = BLOCK
 
     def sums(self, m: int) -> tuple[float, float, float, float]:
-        """(px, cx, pv, cv) for step m, as `_kernels_py.pc_sums` defines them."""
+        """(px, cx, pv, cv) for step m, as `kernels.pc_sums` defines them."""
         while self._next_block <= m:
             self._add_block(self._next_block)
             self._next_block += BLOCK

@@ -1,10 +1,9 @@
-"""Numpy implementation of the convolution kernels.
+"""Numpy convolution kernels.
 
-Reference semantics for the compiled backend; every function here has a
-signature-identical twin in _kernels.pyx.  All weight arrays are built by
-the callers, so these routines are pure triangular-convolution number
-crunching.  The whole-grid operators convolve by FFT; pc_sums is the
-direct per-step sum that the blocked history sums are tested against.
+All weight arrays are built by the callers, so these routines are pure
+triangular-convolution number crunching.  The whole-grid operators convolve
+by FFT; pc_sums is the direct per-step sum that the blocked history sums are
+tested against.
 """
 
 from __future__ import annotations

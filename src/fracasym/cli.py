@@ -63,9 +63,10 @@ def _load(args) -> harness.ExperimentConfig:
     if args.n_steps is not None:
         grid["n_steps"] = args.n_steps
     seed = config.seed if args.seed is None else args.seed
-    return harness.ExperimentConfig(
-        ident=config.ident, problem=config.problem, grid=grid,
-        checks=config.checks, output=config.output, seed=seed)
+    # validated again, so that a bad override is a config error like a bad file
+    return harness.load_config({
+        "id": config.ident, "problem": config.problem, "grid": grid,
+        "checks": list(config.checks), "output": config.output, "seed": seed})
 
 
 def main(argv=None) -> int:

@@ -16,7 +16,7 @@ import math
 
 from .errors import DomainError
 
-__all__ = ["gamma_fn", "log_gamma"]
+__all__ = ["gamma_fn"]
 
 _LANCZOS_G = 7.0
 _LANCZOS_COEFFS = (
@@ -56,17 +56,3 @@ def gamma_fn(x: float) -> float:
         return math.pi / (math.sin(math.pi * x) * _lanczos(1.0 - x))
     return _lanczos(x)
 
-
-def log_gamma(x: float) -> float:
-    """log Gamma(x) for x > 0, for ratios whose factors would overflow."""
-    x = float(x)
-    if not x > 0.0 or not math.isfinite(x):
-        raise DomainError(f"log_gamma requires x > 0, got {x}")
-    if x < 0.5:
-        return math.log(math.pi / math.sin(math.pi * x)) - log_gamma(1.0 - x)
-    z = x - 1.0
-    series = _LANCZOS_COEFFS[0]
-    for i, c in enumerate(_LANCZOS_COEFFS[1:], start=1):
-        series += c / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    return 0.5 * math.log(2.0 * math.pi) + (z + 0.5) * math.log(t) - t + math.log(series)

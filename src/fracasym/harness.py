@@ -18,6 +18,7 @@ import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,34 +43,29 @@ __all__ = [
     "list_catalog",
 ]
 
-_TOP_KEYS = {"id", "problem", "grid", "checks", "output", "seed"}
-_PROBLEM_KEYS = {"kind", "alpha", "beta", "b1", "b2", "rhs"}
-_RHS_KEYS = {"name", "params"}
-_GRID_KEYS = {"t_end", "n_steps", "refinement_levels"}
-_OUTPUT_KEYS = {"csv_path", "report_path"}
-_CHECK_KEYS = {
-    "closed_form": {"name", "tolerance"},
-    "residual": {"name", "tolerance"},
-    "slope": {"name", "tolerance", "window_fraction"},
-    "lhopital": {"name", "tolerance"},
-    "bound_envelope": {"name", "tolerance", "phi", "weight"},
-    "boundedness": {"name", "tolerance", "q", "phi1", "phi2", "weight", "tau0",
-                    "variant"},
-    "hypothesis": {"name", "integrand", "weight_power", "split", "expect"},
-    "order": {"name", "min_order"},
-    "regression": {"name", "key", "tolerance"},
+class _Check(NamedTuple):
+    required: tuple = ()  # keys besides "name"
+    optional: tuple = ()
+    produces: tuple = ()  # measured values a later regression check may pin
+
+
+_CHECKS = {
+    "closed_form": _Check(("tolerance",), produces=("closed_form_error",)),
+    "residual": _Check(("tolerance",), produces=("integral_defect",)),
+    "slope": _Check(("tolerance",), ("window_fraction",),
+                    ("slope_accelerated", "slope_raw", "slope_spread")),
+    "lhopital": _Check(("tolerance",),
+                       produces=("lhopital_residual", "lhopital_lemma_term")),
+    "bound_envelope": _Check(("tolerance", "phi", "weight"),
+                             produces=("envelope_c1", "envelope_c2", "envelope_ratio")),
+    "boundedness": _Check(("tolerance", "q", "phi1", "phi2", "weight"), ("tau0", "variant"),
+                          ("sup_x", "sup_dbeta", "bound_constant")),
+    "hypothesis": _Check(("integrand", "expect"), ("weight_power", "split")),
+    "order": _Check(("min_order",)),
+    "regression": _Check(("key", "tolerance")),
 }
-_CHECK_PRODUCES = {
-    "closed_form": ("closed_form_error",),
-    "residual": ("integral_defect",),
-    "slope": ("slope_accelerated", "slope_raw", "slope_spread"),
-    "lhopital": ("lhopital_residual", "lhopital_lemma_term"),
-    "bound_envelope": ("envelope_c1", "envelope_c2", "envelope_ratio"),
-    "boundedness": ("sup_x", "sup_dbeta", "bound_constant"),
-    "hypothesis": (),
-    "order": (),
-    "regression": (),
-}
+# check keys that hold a number, in whichever check they appear
+_CHECK_NUMBERS = ("tolerance", "window_fraction", "q", "weight_power", "split", "min_order")
 
 CSV_HEADER = "tau,x,dbeta_x,dalpha_x,bound_curve,x_over_tau_alpha"
 _CSV_CHUNK_ROWS = 4096
@@ -86,15 +82,15 @@ class ExperimentConfig:
 
     @property
     def t_end(self) -> float:
-        return float(self.grid["t_end"])
+        return self.grid["t_end"]
 
     @property
     def n_steps(self) -> int:
-        return int(self.grid["n_steps"])
+        return self.grid["n_steps"]
 
     @property
     def refinement_levels(self) -> int:
-        return int(self.grid.get("refinement_levels", 1))
+        return self.grid.get("refinement_levels", 1)
 
 
 @dataclass(frozen=True)
@@ -161,93 +157,137 @@ class RunReport:
 # --------------------------------------------------------------------------
 # config loading and validation
 
-def _reject_unknown(d: dict, allowed: set, where: str) -> None:
-    unknown = set(d) - allowed
+def _object(d, where: str, required=(), optional=()) -> dict:
+    """A copy of d, which must be a dict with every `required` key and no
+    key outside `required` and `optional`."""
+    if not isinstance(d, dict):
+        raise ConfigError(f"{where} must be an object, got {type(d).__name__}")
+    unknown = set(d) - {*required, *optional}
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where}")
+    for key in required:
+        if key not in d:
+            raise ConfigError(f"{where} is missing required key {key!r}")
+    return dict(d)
 
 
-def _validate_fn_ref(d, where: str) -> None:
-    if not isinstance(d, dict) or "name" not in d:
-        raise ConfigError(f"{where} must be an object with a 'name'")
-    _reject_unknown(d, {"name", "params"}, where)
+def _number(value, where: str, kind=float):
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        raise ConfigError(f"{where} must be a number, got {value!r}") from None
+
+
+def _fn_ref(d, where: str) -> dict:
+    """A catalog reference {"name", "params"}; every parameter is a number."""
+    ref = _object(d, where, ("name",), ("params",))
+    params = ref.get("params")
+    if params is not None:
+        if not isinstance(params, dict):
+            raise ConfigError(f"{where}.params must be an object")
+        ref["params"] = {k: _number(v, f"{where}.params.{k}") for k, v in params.items()}
+    return ref
 
 
 def load_config(source) -> ExperimentConfig:
-    """Parse and validate a config from a dict, JSON text or file path."""
+    """Parse and validate a config from a dict or a JSON file path.
+
+    Every number the runner reads is converted here, so a malformed document
+    of any shape raises ConfigError before anything is solved.
+    """
+    try:
+        return _load_config(source)
+    except ConfigError:
+        raise
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+        # json.JSONDecodeError and the catalog's DomainError are ValueErrors
+        raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
+
+
+def _load_config(source) -> ExperimentConfig:
     if isinstance(source, (str, Path)):
         doc = json.loads(Path(source).read_text())
     elif isinstance(source, dict):
         doc = source
     else:
         raise ConfigError(f"cannot load config from {type(source).__name__}")
-    _reject_unknown(doc, _TOP_KEYS, "config")
-    for key in ("id", "problem", "grid", "checks"):
-        if key not in doc:
-            raise ConfigError(f"config is missing required key {key!r}")
+    doc = _object(doc, "config", ("id", "problem", "grid", "checks"), ("output", "seed"))
 
-    problem = doc["problem"]
-    _reject_unknown(problem, _PROBLEM_KEYS, "problem")
-    _validate_fn_ref(problem.get("rhs", {}), "problem.rhs")
-    _reject_unknown(problem["rhs"], _RHS_KEYS, "problem.rhs")
+    problem = _object(doc["problem"], "problem", ("kind", "alpha", "b1", "rhs"),
+                      ("beta", "b2"))
+    for key in ("alpha", "beta", "b1", "b2"):
+        if key in problem:
+            problem[key] = _number(problem[key], f"problem.{key}")
+    problem["rhs"] = _fn_ref(problem["rhs"], "problem.rhs")
     catalog.build_problem_spec(problem)  # validates kind/orders/rhs parameters
 
-    grid = doc["grid"]
-    _reject_unknown(grid, _GRID_KEYS, "grid")
-    if float(grid["t_end"]) <= 0:
-        raise ConfigError("grid.t_end must be positive")
-    if int(grid["n_steps"]) < 2:
+    grid = _object(doc["grid"], "grid", ("t_end", "n_steps"), ("refinement_levels",))
+    grid["t_end"] = _number(grid["t_end"], "grid.t_end")
+    grid["n_steps"] = _number(grid["n_steps"], "grid.n_steps", int)
+    if not 0 < grid["t_end"] < math.inf:
+        raise ConfigError("grid.t_end must be positive and finite")
+    if grid["n_steps"] < 2:
         raise ConfigError("grid.n_steps must be >= 2")
-    if int(grid.get("refinement_levels", 1)) < 1:
-        raise ConfigError("grid.refinement_levels must be >= 1")
+    if "refinement_levels" in grid:
+        grid["refinement_levels"] = _number(grid["refinement_levels"],
+                                            "grid.refinement_levels", int)
+        if grid["refinement_levels"] < 1:
+            raise ConfigError("grid.refinement_levels must be >= 1")
 
+    if not isinstance(doc["checks"], list):
+        raise ConfigError("checks must be a list")
+    checks = []
     produced: set[str] = set()
     for i, check in enumerate(doc["checks"]):
         where = f"checks[{i}]"
+        if not isinstance(check, dict):
+            raise ConfigError(f"{where} must be an object")
         name = check.get("name")
-        if name not in _CHECK_KEYS:
+        if not isinstance(name, str) or name not in _CHECKS:
             raise ConfigError(f"{where}: unknown check {name!r}; known: "
-                              f"{sorted(_CHECK_KEYS)}")
-        _reject_unknown(check, _CHECK_KEYS[name], where)
-        if "tolerance" in check and not float(check["tolerance"]) > 0:
+                              f"{sorted(_CHECKS)}")
+        table = _CHECKS[name]
+        check = _object(check, where, ("name", *table.required), table.optional)
+        checks.append(check)
+        for key in _CHECK_NUMBERS:
+            if key in check:
+                check[key] = _number(check[key], f"{where}.{key}")
+        if "tolerance" in check and not check["tolerance"] > 0:
             raise ConfigError(f"{where}: tolerance must be positive")
-        if name in ("bound_envelope",):
-            _validate_fn_ref(check["phi"], f"{where}.phi")
-            _validate_fn_ref(check["weight"], f"{where}.weight")
-            catalog.make_phi(check["phi"]["name"], check["phi"].get("params"))
-            catalog.make_weight(check["weight"]["name"], check["weight"].get("params"))
+        for ref in ("phi", "phi1", "phi2", "weight", "integrand"):
+            if ref in check:
+                check[ref] = _fn_ref(check[ref], f"{where}.{ref}")
+                make = catalog.make_phi if ref.startswith("phi") else catalog.make_weight
+                make(check[ref]["name"], check[ref].get("params"))
         if name == "boundedness":
-            for ref in ("phi1", "phi2", "weight"):
-                _validate_fn_ref(check[ref], f"{where}.{ref}")
-            catalog.make_phi(check["phi1"]["name"], check["phi1"].get("params"))
-            catalog.make_phi(check["phi2"]["name"], check["phi2"].get("params"))
-            catalog.make_weight(check["weight"]["name"], check["weight"].get("params"))
-            if not float(check["q"]) > 1:
+            if not check["q"] > 1:
                 raise ConfigError(f"{where}: q must exceed 1")
-        if name == "hypothesis":
-            _validate_fn_ref(check["integrand"], f"{where}.integrand")
-            catalog.make_weight(check["integrand"]["name"],
-                                check["integrand"].get("params"))
-            if check.get("expect") not in ("converges", "diverges", "inconclusive"):
-                raise ConfigError(f"{where}: expect must name a verdict")
+            if check.get("tau0", "step") != "step":
+                check["tau0"] = _number(check["tau0"], f"{where}.tau0")
+            if check.get("variant", "corrected") not in ("corrected", "literal"):
+                raise ConfigError(f"{where}: variant must be 'corrected' or 'literal'")
+        if name == "hypothesis" and check["expect"] not in ("converges", "diverges",
+                                                            "inconclusive"):
+            raise ConfigError(f"{where}: expect must name a verdict")
         if name == "closed_form" and catalog.exact_solution(problem) is None:
             raise ConfigError(f"{where}: problem has no exact solution in the catalog")
-        if name == "regression":
-            if check["key"] not in produced:
-                raise ConfigError(
-                    f"{where}: regression key {check['key']!r} is not produced by "
-                    f"any preceding check")
-        produced.update(_CHECK_PRODUCES[name])
+        if name == "regression" and check["key"] not in produced:
+            raise ConfigError(
+                f"{where}: regression key {check['key']!r} is not produced by "
+                f"any preceding check")
+        produced.update(table.produces)
 
-    output = doc.get("output", {})
-    _reject_unknown(output, _OUTPUT_KEYS, "output")
+    output = _object(doc.get("output", {}), "output", optional=("csv_path", "report_path"))
+    for key, path in output.items():
+        if not isinstance(path, str):
+            raise ConfigError(f"output.{key} must be a string")
     return ExperimentConfig(
         ident=str(doc["id"]),
         problem=problem,
         grid=grid,
-        checks=tuple(doc["checks"]),
+        checks=tuple(checks),
         output=output,
-        seed=int(doc.get("seed", 0)),
+        seed=_number(doc.get("seed", 0), "seed", int),
     )
 
 
@@ -285,10 +325,7 @@ def run(config: ExperimentConfig, out_dir=None,
 
     t0 = time.perf_counter()
     spec = catalog.build_problem_spec(config.problem)
-    if spec.kind is ProblemKind.DIRECT:
-        sol = solve_direct(spec, config.t_end, config.n_steps)
-    else:
-        sol = solve_sequential(spec, config.t_end, config.n_steps)
+    sol = _solve(spec, config.t_end, config.n_steps)
     report.timings["solve"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -307,6 +344,13 @@ def run(config: ExperimentConfig, out_dir=None,
     return report
 
 
+def _solve(spec, t_end: float, n_steps: int):
+    # the solver names are looked up when called, so a wrapper set on this
+    # module (as perfbench's tracer does) sees every solve
+    solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
+    return solve(spec, t_end, n_steps)
+
+
 def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registry,
                     expectations):
     name = check["name"]
@@ -315,22 +359,20 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
             exact = catalog.exact_solution(config.problem)
             err = float(np.max(np.abs(sol.x.values - exact(sol.x.taus))))
             measured_registry["closed_form_error"] = err
-            tol = float(check["tolerance"])
-            return _threshold_result(name, err, tol), None
+            return _threshold_result(name, err, check["tolerance"]), None
 
         if name == "residual":
             defect = residual_check(sol)
             measured_registry["integral_defect"] = defect
-            return _threshold_result(name, defect, float(check["tolerance"])), None
+            return _threshold_result(name, defect, check["tolerance"]), None
 
         if name == "slope":
-            est = power_slope(sol, float(check.get("window_fraction", 0.25)))
+            est = power_slope(sol, check.get("window_fraction", 0.25))
             measured_registry["slope_accelerated"] = est.accelerated
             measured_registry["slope_raw"] = est.raw_tail
             measured_registry["slope_spread"] = est.spread
-            tol = float(check["tolerance"])
             rel_spread = est.spread / max(abs(est.accelerated), 1e-300)
-            return _threshold_result(name, rel_spread, tol), None
+            return _threshold_result(name, rel_spread, check["tolerance"]), None
 
         if name == "lhopital":
             # the verdict bounds the lemma term; the raw residual also holds
@@ -338,7 +380,7 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
             lemma = lhopital_lemma_term(sol)
             measured_registry["lhopital_residual"] = lhopital_residual(sol)
             measured_registry["lhopital_lemma_term"] = lemma
-            return _threshold_result(name, abs(lemma), float(check["tolerance"])), None
+            return _threshold_result(name, abs(lemma), check["tolerance"]), None
 
         if name == "bound_envelope":
             return _check_bound_envelope(check, config, sol, measured_registry)
@@ -348,10 +390,8 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
 
         if name == "hypothesis":
             integrand = check["integrand"]
-            est = improper_tail(integrand["name"],
-                                float(check.get("weight_power", 0.0)),
-                                float(check.get("split", 1.0)),
-                                integrand.get("params"))
+            est = improper_tail(integrand["name"], check.get("weight_power", 0.0),
+                                check.get("split", 1.0), integrand.get("params"))
             ok = est.verdict == check["expect"]
             return CheckResult(name, "PASS" if ok else "FAIL",
                                est.verdict, check["expect"], "exact"), None
@@ -360,7 +400,7 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
             key = check["key"]
             val = measured_registry.get(key)
             pinned = expectations.get(key)
-            tol = float(check["tolerance"])
+            tol = check["tolerance"]
             if val is None:
                 return CheckResult(f"regression_{key}", "FAIL", "not-measured",
                                    pinned, tol), None
@@ -400,7 +440,7 @@ def _check_bound_envelope(check, config, sol, measured_registry):
     measured_registry["envelope_c1"] = bound.constants["C1"]
     measured_registry["envelope_c2"] = bound.constants["C2"]
     measured_registry["envelope_ratio"] = ratio
-    tol = float(check["tolerance"])
+    tol = check["tolerance"]
     status = "PASS" if ratio <= 1.0 + tol else "FAIL"
     return CheckResult("bound_envelope", status, ratio, 1.0, tol), curve
 
@@ -413,12 +453,10 @@ def _check_boundedness(check, config, sol, measured_registry):
                                  check["weight"].get("params"))
     taus = sol.x.taus
     hgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in taus]))
-    tau0 = check.get("tau0", "step")
-    tau0 = sol.x.step if tau0 == "step" else float(tau0)
-    bound = uniform_bound_constant(spec, hgrid, phi1, phi2, tau0,
-                                   q=float(check["q"]),
+    tau0 = sol.x.step if check.get("tau0", "step") == "step" else check["tau0"]
+    bound = uniform_bound_constant(spec, hgrid, phi1, phi2, tau0, q=check["q"],
                                    variant=check.get("variant", "corrected"))
-    tol = float(check["tolerance"])
+    tol = check["tolerance"]
     verdict = boundedness_verdict(sol, bound, tolerance=tol)
     c = bound.constants["C"]
     measured_registry["sup_x"] = verdict.sup_x
@@ -490,10 +528,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
     levels = [config.n_steps * 2 ** k for k in range(config.refinement_levels)]
     finest_sol = None
     for n in levels:
-        if spec.kind is ProblemKind.DIRECT:
-            sol = solve_direct(spec, config.t_end, n)
-        else:
-            sol = solve_sequential(spec, config.t_end, n)
+        sol = _solve(spec, config.t_end, n)
         errors.append(float(np.max(np.abs(sol.x.values - exact(sol.x.taus)))))
         finest_sol = sol
     report.timings["solve"] = time.perf_counter() - t0
@@ -515,12 +550,11 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
     for check in config.checks:
         name = check["name"]
         if name == "closed_form":
-            tol = float(check["tolerance"])
             measured = errors[-1]
             report.measured["closed_form_error"] = measured
-            report.checks.append(_threshold_result(name, measured, tol))
+            report.checks.append(_threshold_result(name, measured, check["tolerance"]))
         elif name == "order":
-            min_order = float(check["min_order"])
+            min_order = check["min_order"]
             measured = min(orders) if orders else math.inf
             status = "PASS" if (at_roundoff or measured >= min_order) else "FAIL"
             shown = "exact" if math.isinf(measured) else measured
@@ -573,5 +607,5 @@ def list_catalog() -> str:
     lines.append("weight/tail integrands (weight.name, integrand.name):")
     for ident in integrand_ids():
         lines.append(f"  {ident}")
-    lines.append("checks: " + ", ".join(sorted(_CHECK_KEYS)))
+    lines.append("checks: " + ", ".join(sorted(_CHECKS)))
     return "\n".join(lines) + "\n"

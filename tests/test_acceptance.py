@@ -37,7 +37,7 @@ from _oracles import (linear_class_equality, lq_equality, lq_norm,
                       nonlinear_equality, random_piecewise_linear,
                       singular_convolution_lhs)
 
-# pinned regression values measured with this package (compiled backend)
+# pinned regression values measured with this package
 PIN_SLOPE_ACCELERATED_T400 = 2.92723584856182
 PIN_SUP_X_EXAMPLE63 = 1.0
 PIN_SUP_DBETA_EXAMPLE63 = 0.0

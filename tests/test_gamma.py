@@ -1,11 +1,8 @@
-import math
-
 import numpy as np
 import pytest
 import scipy.special
 
 from fracasym import DomainError, gamma_fn
-from fracasym.gamma import log_gamma
 
 SQRT_PI = 1.7724538509055160273
 
@@ -37,8 +34,3 @@ def test_recurrence():
 def test_domain_errors(bad):
     with pytest.raises(DomainError):
         gamma_fn(bad)
-
-
-def test_log_gamma_consistency():
-    for x in np.linspace(0.05, 30.0, 100):
-        assert log_gamma(x) == pytest.approx(math.log(gamma_fn(x)), abs=1e-12)

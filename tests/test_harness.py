@@ -87,6 +87,52 @@ def test_builtin_configs_all_load():
         harness.load_builtin_config("not_a_config")
 
 
+def _edited(edit):
+    doc = make_config()
+    edit(doc)
+    return json.dumps(doc)
+
+
+_BOUNDEDNESS_WITHOUT_PHI1 = {
+    "name": "boundedness", "tolerance": 1e-9, "q": 2.0,
+    "phi2": {"name": "power", "params": {"exponent": 1.0}},
+    "weight": {"name": "exp_decay", "params": {"rate": 1.0}}}
+
+
+@pytest.mark.parametrize("text", [
+    pytest.param(_edited(lambda d: d["problem"].pop("b1")), id="missing_b1"),
+    pytest.param(_edited(lambda d: d["grid"].pop("t_end")), id="missing_t_end"),
+    pytest.param(_edited(lambda d: d.update(checks=[{"name": "closed_form"}])),
+                 id="check_without_tolerance"),
+    pytest.param(_edited(lambda d: d.update(checks=[_BOUNDEDNESS_WITHOUT_PHI1])),
+                 id="boundedness_without_phi1"),
+    pytest.param(_edited(lambda d: d["grid"].update(n_steps=None)), id="null_n_steps"),
+    pytest.param(_edited(lambda d: d.update(checks=5)), id="checks_not_a_list"),
+    pytest.param(_edited(lambda d: d["problem"].update(alpha="x")),
+                 id="alpha_not_a_number"),
+    pytest.param(_edited(lambda d: d.update(problem=[])), id="problem_not_an_object"),
+    pytest.param(json.dumps(make_config())[:60], id="truncated_json"),
+])
+def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError):
+        harness.load_config(path)
+    assert cli.main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def test_config_numbers_are_converted_at_load():
+    doc = make_config(seed="7")
+    doc["grid"].update(t_end="20", n_steps=64.0)
+    doc["problem"]["alpha"] = "0.5"
+    config = harness.load_config(doc)
+    assert (config.t_end, config.n_steps, config.seed) == (20.0, 64, 7)
+    assert config.problem["alpha"] == 0.5
+    assert config.checks[0]["tolerance"] == 1e-10
+
+
 # --------------------------------------------------------------------------
 # running
 
@@ -301,6 +347,12 @@ def test_cli_overrides(tmp_path, capsys):
 def test_cli_exit_code_hypothesis(tmp_path):
     assert cli.main(["solve", "hypothesis_violation",
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_bad_override_is_a_config_error(tmp_path, capsys):
+    code = cli.main(["solve", "zero_rhs", "--out-dir", str(tmp_path), "--t-end", "-1"])
+    assert code == 1
+    assert capsys.readouterr().err.startswith("config error: grid.t_end")
 
 
 def test_cli_bad_config(tmp_path):

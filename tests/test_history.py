@@ -1,6 +1,6 @@
 """Fast convolution paths against their direct references.
 
-The blocked FFT history sums must reproduce `_kernels_py.pc_sums` at every
+The blocked FFT history sums must reproduce `kernels.pc_sums` at every
 step, the FFT whole-grid operators must reproduce `np.convolve`, and
 solutions marched with the blocked sums must match solutions marched with
 the direct ones.
@@ -11,7 +11,7 @@ import pytest
 
 import fracasym.solvers as solvers
 from fracasym import catalog, harness
-from fracasym._core import _kernels_py
+from fracasym._core import kernels
 from fracasym._core.history import BLOCK, BlockedHistory
 from fracasym.solvers import ProblemKind, solve_direct, solve_sequential
 
@@ -24,7 +24,7 @@ class DirectHistory:
         self.j0 = j0
 
     def sums(self, m):
-        return _kernels_py.pc_sums(*self.args, m, self.j0)
+        return kernels.pc_sums(*self.args, m, self.j0)
 
 
 # 1030 = 2^10 + 6: the square of 1024 is cut to 7 targets by the grid's end
@@ -40,9 +40,9 @@ def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
     blocked = BlockedHistory(bx, ax, bv, av, f, j0)
     for m in range(1, n + 1):
         got = np.array(blocked.sums(m))
-        want = np.array(_kernels_py.pc_sums(bx, ax, bv, av, f, m, j0))
+        want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, j0))
         # sum of |w| |f| over the same terms, row by row
-        size = np.array(_kernels_py.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
+        size = np.array(kernels.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
                                             np.abs(av), np.abs(f), m, j0))
         assert np.all(np.abs(got - want) <= 1e-12 * size), m
         if not with_v:
@@ -72,7 +72,7 @@ def _trap_apply_direct(a, c, f, scale):
 def test_fft_conv_lower_matches_direct_convolution(n):
     rng = np.random.default_rng(n)
     b, g = rng.normal(size=n + 1), rng.normal(size=n)
-    got = _kernels_py.conv_lower(b, g, 0.37)
+    got = kernels.conv_lower(b, g, 0.37)
     want = _conv_lower_direct(b, g, 0.37)
     size = _conv_lower_direct(np.abs(b), np.abs(g), 0.37)
     assert got.shape == want.shape
@@ -83,7 +83,7 @@ def test_fft_conv_lower_matches_direct_convolution(n):
 def test_fft_trap_apply_matches_direct_convolution(n):
     rng = np.random.default_rng(100 + n)
     a, c, f = rng.normal(size=n + 1), rng.normal(size=n + 1), rng.normal(size=n + 1)
-    got = _kernels_py.trap_apply(a, c, f, 1.7)
+    got = kernels.trap_apply(a, c, f, 1.7)
     want = _trap_apply_direct(a, c, f, 1.7)
     size = _trap_apply_direct(np.abs(a), np.abs(c), np.abs(f), 1.7)
     assert got.shape == want.shape
