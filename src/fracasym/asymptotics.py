@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Callable, NamedTuple
 
 import numpy as np
-from scipy.integrate import quad
 
+from ._scipy import quad
 from .bounds import BoundReport
 from .errors import DomainError
 from .fracops import rl_integral

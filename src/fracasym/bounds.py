@@ -26,9 +26,8 @@ from functools import lru_cache
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
+from ._scipy import brentq, quad
 from .errors import ClassViolation, DomainError, HypothesisViolation
 from .gamma import gamma_fn
 from .grid import GridFunction

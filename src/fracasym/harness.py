@@ -64,6 +64,9 @@ _CHECKS = {
     "order": _Check(("min_order",)),
     "regression": _Check(("key", "tolerance")),
 }
+# the checks a convergence study evaluates; run() evaluates all others
+_STUDY_CHECKS = ("closed_form", "order")
+_RUN_CHECKS = frozenset(_CHECKS) - {"order"}
 # check keys that hold a number, in whichever check they appear
 _CHECK_NUMBERS = ("tolerance", "window_fraction", "q", "weight_power", "split", "min_order")
 
@@ -319,6 +322,7 @@ def load_expectations(ident: str, directory: Path | None = None) -> dict[str, fl
 def run(config: ExperimentConfig, out_dir=None,
         expectations: dict[str, float] | None = None) -> RunReport:
     """Solve, evaluate the configured checks, write artifacts."""
+    _require_checks(config, _RUN_CHECKS, "run")
     report = RunReport(config=config)
     if expectations is None:
         expectations = load_expectations(config.ident)
@@ -342,6 +346,13 @@ def run(config: ExperimentConfig, out_dir=None,
     _write_artifacts(report, sol, bound_curve, out_dir)
     report.timings["write"] = time.perf_counter() - t0
     return report
+
+
+def _require_checks(config: ExperimentConfig, valid, command: str) -> None:
+    # called before the solve, so a check the command cannot evaluate costs no solve
+    for check in config.checks:
+        if check["name"] not in valid:
+            raise ConfigError(f"check {check['name']!r} is not valid for {command}()")
 
 
 def _solve(spec, t_end: float, n_steps: int):
@@ -413,7 +424,7 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
     except HypothesisViolation as exc:
         return CheckResult(name, "FAILED-HYPOTHESIS", str(exc), "hypothesis holds",
                            "-"), None
-    raise ConfigError(f"check {name!r} is not valid for run()")
+    raise AssertionError(f"run() has no evaluator for check {name!r}")
 
 
 def _threshold_result(name: str, measured: float, tol: float) -> CheckResult:
@@ -520,6 +531,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
     exact = catalog.exact_solution(config.problem)
     if exact is None:
         raise ConfigError(f"config {config.ident!r} has no exact solution to study")
+    _require_checks(config, _STUDY_CHECKS, "convergence_study")
     spec = catalog.build_problem_spec(config.problem)
     report = RunReport(config=config)
 
@@ -553,14 +565,12 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
             measured = errors[-1]
             report.measured["closed_form_error"] = measured
             report.checks.append(_threshold_result(name, measured, check["tolerance"]))
-        elif name == "order":
+        else:  # "order"
             min_order = check["min_order"]
             measured = min(orders) if orders else math.inf
             status = "PASS" if (at_roundoff or measured >= min_order) else "FAIL"
             shown = "exact" if math.isinf(measured) else measured
             report.checks.append(CheckResult(name, status, shown, min_order, "-"))
-        else:
-            raise ConfigError(f"check {name!r} is not valid for convergence_study()")
 
     t0 = time.perf_counter()
     _write_artifacts(report, finest_sol, None, out_dir)

@@ -40,10 +40,10 @@ from enum import Enum
 from typing import Callable
 
 import numpy as np
-from scipy.optimize import brentq
 
 from ._core import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
 from ._core.history import BlockedHistory
+from ._scipy import brentq
 from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rectangle_coefficients, rl_integral, trapezoid_coefficients
 from .gamma import gamma_fn

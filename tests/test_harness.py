@@ -355,6 +355,22 @@ def test_cli_bad_override_is_a_config_error(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("config error: grid.t_end")
 
 
+@pytest.mark.parametrize("command, ident, err", [
+    ("solve", "manufactured_tau2", "config error: check 'order' is not valid for run()\n"),
+    ("study", "zero_rhs",
+     "config error: check 'residual' is not valid for convergence_study()\n"),
+], ids=["solve", "study"])
+def test_cli_rejects_a_check_the_command_cannot_evaluate_before_solving(
+        command, ident, err, tmp_path, capsys, monkeypatch):
+    def unreachable(*args):
+        raise AssertionError("solved before the checks were validated")
+
+    monkeypatch.setattr(harness, "solve_direct", unreachable)
+    monkeypatch.setattr(harness, "solve_sequential", unreachable)
+    assert cli.main([command, ident, "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == err
+
+
 def test_cli_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(make_config(extra=1)))

@@ -1,0 +1,75 @@
+"""The scipy boundary.
+
+scipy is imported on the first call of `fracasym._scipy.quad` or `brentq`,
+so a run that never integrates adaptively or root-finds never loads it.
+perfbench counts the bound layer's quadratures by wrapping `bounds.quad`,
+so the checks must call it through that module attribute.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import fracasym.bounds as bounds
+from fracasym import harness
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# the test suite imports scipy itself, so the imports are watched in a
+# fresh interpreter
+_PROBE = """
+import json, sys, tempfile
+import fracasym, fracasym.cli
+from fracasym import catalog, cli, harness
+
+def scipy_loaded():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+with tempfile.TemporaryDirectory() as tmp:
+    for ident in catalog.builtin_config_ids():
+        harness.load_builtin_config(ident)
+    codes = [cli.main(["catalog"]),
+             cli.main(["study", "manufactured_tau2", "--n-steps", "64", "--out-dir", tmp])]
+    before = scipy_loaded()
+    codes.append(cli.main(["solve", "example46", "--n-steps", "256", "--out-dir", tmp]))
+print(json.dumps({"codes": codes, "before": before, "after": scipy_loaded()}))
+"""
+
+
+def test_scipy_is_loaded_only_by_the_checks_that_need_it():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
+                          capture_output=True, text=True)
+    result = json.loads(proc.stdout.splitlines()[-1])
+    # example46's regression pins hold at its configured N, not at 256
+    assert result["codes"] == [0, 0, 1]
+    assert result["before"] == []
+    assert "scipy.integrate" in result["after"]
+
+
+def _run_one_check(ident, check_name):
+    config = harness.load_builtin_config(ident)
+    doc = {"id": ident, "problem": config.problem,
+           "grid": dict(config.grid, n_steps=256),
+           "checks": [c for c in config.checks if c["name"] == check_name]}
+    return harness.run(harness.load_config(doc), expectations={})
+
+
+def test_bound_checks_integrate_through_the_module_name(monkeypatch):
+    calls = []
+    quad = bounds.quad
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return quad(*args, **kwargs)
+
+    monkeypatch.setattr(bounds, "quad", recording)
+    for ident, check_name in (("example46", "bound_envelope"),
+                              ("example63_forced", "boundedness")):
+        calls.clear()
+        report = _run_one_check(ident, check_name)
+        assert [c.name for c in report.checks] == [check_name]
+        assert report.checks[0].status == "PASS"
+        assert calls, f"{check_name} made no call through bounds.quad"
