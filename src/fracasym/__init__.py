@@ -21,7 +21,7 @@ from .errors import (ClassViolation, ConfigError, DomainError, FracasymError,
 from .fracops import (caputo_derivative, composition_residual, exact_power_rule,
                       rl_integral, semigroup_residual)
 from .gamma import gamma_fn
-from .grid import FractionalOrder, GridFunction
+from .grid import GridFunction
 from .solvers import (ProblemKind, ProblemSpec, RightHandSide, Solution,
                       residual_check, solve_direct, solve_sequential)
 
@@ -31,7 +31,6 @@ __all__ = [
     "__version__",
     "backend_name",
     "GridFunction",
-    "FractionalOrder",
     "gamma_fn",
     "rl_integral",
     "caputo_derivative",

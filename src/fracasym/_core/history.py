@@ -5,7 +5,8 @@ At step m the marching solver needs, for each weight row w of
 
     S_w(m) = sum_{j=1}^{m-1} w[m-j] * f[j]
 
-plus, for the predictor rows when j0 = 0, the node-0 term w[m] * f[0].
+plus, for the predictor rows, the node-0 term w[m] * f[0] (a right-hand
+side that is singular at 0 stores f[0] = 0, which makes that term 0).
 Summed directly that is O(N^2) over a run.  BlockedHistory splits the
 index pairs (j, m), j < m, by the highest bit in which j and m differ
 (Hairer, Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
@@ -42,7 +43,7 @@ class BlockedHistory:
     """
 
     def __init__(self, bx: np.ndarray, ax: np.ndarray, bv: np.ndarray,
-                 av: np.ndarray, f: np.ndarray, j0: int):
+                 av: np.ndarray, f: np.ndarray):
         self._rows = (bx, ax, bv, av) if bv.size else (bx, ax)
         self._f = f
         n = f.size - 1
@@ -55,10 +56,9 @@ class BlockedHistory:
         for r, w in enumerate(self._rows):
             self._rev[BLOCK - lags:, r] = w[lags:0:-1]
         self._acc = np.zeros((n + 1, k))
-        if j0 == 0:
-            # node 0 enters the predictor sums only; the blocks skip it
-            for r in range(0, k, 2):
-                self._acc[1:, r] = self._rows[r][1:n + 1] * f[0]
+        # node 0 enters the predictor sums only; the blocks skip it
+        for r in range(0, k, 2):
+            self._acc[1:, r] = self._rows[r][1:n + 1] * f[0]
         self._spectra: dict[int, np.ndarray] = {}
         self._next_block = BLOCK
 

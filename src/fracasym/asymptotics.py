@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from ._scipy import quad
-from .bounds import BoundReport
+from .bounds import _QUAD_OPTS, BoundReport
 from .errors import DomainError
 from .fracops import rl_integral
 from .gamma import gamma_fn
@@ -29,6 +29,7 @@ __all__ = [
     "lhopital_residual",
     "lhopital_lemma_term",
     "TailIntegrand",
+    "INTEGRANDS",
     "make_integrand",
     "TailEstimate",
     "improper_tail",
@@ -36,9 +37,6 @@ __all__ = [
     "BoundednessVerdict",
     "boundedness_verdict",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
-
 
 @dataclass(frozen=True)
 class SlopeEstimate:
@@ -52,7 +50,6 @@ class SlopeEstimate:
     raw_tail: float
     accelerated: float
     spread: float
-    window_fraction: float
 
 
 def power_slope(sol: Solution, window_fraction: float = 0.25) -> SlopeEstimate:
@@ -82,8 +79,7 @@ def power_slope(sol: Solution, window_fraction: float = 0.25) -> SlopeEstimate:
         accelerated = raw
     else:
         accelerated = s2 - (s2 - s1) ** 2 / denom
-    return SlopeEstimate(raw_tail=raw, accelerated=accelerated, spread=spread,
-                         window_fraction=window_fraction)
+    return SlopeEstimate(raw_tail=raw, accelerated=accelerated, spread=spread)
 
 
 def lhopital_residual(sol: Solution) -> float:
@@ -132,53 +128,37 @@ class TailIntegrand:
     fn: Callable[[float], float]
     tail_class: str  # "exponential" | "power" | "unknown"
     tail_exponent: float = 0.0
-    description: str = ""
 
 
-_INTEGRANDS: dict[str, Callable[..., TailIntegrand]] = {}
-
-
-def _register(name: str):
-    def deco(factory):
-        _INTEGRANDS[name] = factory
-        return factory
-    return deco
-
-
-@_register("exp_decay")
 def _exp_decay(rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"exp_decay needs rate > 0, got {rate}")
-    return TailIntegrand("exp_decay", lambda s: math.exp(-rate * s),
-                         "exponential",
-                         description=f"exp(-{rate}*s)")
+    return TailIntegrand("exp_decay", lambda s: math.exp(-rate * s), "exponential")
 
 
-@_register("power")
 def _power(exponent: float) -> TailIntegrand:
-    return TailIntegrand("power", lambda s: s ** exponent,
-                         "power", tail_exponent=exponent,
-                         description=f"s^{exponent}")
+    return TailIntegrand("power", lambda s: s ** exponent, "power", tail_exponent=exponent)
 
 
-@_register("power_exp")
 def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"power_exp needs rate > 0, got {rate}")
     return TailIntegrand("power_exp", lambda s: s ** exponent * math.exp(-rate * s),
-                         "exponential",
-                         description=f"s^{exponent} * exp(-{rate}*s)")
+                         "exponential")
 
 
-def make_integrand(name: str, **params) -> TailIntegrand:
+INTEGRANDS: dict[str, Callable[..., TailIntegrand]] = {
+    "exp_decay": _exp_decay,
+    "power": _power,
+    "power_exp": _power_exp,
+}
+
+
+def make_integrand(name: str, params: dict | None = None) -> TailIntegrand:
     """Look up a catalog integrand by id."""
-    if name not in _INTEGRANDS:
-        raise DomainError(f"unknown integrand {name!r}; known: {sorted(_INTEGRANDS)}")
-    return _INTEGRANDS[name](**params)
-
-
-def integrand_ids() -> list[str]:
-    return sorted(_INTEGRANDS)
+    if name not in INTEGRANDS:
+        raise DomainError(f"unknown integrand {name!r}; known: {sorted(INTEGRANDS)}")
+    return INTEGRANDS[name](**(params or {}))
 
 
 class TailEstimate(NamedTuple):
@@ -186,8 +166,8 @@ class TailEstimate(NamedTuple):
     verdict: str  # "converges" | "diverges" | "inconclusive"
 
 
-def improper_tail(integrand: TailIntegrand | str, weight_power: float = 0.0,
-                  split: float = 1.0, params: dict | None = None) -> TailEstimate:
+def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
+                  split: float = 1.0) -> TailEstimate:
     """Estimate int_split^inf s^weight_power * f(s) ds with a verdict.
 
     The verdict combines the integrand's analytic tail tag with the numeric
@@ -196,8 +176,6 @@ def improper_tail(integrand: TailIntegrand | str, weight_power: float = 0.0,
     unless their dyadic increments both shrink below tolerance and decay
     geometrically.
     """
-    if isinstance(integrand, str):
-        integrand = make_integrand(integrand, **(params or {}))
     if split < 0:
         raise DomainError(f"split must be >= 0, got {split}")
 

@@ -75,16 +75,16 @@ class ComparisonFunction:
     def __call__(self, s: float) -> float:
         return float(self.fn(s))
 
-    def validate(self, w_max: float = 100.0, density: int = 64) -> None:
+    def validate(self) -> None:
         """Sampled class check; raises ClassViolation on the first failure."""
-        ws = np.geomspace(1e-6, w_max, density)
+        ws = np.geomspace(1e-6, 100.0, 64)
         vals = np.array([self(w) for w in ws])
         if np.any(vals <= 0):
             raise ClassViolation(f"{self.name}: not positive on sampled range")
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
             raise ClassViolation(f"{self.name}: not nondecreasing on sampled range")
-        vgrid = np.geomspace(1.0, 50.0, density)
-        for w in ws[:: max(1, density // 16)]:
+        vgrid = np.geomspace(1.0, 50.0, 64)
+        for w in ws[::4]:
             phiw = self(w)
             for v in vgrid:
                 if phiw / v > self(w / v) * (1.0 + 1e-12):
@@ -107,11 +107,10 @@ class LipschitzClassFunction:
     def majorant_at(self, tau: float) -> float:
         return float(self.majorant(tau))
 
-    def validate(self, tau_max: float = 50.0, s_max: float = 50.0,
-                 density: int = 64) -> None:
-        taus = np.geomspace(1e-4, tau_max, density)
-        ss = np.linspace(0.0, s_max, density)
-        for tau in taus[:: max(1, density // 16)]:
+    def validate(self) -> None:
+        taus = np.geomspace(1e-4, 50.0, 64)
+        ss = np.linspace(0.0, 50.0, 64)
+        for tau in taus[::4]:
             ntau = self.majorant_at(tau)
             if ntau < 0:
                 raise ClassViolation(f"{self.name}: majorant negative at tau={tau:.3g}")
@@ -129,9 +128,8 @@ class LipschitzClassFunction:
 @dataclass(frozen=True)
 class BoundReport:
     """Evaluated bound constants plus (optionally) the bound curve sampled
-    on the relevant solution grid; source names the producing construction."""
+    on the relevant solution grid."""
 
-    source: str
     constants: dict[str, float] = field(default_factory=dict)
     curve: GridFunction | None = None
 
@@ -382,7 +380,7 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
     return inv ** (1.0 / q) if math.isfinite(inv) else math.inf
 
 
-def reciprocal_tail_verdict(fn: Callable[[float], float], name: str = "phi") -> str:
+def reciprocal_tail_verdict(fn: Callable[[float], float]) -> str:
     """Classify int^inf ds / fn(s): 'diverges', 'converges' or 'inconclusive'.
 
     Works on dyadic pieces of the reciprocal integrand; the piece ratio of a
@@ -408,7 +406,7 @@ def reciprocal_tail_verdict(fn: Callable[[float], float], name: str = "phi") -> 
 
 
 def _require_divergent_transform(phi: ComparisonFunction) -> None:
-    verdict = reciprocal_tail_verdict(phi, phi.name)
+    verdict = reciprocal_tail_verdict(phi)
     if verdict != "diverges":
         raise HypothesisViolation(
             f"reciprocal integral of {phi.name} must diverge for the bound to "
@@ -452,7 +450,6 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
     taus = P.taus
     curve = np.where(taus < 1.0, c1_const, c2_const * taus ** alpha)
     return BoundReport(
-        source="growth_envelope",
         constants={"C1": c1_const, "C2": c2_const, "A": a_const, "K": k_const,
                    "alpha": alpha, "tail_integral": tail_integral},
         curve=GridFunction(P.t_end, curve),
@@ -506,7 +503,6 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
         "weighted integral of the Lipschitz majorants")
     c = (c2 + c3 * i_f) * math.exp(c3 * i_n)
     return BoundReport(
-        source="lipschitz_growth",
         constants={"C": c, "C2": c2, "C3": c3, "alpha": alpha, "beta": beta,
                    "b1": b1, "source_integral": i_f, "majorant_integral": i_n},
     )
@@ -585,7 +581,6 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     curve = (GridFunction(h.t_end, np.full(h.values.size, c))
              if math.isfinite(c) else None)
     return BoundReport(
-        source="uniform_bound",
         constants={"C": c, "K1": k1, "q": q, "tau0": tau0, "hq_integral": hq_total},
         curve=curve,
     )

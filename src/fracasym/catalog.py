@@ -1,9 +1,11 @@
 """Named building blocks referenced by experiment configurations.
 
-Everything an experiment JSON may refer to by name lives here: right-hand
-sides, comparison functions, weight functions (with their analytic tail
-tags) and exact solutions for the manufactured problems.  Keeping the
-registry data-driven is what makes configs pure data and runs reproducible.
+An experiment JSON refers by name to right-hand sides and comparison
+functions, whose tables live here, and to weight functions, which are the
+integrands of `asymptotics.INTEGRANDS` (with their analytic tail tags).
+The exact solutions of the manufactured problems live here too.  Keeping
+the registry data-driven is what makes configs pure data and runs
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +15,6 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import TailIntegrand, make_integrand
 from .bounds import ComparisonFunction
 from .errors import ConfigError, DomainError
 from .gamma import gamma_fn
@@ -23,10 +24,9 @@ __all__ = [
     "signed_power",
     "make_rhs",
     "make_phi",
-    "make_weight",
     "exact_solution",
-    "rhs_ids",
-    "phi_ids",
+    "RHS",
+    "PHI",
     "builtin_config_ids",
     "BUILTIN_CONFIGS",
 ]
@@ -46,8 +46,7 @@ def signed_power(u: float, p: float) -> float:
 # right-hand sides
 
 def _rhs_zero() -> RightHandSide:
-    return RightHandSide(lambda tau, u, v: 0.0, name="zero",
-                         description="f = 0 (closed-form smoke problems)")
+    return RightHandSide(lambda tau, u, v: 0.0)
 
 
 def _rhs_exp_decay_power(rate: float = 1.0, exponent: float = 0.5) -> RightHandSide:
@@ -59,10 +58,7 @@ def _rhs_exp_decay_power(rate: float = 1.0, exponent: float = 0.5) -> RightHandS
     def fn(tau, u, v):
         return math.exp(-rate * tau) * signed_power(u, exponent)
 
-    return RightHandSide(
-        fn, name="exp_decay_power",
-        description=f"exp(-{rate}*tau) * x^{exponent}: exponentially damped "
-                    "sublinear feedback; tail slope of x/tau^alpha settles")
+    return RightHandSide(fn)
 
 
 def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
@@ -76,12 +72,7 @@ def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
                 * (signed_power(u, u_exponent) * signed_power(v, v_exponent)
                    * math.cos(v) + forcing))
 
-    return RightHandSide(
-        fn, name="damped_singular_product",
-        singular_at_zero=pre_exponent < 0,
-        description=f"tau^{pre_exponent} exp(-{rate}*tau) * (x^{u_exponent} "
-                    f"v^{v_exponent} cos(v) + {forcing}): damped product "
-                    "nonlinearity in the state and its fractional derivative")
+    return RightHandSide(fn, singular_at_zero=pre_exponent < 0)
 
 
 def _rhs_manufactured_power(mu: float, alpha: float, kind: str) -> RightHandSide:
@@ -104,88 +95,84 @@ def _rhs_manufactured_power(mu: float, alpha: float, kind: str) -> RightHandSide
         def fn(tau, u, v):
             return scale * tau ** expo
 
-    return RightHandSide(
-        fn, name="manufactured_power_mu",
-        description=f"source making x = tau^{mu} exact (order check oracle)")
+    return RightHandSide(fn)
 
 
-_RHS_FACTORIES: dict[str, Callable[..., RightHandSide]] = {
-    "zero": _rhs_zero,
-    "exp_decay_power": _rhs_exp_decay_power,
-    "damped_singular_product": _rhs_damped_singular_product,
-    "manufactured_power_mu": _rhs_manufactured_power,
-}
-
-RHS_DESCRIPTIONS = {
-    "zero": "f = 0; closed-form solutions",
-    "exp_decay_power": "exp(-rate*tau) * x^exponent  [params: rate, exponent]",
-    "damped_singular_product": ("tau^pre_exponent exp(-rate*tau) * (x^u_exponent "
-                                "* Dbeta^v_exponent * cos(Dbeta) + forcing)  "
-                                "[params: pre_exponent, rate, u_exponent, "
-                                "v_exponent, forcing]"),
-    "manufactured_power_mu": "state-independent source with exact solution tau^mu  [params: mu]",
+# name -> (factory, text `fracasym catalog` lists)
+RHS: dict[str, tuple[Callable[..., RightHandSide], str]] = {
+    "damped_singular_product": (
+        _rhs_damped_singular_product,
+        "tau^pre_exponent exp(-rate*tau) * (x^u_exponent * Dbeta^v_exponent "
+        "* cos(Dbeta) + forcing)  [params: pre_exponent, rate, u_exponent, "
+        "v_exponent, forcing]"),
+    "exp_decay_power": (_rhs_exp_decay_power,
+                        "exp(-rate*tau) * x^exponent  [params: rate, exponent]"),
+    "manufactured_power_mu": (
+        _rhs_manufactured_power,
+        "state-independent source with exact solution tau^mu  [params: mu]"),
+    "zero": (_rhs_zero, "f = 0; closed-form solutions"),
 }
 
 
-def rhs_ids() -> list[str]:
-    return sorted(_RHS_FACTORIES)
+def _build(table: dict, kind: str, name: str, params: dict):
+    if name not in table:
+        raise ConfigError(f"unknown {kind} {name!r}; known: {sorted(table)}")
+    try:
+        return table[name][0](**params)
+    except TypeError as exc:
+        raise ConfigError(f"bad parameters for {kind} {name!r}: {exc}") from exc
 
 
 def make_rhs(name: str, params: dict | None, alpha: float, kind: str) -> RightHandSide:
-    if name not in _RHS_FACTORIES:
-        raise ConfigError(f"unknown rhs {name!r}; known: {rhs_ids()}")
     params = dict(params or {})
     if name == "manufactured_power_mu":
         params.setdefault("alpha", alpha)
         params.setdefault("kind", kind)
-    try:
-        return _RHS_FACTORIES[name](**params)
-    except TypeError as exc:
-        raise ConfigError(f"bad parameters for rhs {name!r}: {exc}") from exc
+    return _build(RHS, "rhs", name, params)
 
 
 # --------------------------------------------------------------------------
 # comparison functions
 
-def make_phi(name: str, params: dict | None = None, xi0: float = 1e-8) -> ComparisonFunction:
-    params = dict(params or {})
-    if name == "identity":
-        return ComparisonFunction(lambda s: s, xi0=xi0, name="identity")
-    if name == "power":
-        r = float(params.pop("exponent"))
-        if params:
-            raise ConfigError(f"unknown phi parameters {sorted(params)}")
-        if not 0 < r <= 1:
-            raise ConfigError(f"power comparison function needs exponent in (0,1], got {r}")
-        return ComparisonFunction(lambda s: s ** r, xi0=xi0, name=f"s^{r}")
-    if name == "power_plus_one":
-        r = float(params.pop("exponent"))
-        if params:
-            raise ConfigError(f"unknown phi parameters {sorted(params)}")
-        if not 0 < r <= 1:
-            raise ConfigError(f"power comparison function needs exponent in (0,1], got {r}")
-        return ComparisonFunction(lambda s: s ** r + 1.0, xi0=xi0, name=f"s^{r}+1")
-    if name == "constant":
-        c = float(params.pop("value", 1.0))
-        if params:
-            raise ConfigError(f"unknown phi parameters {sorted(params)}")
-        if c <= 0:
-            raise ConfigError(f"constant comparison function needs value > 0, got {c}")
-        return ComparisonFunction(lambda s: c, xi0=xi0, name=f"const {c}")
-    raise ConfigError(f"unknown comparison function {name!r}; known: {phi_ids()}")
+def _phi_exponent(exponent: float) -> float:
+    r = float(exponent)
+    if not 0 < r <= 1:
+        raise ConfigError(f"power comparison function needs exponent in (0,1], got {r}")
+    return r
 
 
-def phi_ids() -> list[str]:
-    return ["constant", "identity", "power", "power_plus_one"]
+def _phi_constant(value: float = 1.0) -> ComparisonFunction:
+    c = float(value)
+    if c <= 0:
+        raise ConfigError(f"constant comparison function needs value > 0, got {c}")
+    return ComparisonFunction(lambda s: c, name=f"const {c}")
 
 
-# --------------------------------------------------------------------------
-# weight functions (P in the envelope hypothesis, h in the uniform bound)
+def _phi_identity() -> ComparisonFunction:
+    return ComparisonFunction(lambda s: s, name="identity")
 
-def make_weight(name: str, params: dict | None = None) -> TailIntegrand:
-    """Weight functions are catalog integrands so their improper integrals
-    carry honest verdicts."""
-    return make_integrand(name, **(params or {}))
+
+def _phi_power(exponent: float) -> ComparisonFunction:
+    r = _phi_exponent(exponent)
+    return ComparisonFunction(lambda s: s ** r, name=f"s^{r}")
+
+
+def _phi_power_plus_one(exponent: float) -> ComparisonFunction:
+    r = _phi_exponent(exponent)
+    return ComparisonFunction(lambda s: s ** r + 1.0, name=f"s^{r}+1")
+
+
+# name -> (factory, text `fracasym catalog` lists)
+PHI: dict[str, tuple[Callable[..., ComparisonFunction], str]] = {
+    "constant": (_phi_constant, "constant [value]"),
+    "identity": (_phi_identity, "identity"),
+    "power": (_phi_power, "power [exponent]"),
+    "power_plus_one": (_phi_power_plus_one, "power_plus_one [exponent]"),
+}
+
+
+def make_phi(name: str, params: dict | None = None) -> ComparisonFunction:
+    return _build(PHI, "comparison function", name, dict(params or {}))
 
 
 # --------------------------------------------------------------------------

@@ -132,8 +132,6 @@ def _iterated_integral(g: GridFunction, mu: float) -> GridFunction:
         return rl_integral(g, mu)
     if mu > 2.0:
         raise DomainError(f"composite order limited to (0, 2], got {mu}")
-    if mu == 2.0:
-        return rl_integral(rl_integral(g, 1.0), 1.0)
     return rl_integral(rl_integral(g, mu - 1.0), 1.0)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GridFunction", "FractionalOrder", "as_order"]
+__all__ = ["GridFunction", "as_order"]
 
 
 @dataclass(frozen=True)
@@ -83,6 +83,8 @@ class GridFunction:
 
     def integral_to(self, tau: float) -> float:
         """Integral of the piecewise-linear interpolant over [0, tau]."""
+        if not 0.0 <= tau <= self.t_end * (1 + 1e-12):
+            raise DomainError(f"tau={tau} outside grid [0, {self.t_end}]")
         cum = self.cumulative_integral()
         h = self.step
         k = int(tau / h)
@@ -96,23 +98,10 @@ class GridFunction:
         return float(cum[k] + 0.5 * frac * (v0 + vt))
 
 
-@dataclass(frozen=True)
-class FractionalOrder:
-    """An order in (0, 1]; 1 is allowed so first-order integrals reuse the
-    same code path as the fractional ones."""
-
-    value: float
-
-    def __post_init__(self):
-        if not (0.0 < self.value <= 1.0):
-            raise DomainError(f"fractional order must lie in (0, 1], got {self.value}")
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def as_order(alpha) -> float:
-    """Validate and unwrap an order given as float or FractionalOrder."""
-    if isinstance(alpha, FractionalOrder):
-        return alpha.value
-    return FractionalOrder(float(alpha)).value
+    """An order in (0, 1] as a float; 1 is allowed so first-order integrals
+    reuse the same code path as the fractional ones."""
+    mu = float(alpha)
+    if not 0.0 < mu <= 1.0:
+        raise DomainError(f"fractional order must lie in (0, 1], got {mu}")
+    return mu

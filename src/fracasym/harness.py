@@ -24,8 +24,9 @@ import numpy as np
 
 from . import catalog
 from ._core import backend_name
-from .asymptotics import (boundedness_verdict, improper_tail, lhopital_lemma_term,
-                          lhopital_residual, power_slope)
+from .asymptotics import (INTEGRANDS, boundedness_verdict, improper_tail,
+                          lhopital_lemma_term, lhopital_residual, make_integrand,
+                          power_slope)
 from .bounds import growth_envelope_constants, uniform_bound_constant
 from .errors import ConfigError, HypothesisViolation
 from .grid import GridFunction
@@ -175,10 +176,17 @@ def _object(d, where: str, required=(), optional=()) -> dict:
 
 
 def _number(value, where: str, kind=float):
+    """value as a float, or with kind=int as an int; an int must be finite and
+    integral, so that 512.9 is not cut to 512."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
+        number = float(value)
+    except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if kind is float:
+        return number
+    if not number.is_integer():
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    return int(value) if isinstance(value, int) else int(number)
 
 
 def _fn_ref(d, where: str) -> dict:
@@ -260,7 +268,7 @@ def _load_config(source) -> ExperimentConfig:
         for ref in ("phi", "phi1", "phi2", "weight", "integrand"):
             if ref in check:
                 check[ref] = _fn_ref(check[ref], f"{where}.{ref}")
-                make = catalog.make_phi if ref.startswith("phi") else catalog.make_weight
+                make = catalog.make_phi if ref.startswith("phi") else make_integrand
                 make(check[ref]["name"], check[ref].get("params"))
         if name == "boundedness":
             if not check["q"] > 1:
@@ -272,6 +280,8 @@ def _load_config(source) -> ExperimentConfig:
         if name == "hypothesis" and check["expect"] not in ("converges", "diverges",
                                                             "inconclusive"):
             raise ConfigError(f"{where}: expect must name a verdict")
+        if name == "order" and grid.get("refinement_levels", 1) < 2:
+            raise ConfigError(f"{where}: order needs grid.refinement_levels >= 2")
         if name == "closed_form" and catalog.exact_solution(problem) is None:
             raise ConfigError(f"{where}: problem has no exact solution in the catalog")
         if name == "regression" and check["key"] not in produced:
@@ -302,11 +312,8 @@ def load_builtin_config(ident: str) -> ExperimentConfig:
     return load_config(json.loads(text))
 
 
-def load_expectations(ident: str, directory: Path | None = None) -> dict[str, float]:
+def load_expectations(ident: str) -> dict[str, float]:
     """Pinned regression values for a config id; empty when none exist."""
-    if directory is not None:
-        path = Path(directory) / f"{ident}.json"
-        return json.loads(path.read_text()) if path.exists() else {}
     try:
         ref = resources.files("fracasym.expectations").joinpath(f"{ident}.json")
         if ref.is_file():
@@ -400,9 +407,10 @@ def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registr
             return _check_boundedness(check, config, sol, measured_registry)
 
         if name == "hypothesis":
-            integrand = check["integrand"]
-            est = improper_tail(integrand["name"], check.get("weight_power", 0.0),
-                                check.get("split", 1.0), integrand.get("params"))
+            integrand = make_integrand(check["integrand"]["name"],
+                                       check["integrand"].get("params"))
+            est = improper_tail(integrand, check.get("weight_power", 0.0),
+                                check.get("split", 1.0))
             ok = est.verdict == check["expect"]
             return CheckResult(name, "PASS" if ok else "FAIL",
                                est.verdict, check["expect"], "exact"), None
@@ -435,8 +443,7 @@ def _threshold_result(name: str, measured: float, tol: float) -> CheckResult:
 def _check_bound_envelope(check, config, sol, measured_registry):
     spec = sol.spec
     phi = catalog.make_phi(check["phi"]["name"], check["phi"].get("params"))
-    weight = catalog.make_weight(check["weight"]["name"],
-                                 check["weight"].get("params"))
+    weight = make_integrand(check["weight"]["name"], check["weight"].get("params"))
     taus = sol.x.taus
     pgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in taus]))
     tail = improper_tail(weight, weight_power=spec.alpha, split=1.0)
@@ -460,8 +467,7 @@ def _check_boundedness(check, config, sol, measured_registry):
     spec = sol.spec
     phi1 = catalog.make_phi(check["phi1"]["name"], check["phi1"].get("params"))
     phi2 = catalog.make_phi(check["phi2"]["name"], check["phi2"].get("params"))
-    weight = catalog.make_weight(check["weight"]["name"],
-                                 check["weight"].get("params"))
+    weight = make_integrand(check["weight"]["name"], check["weight"].get("params"))
     taus = sol.x.taus
     hgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in taus]))
     tau0 = sol.x.step if check.get("tau0", "step") == "step" else check["tau0"]
@@ -603,19 +609,16 @@ def pin(config: ExperimentConfig, expectations_dir: Path, out_dir=None) -> Path:
 
 def list_catalog() -> str:
     """Human-readable listing of everything configs can reference."""
-    from .asymptotics import integrand_ids
-
     lines = ["builtin experiment configs:"]
     for ident in catalog.builtin_config_ids():
         lines.append(f"  {ident}: {catalog.BUILTIN_CONFIGS[ident]}")
     lines.append("right-hand sides (problem.rhs.name):")
-    for ident in catalog.rhs_ids():
-        lines.append(f"  {ident}: {catalog.RHS_DESCRIPTIONS[ident]}")
+    for ident, (_, text) in sorted(catalog.RHS.items()):
+        lines.append(f"  {ident}: {text}")
     lines.append("comparison functions (phi.name):")
-    lines.append("  constant [value], identity, power [exponent], "
-                 "power_plus_one [exponent]")
+    lines.append("  " + ", ".join(text for _, (_, text) in sorted(catalog.PHI.items())))
     lines.append("weight/tail integrands (weight.name, integrand.name):")
-    for ident in integrand_ids():
+    for ident in sorted(INTEGRANDS):
         lines.append(f"  {ident}")
     lines.append("checks: " + ", ".join(sorted(_CHECKS)))
     return "\n".join(lines) + "\n"

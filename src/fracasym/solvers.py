@@ -79,9 +79,7 @@ class RightHandSide:
     """
 
     fn: Callable[[float, float, float], float]
-    name: str = "user"
     singular_at_zero: bool = False
-    description: str = ""
 
     def __call__(self, tau: float, u: float, v: float) -> float:
         return self.fn(tau, u, v)
@@ -160,7 +158,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     if not singular:
         fhist[0] = _eval_rhs(f, 0, taus[0], x[0], v[0])
 
-    history = BlockedHistory(bx, ax, bv, av, fhist, 1 if singular else 0)
+    history = BlockedHistory(bx, ax, bv, av, fhist)
     for m in range(1, n + 1):
         px, cxs, pv, cvs = history.sums(m)
         if singular and m >= 2:

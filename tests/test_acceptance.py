@@ -28,6 +28,7 @@ from fracasym import (GridFunction, bihari_bound, boundedness_verdict,
                       residual_check, rl_integral, semigroup_residual,
                       solve_direct, solve_sequential, uniform_bound_constant)
 from fracasym import cli, harness
+from fracasym.asymptotics import make_integrand
 from fracasym.bounds import bihari_bound_curve, linear_class_bound
 from fracasym.bounds import ComparisonFunction, LipschitzClassFunction
 from fracasym.catalog import make_phi, make_rhs
@@ -222,8 +223,8 @@ def test_acceptance_4c_envelope(example46_runs):
     _, sol400, _ = example46_runs
     phi = make_phi("power", {"exponent": 0.5})
     P = GridFunction(400.0, np.exp(-sol400.x.taus))
-    tail = improper_tail("exp_decay", weight_power=0.5, split=1.0,
-                         params={"rate": 1.0})
+    tail = improper_tail(make_integrand("exp_decay", {"rate": 1.0}),
+                         weight_power=0.5, split=1.0)
     assert tail.verdict == "converges"
     rep = growth_envelope_constants(1.0, 1.0, 0.5, P, phi,
                                     tail_integral=tail.finite_estimate)
@@ -263,8 +264,8 @@ def test_acceptance_5_boundedness():
                                  variant="corrected")
     bd = boundedness_verdict(sol, rep)
 
-    div = improper_tail("power", weight_power=0.0, split=1.0,
-                        params={"exponent": -14.0 / 15.0})
+    div = improper_tail(make_integrand("power", {"exponent": -14.0 / 15.0}),
+                        weight_power=0.0, split=1.0)
     elapsed = time.perf_counter() - start
     ok = (bd.within_bound and math.isfinite(bd.sup_x) and math.isfinite(bd.sup_dbeta)
           and div.verdict == "diverges" and elapsed < 60.0)

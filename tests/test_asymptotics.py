@@ -7,7 +7,7 @@ from fracasym import (BoundReport, DomainError, GridFunction, boundedness_verdic
                       gamma_fn, improper_tail, integrable_limit_check,
                       lhopital_residual, power_slope, solve_direct,
                       solve_sequential)
-from fracasym.asymptotics import TailIntegrand
+from fracasym.asymptotics import TailIntegrand, make_integrand
 from fracasym.catalog import make_rhs
 from fracasym.solvers import ProblemKind, ProblemSpec, Solution
 
@@ -83,38 +83,38 @@ def test_lhopital_zero_source_closed_form():
 # improper_tail
 
 def test_tail_weighted_exponential():
-    est = improper_tail("exp_decay", weight_power=0.5, split=1.0,
-                        params={"rate": 1.0})
+    est = improper_tail(make_integrand("exp_decay", {"rate": 1.0}),
+                        weight_power=0.5, split=1.0)
     assert est.verdict == "converges"
     assert est.finite_estimate == pytest.approx(SQRT_GAMMA_TAIL, rel=1e-6)
     assert est.finite_estimate <= GAMMA_1_5
 
 
 def test_tail_slow_power_diverges():
-    est = improper_tail("power", weight_power=0.0, split=1.0,
-                        params={"exponent": -0.5})
+    est = improper_tail(make_integrand("power", {"exponent": -0.5}),
+                        weight_power=0.0, split=1.0)
     assert est.verdict == "diverges"
     assert math.isinf(est.finite_estimate)
 
 
 def test_tail_exponential_from_zero():
-    est = improper_tail("exp_decay", weight_power=0.0, split=0.0,
-                        params={"rate": 1.0})
+    est = improper_tail(make_integrand("exp_decay", {"rate": 1.0}),
+                        weight_power=0.0, split=0.0)
     assert est.verdict == "converges"
     assert est.finite_estimate == pytest.approx(1.0, rel=1e-6)
 
 
 def test_tail_fast_power_analytic_tail():
-    est = improper_tail("power", weight_power=0.0, split=1.0,
-                        params={"exponent": -1.5})
+    est = improper_tail(make_integrand("power", {"exponent": -1.5}),
+                        weight_power=0.0, split=1.0)
     assert est.verdict == "converges"
     assert est.finite_estimate == pytest.approx(2.0, rel=1e-6)
 
 
 @pytest.mark.parametrize("p", [-1.0, -0.9, -0.5, 0.0, 1.0])
 def test_tail_never_converges_at_critical_powers(p):
-    est = improper_tail("power", weight_power=0.0, split=1.0,
-                        params={"exponent": p})
+    est = improper_tail(make_integrand("power", {"exponent": p}),
+                        weight_power=0.0, split=1.0)
     assert est.verdict == "diverges"
 
 
@@ -133,7 +133,7 @@ def test_tail_unknown_class_nonshrinking_is_inconclusive():
 
 def test_tail_unknown_integrand_name():
     with pytest.raises(DomainError):
-        improper_tail("mystery", split=1.0)
+        make_integrand("mystery")
 
 
 # --------------------------------------------------------------------------
@@ -162,7 +162,7 @@ def test_boundedness_trivial():
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0,
                        make_rhs("zero", None, 0.5, "direct"))
     sol = solve_direct(spec, 20.0, 128)
-    report = BoundReport(source="uniform_bound", constants={"C": 1.0, "tau0": 0.5})
+    report = BoundReport(constants={"C": 1.0, "tau0": 0.5})
     verdict = boundedness_verdict(sol, report)
     assert verdict.sup_x == 1.0
     assert verdict.sup_dbeta == 0.0
@@ -171,7 +171,7 @@ def test_boundedness_trivial():
 
 def test_boundedness_linear_growth_fails():
     sol = synthetic_solution(lambda t: t, t_end=100.0, n=512)
-    report = BoundReport(source="uniform_bound", constants={"C": 5.0, "tau0": 1.0})
+    report = BoundReport(constants={"C": 5.0, "tau0": 1.0})
     verdict = boundedness_verdict(sol, report)
     assert verdict.sup_x == 100.0
     assert not verdict.within_bound
@@ -179,6 +179,6 @@ def test_boundedness_linear_growth_fails():
 
 def test_boundedness_tolerance_moves_the_verdict():
     sol = synthetic_solution(lambda t: t, t_end=100.0, n=512)
-    report = BoundReport(source="uniform_bound", constants={"C": 99.99, "tau0": 1.0})
+    report = BoundReport(constants={"C": 99.99, "tau0": 1.0})
     assert not boundedness_verdict(sol, report).within_bound
     assert boundedness_verdict(sol, report, tolerance=1e-3).within_bound

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from fracasym import DomainError, FractionalOrder, GridFunction
+from fracasym import DomainError, GridFunction, bihari_bound, rl_integral
+from fracasym.catalog import make_phi
+from fracasym.grid import as_order
 
 
 def test_basic_construction():
@@ -55,11 +57,30 @@ def test_index_and_value_lookup():
         g.index_at(11.0)
 
 
+@pytest.mark.parametrize("tau", [-1.0, -1e-9, 20.0, 10.0 * (1 + 1e-9)])
+def test_integral_to_rejects_times_outside_the_grid(tau):
+    g = GridFunction(10.0, np.ones(101))
+    with pytest.raises(DomainError):
+        g.integral_to(tau)
+    assert g.integral_to(10.0 * (1 + 1e-13)) == pytest.approx(10.0)
+
+
+def test_bihari_bound_rejects_a_negative_time():
+    g = GridFunction(10.0, np.ones(101))
+    with pytest.raises(DomainError):
+        bihari_bound(1.0, 0.0, 1.0, 0.5, g, make_phi("identity"), -1.0)
+
+
 @pytest.mark.parametrize("bad", [0.0, -0.3, 1.5])
 def test_fractional_order_domain(bad):
+    g = GridFunction(1.0, [0.0, 0.5, 1.0])
     with pytest.raises(DomainError):
-        FractionalOrder(bad)
+        as_order(bad)
+    with pytest.raises(DomainError):
+        rl_integral(g, bad)
 
 
 def test_fractional_order_accepts_one():
-    assert float(FractionalOrder(1.0)) == 1.0
+    assert as_order(1.0) == 1.0
+    g = GridFunction(1.0, [1.0, 1.0, 1.0])
+    assert np.allclose(rl_integral(g, 1.0).values, [0.0, 0.5, 1.0])

@@ -3,8 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from fracasym import BoundReport, ConfigError, solve_sequential
+from fracasym import (BoundReport, ComparisonFunction, ConfigError, RightHandSide,
+                      solve_sequential)
 from fracasym import catalog, cli, harness
+from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
 
 
 def make_config(**overrides):
@@ -112,6 +114,13 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
                  id="alpha_not_a_number"),
     pytest.param(_edited(lambda d: d.update(problem=[])), id="problem_not_an_object"),
     pytest.param(json.dumps(make_config())[:60], id="truncated_json"),
+    pytest.param(_edited(lambda d: d["grid"].update(n_steps=float("inf"))),
+                 id="infinite_n_steps"),
+    pytest.param(_edited(lambda d: d["grid"].update(n_steps=512.9)),
+                 id="fractional_n_steps"),
+    pytest.param(_edited(lambda d: d["grid"].update(refinement_levels=0.5))
+                 .replace("0.5}", "1e400}"), id="huge_refinement_levels"),
+    pytest.param(_edited(lambda d: d.update(seed=-float("inf"))), id="infinite_seed"),
 ])
 def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -226,8 +235,7 @@ def test_boundedness_check_applies_its_tolerance(monkeypatch, tmp_path):
     sup_x = harness.run(config, out_dir=tmp_path).measured["sup_x"]
 
     def tight_bound(*args, **kwargs):  # C just under sup |x|
-        return BoundReport(source="uniform_bound",
-                           constants={"C": sup_x / (1.0 + 1e-6), "tau0": 0.0})
+        return BoundReport(constants={"C": sup_x / (1.0 + 1e-6), "tau0": 0.0})
 
     monkeypatch.setattr(harness, "uniform_bound_constant", tight_bound)
     statuses = {}
@@ -304,6 +312,26 @@ def test_study_roundoff_reports_exact(tmp_path):
     assert any("exact" in line for line in report.info_lines)
 
 
+def test_order_check_needs_two_refinement_levels(tmp_path, monkeypatch, capsys):
+    doc = make_config(checks=[{"name": "order", "min_order": 5.0}])
+    doc["problem"]["rhs"] = {"name": "manufactured_power_mu", "params": {"mu": 2.0}}
+    doc["grid"] = {"t_end": 1.0, "n_steps": 16}
+    with pytest.raises(ConfigError, match="refinement_levels"):
+        harness.load_config(doc)
+
+    def no_solve(*args):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(harness, "solve_direct", no_solve)
+    path = tmp_path / "order.json"
+    path.write_text(json.dumps(doc))
+    assert cli.main(["study", str(path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:")
+    doc["grid"]["refinement_levels"] = 2
+    assert harness.load_config(doc).refinement_levels == 2
+
+
 def test_study_requires_exact_solution():
     doc = make_config()
     doc["problem"]["rhs"] = {"name": "exp_decay_power",
@@ -321,6 +349,65 @@ def test_list_catalog_mentions_builtins():
     assert "example46" in text
     assert "example63" in text
     assert "manufactured_tau2" in text
+
+
+# parameters that build one entry of each catalog table
+_CATALOG_SAMPLES = {
+    "rhs": {"damped_singular_product": {"pre_exponent": -0.2}, "exp_decay_power": {},
+            "manufactured_power_mu": {"mu": 2.0}, "zero": {}},
+    "phi": {"constant": {}, "identity": {}, "power": {"exponent": 0.5},
+            "power_plus_one": {"exponent": 0.5}},
+    "integrand": {"exp_decay": {}, "power": {"exponent": -2.0},
+                  "power_exp": {"exponent": 0.5}},
+}
+
+
+def _listed_names(text: str, header: str) -> list[str]:
+    section = text.split(header + "\n", 1)[1]
+    lines = []
+    for line in section.splitlines():
+        if not line.startswith("  "):
+            break
+        lines.append(line.strip())
+    return lines
+
+
+def test_catalog_listing_and_lookups_read_one_table_per_name_space():
+    text = harness.list_catalog()
+    rhs_lines = _listed_names(text, "right-hand sides (problem.rhs.name):")
+    phi_lines = _listed_names(text, "comparison functions (phi.name):")
+    integrand_lines = _listed_names(
+        text, "weight/tail integrands (weight.name, integrand.name):")
+
+    rhs_names = [line.split(":", 1)[0] for line in rhs_lines]
+    assert rhs_lines == [f"{n}: {catalog.RHS[n][1]}" for n in sorted(catalog.RHS)]
+    phi_names = [entry.split(" ", 1)[0] for entry in phi_lines[0].split(", ")]
+    assert len(phi_lines) == 1
+    assert sorted(phi_names) == sorted(catalog.PHI)
+    assert sorted(integrand_lines) == sorted(INTEGRANDS)
+
+    for name in rhs_names:
+        rhs = catalog.make_rhs(name, _CATALOG_SAMPLES["rhs"][name], 0.5, "direct")
+        assert isinstance(rhs, RightHandSide)
+    for name in phi_names:
+        phi = catalog.make_phi(name, _CATALOG_SAMPLES["phi"][name])
+        assert isinstance(phi, ComparisonFunction) and phi(2.0) > 0
+    for name in integrand_lines:
+        weight = make_integrand(name, _CATALOG_SAMPLES["integrand"][name])
+        assert isinstance(weight, TailIntegrand) and weight.ident == name
+
+
+@pytest.mark.parametrize("name,params", [
+    ("power", {}),
+    ("power_plus_one", None),
+    ("power", {"exponent": 0.5, "scale": 2.0}),
+    ("identity", {"exponent": 1.0}),
+    ("constant", {"level": 1.0}),
+    ("cubic", {}),
+])
+def test_phi_with_missing_or_unknown_parameters_is_a_config_error(name, params):
+    with pytest.raises(ConfigError):
+        catalog.make_phi(name, params)
 
 
 def test_cli_catalog(capsys):

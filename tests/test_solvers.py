@@ -114,7 +114,7 @@ def test_beta_zero_feeds_state_back():
         seen.append((u, v))
         return math.exp(-tau) * u * 0.0 + gamma_fn(3.0) / gamma_fn(2.5) * tau ** 1.5
 
-    rhs = RightHandSide(fn, name="probe")
+    rhs = RightHandSide(fn)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.0, 0.0, rhs)
     sol = solve_direct(spec, 1.0, 128)
     assert np.array_equal(sol.dbeta_x.values, sol.x.values)
@@ -202,8 +202,7 @@ def test_singular_forced_branch_is_bounded():
 
 def test_corrector_falls_back_to_root_finding():
     # strong derivative coupling stalls the plain fixed point near v = 0
-    stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0,
-                          name="stiff")
+    stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff)
     sol = solve_direct(spec, 2.0, 128)
     assert sol.corrector_iterations.max() == 10  # cap reached, fallback engaged
@@ -213,7 +212,7 @@ def test_corrector_falls_back_to_root_finding():
 
 
 def test_nonfinite_rhs_reports_location():
-    bad = RightHandSide(lambda t, u, v: float("nan") if t > 0.5 else 0.0, name="bad")
+    bad = RightHandSide(lambda t, u, v: float("nan") if t > 0.5 else 0.0)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0, bad)
     with pytest.raises(StepFailure) as excinfo:
         solve_direct(spec, 1.0, 64)
