@@ -12,17 +12,18 @@ solver failure aborts the run.  Exit-code contract (used by the CLI):
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import time
 from dataclasses import dataclass, field
 from importlib import resources
 from pathlib import Path
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 import numpy as np
 
-from . import catalog
+from . import bounds, catalog
 from ._core import backend_name
 from .asymptotics import (INTEGRANDS, boundedness_verdict, improper_tail,
                           lhopital_lemma_term, lhopital_residual, make_integrand,
@@ -43,33 +44,6 @@ __all__ = [
     "pin",
     "list_catalog",
 ]
-
-class _Check(NamedTuple):
-    required: tuple = ()  # keys besides "name"
-    optional: tuple = ()
-    produces: tuple = ()  # measured values a later regression check may pin
-
-
-_CHECKS = {
-    "closed_form": _Check(("tolerance",), produces=("closed_form_error",)),
-    "residual": _Check(("tolerance",), produces=("integral_defect",)),
-    "slope": _Check(("tolerance",), ("window_fraction",),
-                    ("slope_accelerated", "slope_raw", "slope_spread")),
-    "lhopital": _Check(("tolerance",),
-                       produces=("lhopital_residual", "lhopital_lemma_term")),
-    "bound_envelope": _Check(("tolerance", "phi", "weight"),
-                             produces=("envelope_c1", "envelope_c2", "envelope_ratio")),
-    "boundedness": _Check(("tolerance", "q", "phi1", "phi2", "weight"), ("tau0", "variant"),
-                          ("sup_x", "sup_dbeta", "bound_constant")),
-    "hypothesis": _Check(("integrand", "expect"), ("weight_power", "split")),
-    "order": _Check(("min_order",)),
-    "regression": _Check(("key", "tolerance")),
-}
-# the checks a convergence study evaluates; run() evaluates all others
-_STUDY_CHECKS = ("closed_form", "order")
-_RUN_CHECKS = frozenset(_CHECKS) - {"order"}
-# check keys that hold a number, in whichever check they appear
-_CHECK_NUMBERS = ("tolerance", "window_fraction", "q", "weight_power", "split", "min_order")
 
 CSV_HEADER = "tau,x,dbeta_x,dalpha_x,bound_curve,x_over_tau_alpha"
 _CSV_CHUNK_ROWS = 4096
@@ -159,7 +133,7 @@ class RunReport:
 
 
 # --------------------------------------------------------------------------
-# config loading and validation
+# config values
 
 def _object(d, where: str, required=(), optional=()) -> dict:
     """A copy of d, which must be a dict with every `required` key and no
@@ -176,12 +150,14 @@ def _object(d, where: str, required=(), optional=()) -> dict:
 
 
 def _number(value, where: str, kind=float):
-    """value as a float, or with kind=int as an int; an int must be finite and
-    integral, so that 512.9 is not cut to 512."""
+    """value as a finite float, or with kind=int as an int; an int must also
+    be integral, so that 512.9 is not cut to 512."""
     try:
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if kind is float:
         return number
     if not number.is_integer():
@@ -189,16 +165,193 @@ def _number(value, where: str, kind=float):
     return int(value) if isinstance(value, int) else int(number)
 
 
-def _fn_ref(d, where: str) -> dict:
-    """A catalog reference {"name", "params"}; every parameter is a number."""
+def _fn_ref(d, where: str, factory=None) -> dict:
+    """A catalog reference {"name", "params"}; every parameter is a number.
+    With a factory, the reference must also build."""
     ref = _object(d, where, ("name",), ("params",))
     params = ref.get("params")
     if params is not None:
         if not isinstance(params, dict):
             raise ConfigError(f"{where}.params must be an object")
         ref["params"] = {k: _number(v, f"{where}.params.{k}") for k, v in params.items()}
+    if factory is not None:
+        factory(ref["name"], ref.get("params"))
     return ref
 
+
+# How load reads the value of a grid or check key: a number must lie in its
+# range, as load's errors state it (NaN and infinities never load); a string
+# must be one of its words; a catalog reference must build.
+_RANGES = {
+    "t_end": ("> 0", lambda v: v > 0),
+    "n_steps": (">= 2", lambda v: v >= 2),
+    "refinement_levels": (">= 1", lambda v: v >= 1),
+    "tolerance": ("> 0", lambda v: v > 0),
+    "window_fraction": ("in (0, 0.9]", lambda v: 0 < v <= 0.9),
+    "q": ("> 1", lambda v: v > 1),
+    "tau0": ('> 0 or "step"', lambda v: v > 0),
+    "split": (">= 0", lambda v: v >= 0),
+    "weight_power": ("finite", lambda v: True),
+    "min_order": ("finite", lambda v: True),
+}
+_WORDS = {"tau0": ("step",), "variant": ("corrected", "literal"),
+          "expect": ("converges", "diverges", "inconclusive")}
+_REFS = {"phi": catalog.make_phi, "phi1": catalog.make_phi, "phi2": catalog.make_phi,
+         "weight": make_integrand, "integrand": make_integrand}
+
+
+def _value(key: str, value, where: str):
+    if key in _REFS:
+        return _fn_ref(value, where, _REFS[key])
+    if value in _WORDS.get(key, ()) or key == "key":  # a regression key: see _load_config
+        return value
+    if key not in _RANGES:
+        raise ConfigError(f"{where} must be one of {list(_WORDS[key])}, got {value!r}")
+    text, test = _RANGES[key]
+    number = _number(value, where, int if key in ("n_steps", "refinement_levels") else float)
+    if not test(number):
+        raise ConfigError(f"{where} must be {text}, got {value!r}")
+    return number
+
+
+# --------------------------------------------------------------------------
+# check evaluators: (check, _Context) -> (CheckResult, the values named by the
+# check's `produces`, in order); the check holds the catalog objects it names
+
+@dataclass
+class _Context:
+    config: ExperimentConfig
+    sol: object  # the finest solution of a study
+    measured: dict
+    expectations: dict
+    orders: list | None = None  # a study's empirical orders
+    bound_curve: np.ndarray | None = None  # the CSV's bound_curve column
+
+
+def _verdict(name: str, ok: bool, measured, expected, tol) -> CheckResult:
+    return CheckResult(name, "PASS" if ok else "FAIL", measured, expected, tol)
+
+
+def _threshold_result(check: dict, measured: float) -> CheckResult:
+    tol = check["tolerance"]
+    return _verdict(check["name"], measured <= tol, measured, 0.0, tol)
+
+
+def _max_error(sol, exact) -> float:
+    return float(np.max(np.abs(sol.x.values - exact(sol.x.taus))))
+
+
+def _closed_form(check, ctx):
+    err = _max_error(ctx.sol, catalog.exact_solution(ctx.config.problem))
+    return _threshold_result(check, err), (err,)
+
+
+def _residual(check, ctx):
+    defect = residual_check(ctx.sol)
+    return _threshold_result(check, defect), (defect,)
+
+
+def _slope(check, ctx):
+    est = power_slope(ctx.sol, check["window_fraction"])
+    rel_spread = est.spread / max(abs(est.accelerated), 1e-300)
+    return _threshold_result(check, rel_spread), (est.accelerated, est.raw_tail, est.spread)
+
+
+def _lhopital(check, ctx):
+    # the verdict bounds the lemma term; the raw residual also holds
+    # the initial-value term b1/T^alpha, which no grid removes
+    lemma = lhopital_lemma_term(ctx.sol)
+    return _threshold_result(check, abs(lemma)), (lhopital_residual(ctx.sol), lemma)
+
+
+def _bound_envelope(check, ctx):
+    sol, tol, weight = ctx.sol, check["tolerance"], check["weight"]
+    pgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in sol.x.taus]))
+    tail = improper_tail(weight, weight_power=sol.spec.alpha, split=1.0)
+    if tail.verdict != "converges":
+        raise HypothesisViolation(
+            f"weighted tail integral of {weight.ident} must converge "
+            f"(verdict: {tail.verdict})")
+    bound = growth_envelope_constants(sol.spec.b1, sol.spec.b2, sol.spec.alpha, pgrid,
+                                      check["phi"], tail_integral=tail.finite_estimate)
+    ctx.bound_curve = bound.curve.values
+    ratio = float(np.max(np.abs(sol.x.values) / ctx.bound_curve))
+    return (_verdict("bound_envelope", ratio <= 1.0 + tol, ratio, 1.0, tol),
+            (bound.constants["C1"], bound.constants["C2"], ratio))
+
+
+def _boundedness(check, ctx):
+    sol, tol, weight = ctx.sol, check["tolerance"], check["weight"]
+    hgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in sol.x.taus]))
+    tau0 = sol.x.step if check["tau0"] == "step" else check["tau0"]
+    bound = uniform_bound_constant(sol.spec, hgrid, check["phi1"], check["phi2"], tau0,
+                                   q=check["q"], variant=check["variant"])
+    verdict = boundedness_verdict(sol, bound, tolerance=tol)
+    c = bound.constants["C"]
+    ratio = max(verdict.sup_x, verdict.sup_dbeta) / c if c > 0 else math.inf
+    if bound.curve is not None:
+        ctx.bound_curve = bound.curve.values
+    return (_verdict("boundedness", verdict.within_bound, ratio, 1.0, tol),
+            (verdict.sup_x, verdict.sup_dbeta, c))
+
+
+def _hypothesis(check, ctx):
+    est = improper_tail(check["integrand"], check["weight_power"], check["split"])
+    expect = check["expect"]
+    return _verdict("hypothesis", est.verdict == expect, est.verdict, expect, "exact"), ()
+
+
+def _order(check, ctx):
+    measured = min(ctx.orders)  # every order is inf when the errors are at round-off
+    shown = "exact" if math.isinf(measured) else measured
+    min_order = check["min_order"]
+    return _verdict("order", measured >= min_order, shown, min_order, "-"), ()
+
+
+def _regression(check, ctx):
+    key, tol = check["key"], check["tolerance"]
+    val, pinned = ctx.measured.get(key), ctx.expectations.get(key)
+    if val is None:
+        return CheckResult(f"regression_{key}", "FAIL", "not-measured", pinned, tol), ()
+    if pinned is None:
+        return CheckResult(f"regression_{key}", "FAIL", val, "missing-pin", tol), ()
+    ok = abs(val - pinned) <= tol * max(abs(pinned), 1e-300)
+    return _verdict(f"regression_{key}", ok, val, pinned, tol), ()
+
+
+class _Check(NamedTuple):
+    evaluate: Callable
+    required: tuple = ()  # keys besides "name"
+    optional: dict = {}  # key -> default, filled in at load
+    produces: tuple = ()  # measured values a later regression check may pin
+    commands: tuple = ("run",)  # the runner functions that evaluate the check
+    kind: ProblemKind | None = None  # the only problem kind the check applies to
+
+
+_CHECKS = {
+    "closed_form": _Check(_closed_form, ("tolerance",), produces=("closed_form_error",),
+                          commands=("run", "convergence_study")),
+    "residual": _Check(_residual, ("tolerance",), produces=("integral_defect",)),
+    "slope": _Check(_slope, ("tolerance",), {"window_fraction": 0.25},
+                    ("slope_accelerated", "slope_raw", "slope_spread")),
+    "lhopital": _Check(_lhopital, ("tolerance",),
+                       produces=("lhopital_residual", "lhopital_lemma_term")),
+    "bound_envelope": _Check(_bound_envelope, ("tolerance", "phi", "weight"),
+                             produces=("envelope_c1", "envelope_c2", "envelope_ratio"),
+                             kind=ProblemKind.SEQUENTIAL),
+    "boundedness": _Check(_boundedness, ("tolerance", "q", "phi1", "phi2", "weight"),
+                          {"tau0": "step", "variant": "corrected"},
+                          ("sup_x", "sup_dbeta", "bound_constant"),
+                          kind=ProblemKind.DIRECT),
+    "hypothesis": _Check(_hypothesis, ("integrand", "expect"),
+                         {"weight_power": 0.0, "split": 1.0}),
+    "order": _Check(_order, ("min_order",), commands=("convergence_study",)),
+    "regression": _Check(_regression, ("key", "tolerance")),
+}
+
+
+# --------------------------------------------------------------------------
+# config loading and validation
 
 def load_config(source) -> ExperimentConfig:
     """Parse and validate a config from a dict or a JSON file path.
@@ -217,12 +370,8 @@ def load_config(source) -> ExperimentConfig:
 
 def _load_config(source) -> ExperimentConfig:
     if isinstance(source, (str, Path)):
-        doc = json.loads(Path(source).read_text())
-    elif isinstance(source, dict):
-        doc = source
-    else:
-        raise ConfigError(f"cannot load config from {type(source).__name__}")
-    doc = _object(doc, "config", ("id", "problem", "grid", "checks"), ("output", "seed"))
+        source = json.loads(Path(source).read_text())
+    doc = _object(source, "config", ("id", "problem", "grid", "checks"), ("output", "seed"))
 
     problem = _object(doc["problem"], "problem", ("kind", "alpha", "b1", "rhs"),
                       ("beta", "b2"))
@@ -230,20 +379,11 @@ def _load_config(source) -> ExperimentConfig:
         if key in problem:
             problem[key] = _number(problem[key], f"problem.{key}")
     problem["rhs"] = _fn_ref(problem["rhs"], "problem.rhs")
-    catalog.build_problem_spec(problem)  # validates kind/orders/rhs parameters
+    spec = catalog.build_problem_spec(problem)  # validates kind/orders/rhs parameters
 
     grid = _object(doc["grid"], "grid", ("t_end", "n_steps"), ("refinement_levels",))
-    grid["t_end"] = _number(grid["t_end"], "grid.t_end")
-    grid["n_steps"] = _number(grid["n_steps"], "grid.n_steps", int)
-    if not 0 < grid["t_end"] < math.inf:
-        raise ConfigError("grid.t_end must be positive and finite")
-    if grid["n_steps"] < 2:
-        raise ConfigError("grid.n_steps must be >= 2")
-    if "refinement_levels" in grid:
-        grid["refinement_levels"] = _number(grid["refinement_levels"],
-                                            "grid.refinement_levels", int)
-        if grid["refinement_levels"] < 1:
-            raise ConfigError("grid.refinement_levels must be >= 1")
+    for key, value in grid.items():
+        grid[key] = _value(key, value, f"grid.{key}")
 
     if not isinstance(doc["checks"], list):
         raise ConfigError("checks must be a list")
@@ -258,28 +398,20 @@ def _load_config(source) -> ExperimentConfig:
             raise ConfigError(f"{where}: unknown check {name!r}; known: "
                               f"{sorted(_CHECKS)}")
         table = _CHECKS[name]
-        check = _object(check, where, ("name", *table.required), table.optional)
+        check = {**table.optional,
+                 **_object(check, where, ("name", *table.required), table.optional)}
         checks.append(check)
-        for key in _CHECK_NUMBERS:
-            if key in check:
-                check[key] = _number(check[key], f"{where}.{key}")
-        if "tolerance" in check and not check["tolerance"] > 0:
-            raise ConfigError(f"{where}: tolerance must be positive")
-        for ref in ("phi", "phi1", "phi2", "weight", "integrand"):
-            if ref in check:
-                check[ref] = _fn_ref(check[ref], f"{where}.{ref}")
-                make = catalog.make_phi if ref.startswith("phi") else make_integrand
-                make(check[ref]["name"], check[ref].get("params"))
-        if name == "boundedness":
-            if not check["q"] > 1:
-                raise ConfigError(f"{where}: q must exceed 1")
-            if check.get("tau0", "step") != "step":
-                check["tau0"] = _number(check["tau0"], f"{where}.tau0")
-            if check.get("variant", "corrected") not in ("corrected", "literal"):
-                raise ConfigError(f"{where}: variant must be 'corrected' or 'literal'")
-        if name == "hypothesis" and check["expect"] not in ("converges", "diverges",
-                                                            "inconclusive"):
-            raise ConfigError(f"{where}: expect must name a verdict")
+        for key, value in check.items():
+            if key != "name":
+                check[key] = _value(key, value, f"{where}.{key}")
+        # rules that read the problem, the grid or the preceding checks
+        if table.kind not in (None, spec.kind):
+            raise ConfigError(f"{where}: {name} applies to {table.kind.value} problems only")
+        if name == "boundedness":  # the bound's own q rule; load_config maps its DomainError
+            tau0 = grid["t_end"] / grid["n_steps"] if check["tau0"] == "step" else check["tau0"]
+            bounds.singular_convolution_constant(spec.alpha, spec.beta, check["q"], tau0)
+        if name == "slope" and grid["t_end"] < 10.0:
+            raise ConfigError(f"{where}: slope needs grid.t_end >= 10")
         if name == "order" and grid.get("refinement_levels", 1) < 2:
             raise ConfigError(f"{where}: order needs grid.refinement_levels >= 2")
         if name == "closed_form" and catalog.exact_solution(problem) is None:
@@ -314,13 +446,8 @@ def load_builtin_config(ident: str) -> ExperimentConfig:
 
 def load_expectations(ident: str) -> dict[str, float]:
     """Pinned regression values for a config id; empty when none exist."""
-    try:
-        ref = resources.files("fracasym.expectations").joinpath(f"{ident}.json")
-        if ref.is_file():
-            return json.loads(ref.read_text())
-    except (FileNotFoundError, ModuleNotFoundError):
-        pass
-    return {}
+    ref = resources.files("fracasym.expectations").joinpath(f"{ident}.json")
+    return json.loads(ref.read_text()) if ref.is_file() else {}
 
 
 # --------------------------------------------------------------------------
@@ -329,160 +456,53 @@ def load_expectations(ident: str) -> dict[str, float]:
 def run(config: ExperimentConfig, out_dir=None,
         expectations: dict[str, float] | None = None) -> RunReport:
     """Solve, evaluate the configured checks, write artifacts."""
-    _require_checks(config, _RUN_CHECKS, "run")
-    report = RunReport(config=config)
+    report, (sol,) = _solved(config, "run", [config.n_steps])
     if expectations is None:
         expectations = load_expectations(config.ident)
+    return _finish(report, _Context(config, sol, report.measured, expectations), out_dir)
 
+
+def _solved(config: ExperimentConfig, command: str, levels: list[int]):
+    # a check the command cannot evaluate is rejected first, so it costs no solve
+    for check in config.checks:
+        if command not in _CHECKS[check["name"]].commands:
+            raise ConfigError(f"check {check['name']!r} is not valid for {command}()")
+    report = RunReport(config=config)
     t0 = time.perf_counter()
     spec = catalog.build_problem_spec(config.problem)
-    sol = _solve(spec, config.t_end, config.n_steps)
-    report.timings["solve"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    bound_curve = None
-    for check in config.checks:
-        result, curve = _evaluate_check(check, config, sol, report.measured,
-                                        expectations)
-        report.checks.append(result)
-        if curve is not None:
-            bound_curve = curve
-    report.timings["checks"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    _write_artifacts(report, sol, bound_curve, out_dir)
-    report.timings["write"] = time.perf_counter() - t0
-    return report
-
-
-def _require_checks(config: ExperimentConfig, valid, command: str) -> None:
-    # called before the solve, so a check the command cannot evaluate costs no solve
-    for check in config.checks:
-        if check["name"] not in valid:
-            raise ConfigError(f"check {check['name']!r} is not valid for {command}()")
-
-
-def _solve(spec, t_end: float, n_steps: int):
     # the solver names are looked up when called, so a wrapper set on this
     # module (as perfbench's tracer does) sees every solve
     solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
-    return solve(spec, t_end, n_steps)
+    sols = [solve(spec, config.t_end, n) for n in levels]
+    report.timings["solve"] = time.perf_counter() - t0
+    return report, sols
 
 
-def _evaluate_check(check: dict, config: ExperimentConfig, sol, measured_registry,
-                    expectations):
-    name = check["name"]
-    try:
-        if name == "closed_form":
-            exact = catalog.exact_solution(config.problem)
-            err = float(np.max(np.abs(sol.x.values - exact(sol.x.taus))))
-            measured_registry["closed_form_error"] = err
-            return _threshold_result(name, err, check["tolerance"]), None
+def _finish(report: RunReport, ctx: _Context, out_dir) -> RunReport:
+    """Evaluate the configured checks on ctx, then write the artifacts."""
+    t0 = time.perf_counter()
+    for check in report.config.checks:
+        table = _CHECKS[check["name"]]
+        try:
+            built = {k: _REFS[k](v["name"], v.get("params")) if k in _REFS else v
+                     for k, v in check.items()}
+            result, values = table.evaluate(built, ctx)
+            ctx.measured.update(zip(table.produces, values, strict=True))
+        except HypothesisViolation as exc:
+            result = CheckResult(check["name"], "FAILED-HYPOTHESIS", str(exc),
+                                 "hypothesis holds", "-")
+        report.checks.append(result)
+    report.timings["checks"] = time.perf_counter() - t0
 
-        if name == "residual":
-            defect = residual_check(sol)
-            measured_registry["integral_defect"] = defect
-            return _threshold_result(name, defect, check["tolerance"]), None
-
-        if name == "slope":
-            est = power_slope(sol, check.get("window_fraction", 0.25))
-            measured_registry["slope_accelerated"] = est.accelerated
-            measured_registry["slope_raw"] = est.raw_tail
-            measured_registry["slope_spread"] = est.spread
-            rel_spread = est.spread / max(abs(est.accelerated), 1e-300)
-            return _threshold_result(name, rel_spread, check["tolerance"]), None
-
-        if name == "lhopital":
-            # the verdict bounds the lemma term; the raw residual also holds
-            # the initial-value term b1/T^alpha, which no grid removes
-            lemma = lhopital_lemma_term(sol)
-            measured_registry["lhopital_residual"] = lhopital_residual(sol)
-            measured_registry["lhopital_lemma_term"] = lemma
-            return _threshold_result(name, abs(lemma), check["tolerance"]), None
-
-        if name == "bound_envelope":
-            return _check_bound_envelope(check, config, sol, measured_registry)
-
-        if name == "boundedness":
-            return _check_boundedness(check, config, sol, measured_registry)
-
-        if name == "hypothesis":
-            integrand = make_integrand(check["integrand"]["name"],
-                                       check["integrand"].get("params"))
-            est = improper_tail(integrand, check.get("weight_power", 0.0),
-                                check.get("split", 1.0))
-            ok = est.verdict == check["expect"]
-            return CheckResult(name, "PASS" if ok else "FAIL",
-                               est.verdict, check["expect"], "exact"), None
-
-        if name == "regression":
-            key = check["key"]
-            val = measured_registry.get(key)
-            pinned = expectations.get(key)
-            tol = check["tolerance"]
-            if val is None:
-                return CheckResult(f"regression_{key}", "FAIL", "not-measured",
-                                   pinned, tol), None
-            if pinned is None:
-                return CheckResult(f"regression_{key}", "FAIL", val,
-                                   "missing-pin", tol), None
-            ok = abs(val - pinned) <= tol * max(abs(pinned), 1e-300)
-            return CheckResult(f"regression_{key}", "PASS" if ok else "FAIL",
-                               val, pinned, tol), None
-    except HypothesisViolation as exc:
-        return CheckResult(name, "FAILED-HYPOTHESIS", str(exc), "hypothesis holds",
-                           "-"), None
-    raise AssertionError(f"run() has no evaluator for check {name!r}")
-
-
-def _threshold_result(name: str, measured: float, tol: float) -> CheckResult:
-    status = "PASS" if measured <= tol else "FAIL"
-    return CheckResult(name, status, measured, 0.0, tol)
-
-
-def _check_bound_envelope(check, config, sol, measured_registry):
-    spec = sol.spec
-    phi = catalog.make_phi(check["phi"]["name"], check["phi"].get("params"))
-    weight = make_integrand(check["weight"]["name"], check["weight"].get("params"))
-    taus = sol.x.taus
-    pgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in taus]))
-    tail = improper_tail(weight, weight_power=spec.alpha, split=1.0)
-    if tail.verdict != "converges":
-        raise HypothesisViolation(
-            f"weighted tail integral of {weight.ident} must converge "
-            f"(verdict: {tail.verdict})")
-    bound = growth_envelope_constants(spec.b1, spec.b2, spec.alpha, pgrid, phi,
-                                      tail_integral=tail.finite_estimate)
-    curve = bound.curve.values
-    ratio = float(np.max(np.abs(sol.x.values) / curve))
-    measured_registry["envelope_c1"] = bound.constants["C1"]
-    measured_registry["envelope_c2"] = bound.constants["C2"]
-    measured_registry["envelope_ratio"] = ratio
-    tol = check["tolerance"]
-    status = "PASS" if ratio <= 1.0 + tol else "FAIL"
-    return CheckResult("bound_envelope", status, ratio, 1.0, tol), curve
-
-
-def _check_boundedness(check, config, sol, measured_registry):
-    spec = sol.spec
-    phi1 = catalog.make_phi(check["phi1"]["name"], check["phi1"].get("params"))
-    phi2 = catalog.make_phi(check["phi2"]["name"], check["phi2"].get("params"))
-    weight = make_integrand(check["weight"]["name"], check["weight"].get("params"))
-    taus = sol.x.taus
-    hgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in taus]))
-    tau0 = sol.x.step if check.get("tau0", "step") == "step" else check["tau0"]
-    bound = uniform_bound_constant(spec, hgrid, phi1, phi2, tau0, q=check["q"],
-                                   variant=check.get("variant", "corrected"))
-    tol = check["tolerance"]
-    verdict = boundedness_verdict(sol, bound, tolerance=tol)
-    c = bound.constants["C"]
-    measured_registry["sup_x"] = verdict.sup_x
-    measured_registry["sup_dbeta"] = verdict.sup_dbeta
-    measured_registry["bound_constant"] = c
-    ratio = max(verdict.sup_x, verdict.sup_dbeta) / c if c > 0 else math.inf
-    status = "PASS" if verdict.within_bound else "FAIL"
-    curve = bound.curve.values if bound.curve is not None else None
-    return CheckResult("boundedness", status, ratio, 1.0, tol), curve
+    t0 = time.perf_counter()
+    report.csv_path = _resolve_out(report.config.output.get("csv_path"), out_dir)
+    if report.csv_path is not None:
+        _write_csv(report.csv_path, ctx.sol, ctx.bound_curve)
+    report.report_path = _resolve_out(report.config.output.get("report_path"), out_dir)
+    if report.report_path is not None:
+        report.report_path.write_text(report.render())
+    report.timings["write"] = time.perf_counter() - t0
+    return report
 
 
 # --------------------------------------------------------------------------
@@ -491,23 +511,9 @@ def _check_boundedness(check, config, sol, measured_registry):
 def _resolve_out(path_str: str | None, out_dir) -> Path | None:
     if not path_str:
         return None
-    path = Path(path_str)
-    if not path.is_absolute() and out_dir is not None:
-        path = Path(out_dir) / path
+    path = Path(out_dir or "", path_str)  # an absolute path_str ignores out_dir
     path.parent.mkdir(parents=True, exist_ok=True)
     return path
-
-
-def _write_artifacts(report: RunReport, sol, bound_curve, out_dir) -> None:
-    config = report.config
-    csv_path = _resolve_out(config.output.get("csv_path"), out_dir)
-    if csv_path is not None:
-        _write_csv(csv_path, sol, bound_curve)
-        report.csv_path = csv_path
-    report_path = _resolve_out(config.output.get("report_path"), out_dir)
-    if report_path is not None:
-        report_path.write_text(report.render())
-        report.report_path = report_path
 
 
 def _write_csv(path: Path, sol, bound_curve) -> None:
@@ -537,20 +543,12 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
     exact = catalog.exact_solution(config.problem)
     if exact is None:
         raise ConfigError(f"config {config.ident!r} has no exact solution to study")
-    _require_checks(config, _STUDY_CHECKS, "convergence_study")
-    spec = catalog.build_problem_spec(config.problem)
-    report = RunReport(config=config)
-
-    t0 = time.perf_counter()
-    errors = []
     levels = [config.n_steps * 2 ** k for k in range(config.refinement_levels)]
-    finest_sol = None
-    for n in levels:
-        sol = _solve(spec, config.t_end, n)
-        errors.append(float(np.max(np.abs(sol.x.values - exact(sol.x.taus)))))
-        finest_sol = sol
-    report.timings["solve"] = time.perf_counter() - t0
+    report, sols = _solved(config, "convergence_study", levels)
+    errors = [_max_error(sol, exact) for sol in sols]
 
+    for n, e in zip(levels, errors):
+        report.info_lines.append(f"level n_steps={n} max_error={e:.9e}")
     orders = []
     at_roundoff = all(e < 1e-12 for e in errors)
     for i in range(len(errors) - 1):
@@ -558,30 +556,10 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
             orders.append(math.inf)
         else:
             orders.append(math.log2(errors[i] / errors[i + 1]))
-    for n, e in zip(levels, errors):
-        report.info_lines.append(f"level n_steps={n} max_error={e:.9e}")
-    for i, o in enumerate(orders):
-        label = "exact" if math.isinf(o) else f"{o:.4f}"
-        report.info_lines.append(
-            f"order {levels[i]}->{levels[i + 1]}: {label}")
+        label = "exact" if math.isinf(orders[-1]) else f"{orders[-1]:.4f}"
+        report.info_lines.append(f"order {levels[i]}->{levels[i + 1]}: {label}")
 
-    for check in config.checks:
-        name = check["name"]
-        if name == "closed_form":
-            measured = errors[-1]
-            report.measured["closed_form_error"] = measured
-            report.checks.append(_threshold_result(name, measured, check["tolerance"]))
-        else:  # "order"
-            min_order = check["min_order"]
-            measured = min(orders) if orders else math.inf
-            status = "PASS" if (at_roundoff or measured >= min_order) else "FAIL"
-            shown = "exact" if math.isinf(measured) else measured
-            report.checks.append(CheckResult(name, status, shown, min_order, "-"))
-
-    t0 = time.perf_counter()
-    _write_artifacts(report, finest_sol, None, out_dir)
-    report.timings["write"] = time.perf_counter() - t0
-    return report
+    return _finish(report, _Context(config, sols[-1], report.measured, {}, orders), out_dir)
 
 
 # --------------------------------------------------------------------------
@@ -594,13 +572,10 @@ def pin(config: ExperimentConfig, expectations_dir: Path, out_dir=None) -> Path:
     Pins are meant to be generated once, reviewed and committed; rerunning
     pin on purpose is how expectations get refreshed.
     """
-    stripped = ExperimentConfig(
-        ident=config.ident, problem=config.problem, grid=config.grid,
-        checks=tuple(c for c in config.checks if c["name"] != "regression"),
-        output={}, seed=config.seed)
+    stripped = dataclasses.replace(config, output={}, checks=tuple(
+        c for c in config.checks if c["name"] != "regression"))
     report = run(stripped, out_dir=out_dir, expectations={})
-    path = Path(expectations_dir) / f"{config.ident}.json"
-    path.parent.mkdir(parents=True, exist_ok=True)
+    path = _resolve_out(f"{config.ident}.json", expectations_dir)
     payload = {k: v for k, v in sorted(report.measured.items())
                if isinstance(v, float) and math.isfinite(v)}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

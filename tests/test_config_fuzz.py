@@ -3,12 +3,14 @@
 Each example takes one builtin config and deletes one key at any depth,
 replaces one leaf with a value of the wrong type, or truncates the JSON text,
 then runs `fracasym solve` on it at 32 steps.  A document that does not load
-must be reported as exactly one `config error:` line.
+must be reported as exactly one `config error:` line.  A second, exhaustive
+test sets every number of every builtin config to NaN and to each infinity.
 """
 
 import contextlib
 import io
 import json
+import math
 import tempfile
 from importlib import resources
 from pathlib import Path
@@ -80,3 +82,35 @@ def test_mutated_builtin_config_ends_in_an_exit_code(text):
         lines = err.getvalue().splitlines()
         assert code == 1
         assert len(lines) == 1 and lines[0].startswith("config error:")
+
+
+def _numeric_leaves():
+    """(config id, path) of every number in the builtin configs."""
+    for ident, text in sorted(BUILTIN_TEXTS.items()):
+        for path, value in _entries(json.loads(text)):
+            if isinstance(value, (int, float)) and not isinstance(value, bool):
+                yield ident, path
+
+
+def test_every_non_finite_number_is_a_config_error(tmp_path):
+    failures = []
+    documents = 0
+    for ident, path in _numeric_leaves():
+        command = "study" if ident.startswith("manufactured_tau2") else "solve"
+        for bad in (math.nan, math.inf, -math.inf):
+            doc = json.loads(BUILTIN_TEXTS[ident])
+            _container(doc, path)[path[-1]] = bad
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity literals
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main([command, str(config), "--n-steps", "32",
+                                 "--out-dir", str(tmp_path / "out")])
+            lines = err.getvalue().splitlines()
+            documents += 1
+            if not (code == 1 and out.getvalue() == "" and len(lines) == 1
+                    and lines[0].startswith("config error:")):
+                failures.append(f"{ident} {'.'.join(map(str, path))}={bad}: "
+                                f"exit {code}, stderr {lines}")
+    assert documents == 285
+    assert not failures, f"{len(failures)} documents:\n" + "\n".join(failures)

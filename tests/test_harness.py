@@ -95,6 +95,20 @@ def _edited(edit):
     return json.dumps(doc)
 
 
+def _builtin_with(ident, check_index, **changes):
+    """The document of a builtin config that keeps one check, with changes."""
+    config = harness.load_builtin_config(ident)
+    check = dict(config.checks[check_index], **changes)
+    return {"id": ident, "problem": config.problem, "grid": dict(config.grid),
+            "checks": [check]}
+
+
+def _builtin_edited(ident, check_index, edit=lambda doc: None, **changes):
+    doc = _builtin_with(ident, check_index, **changes)
+    edit(doc)
+    return json.dumps(doc)
+
+
 _BOUNDEDNESS_WITHOUT_PHI1 = {
     "name": "boundedness", "tolerance": 1e-9, "q": 2.0,
     "phi2": {"name": "power", "params": {"exponent": 1.0}},
@@ -121,15 +135,74 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
     pytest.param(_edited(lambda d: d["grid"].update(refinement_levels=0.5))
                  .replace("0.5}", "1e400}"), id="huge_refinement_levels"),
     pytest.param(_edited(lambda d: d.update(seed=-float("inf"))), id="infinite_seed"),
+    pytest.param(_edited(lambda d: d["checks"][0].update(tolerance=float("inf"))),
+                 id="infinite_tolerance"),
+    pytest.param(_builtin_edited("example46", 0, window_fraction=0.95),
+                 id="window_fraction_above_0.9"),
+    pytest.param(_builtin_edited("example46", 0, window_fraction=0.0),
+                 id="window_fraction_zero"),
+    pytest.param(_builtin_edited("example63_forced", 0, tau0=-1.0), id="negative_tau0"),
+    pytest.param(_builtin_edited("example63_forced", 0, tau0=0.0), id="zero_tau0"),
+    pytest.param(_builtin_edited("example63", 0, split=-1.0), id="negative_split"),
+    # the growth envelope is the sequential problem's bound, the uniform bound
+    # the direct problem's
+    pytest.param(_edited(lambda d: d.update(
+        checks=[harness.load_builtin_config("example46").checks[2]])),
+        id="bound_envelope_on_a_direct_problem"),
+    pytest.param(_builtin_edited("example46", 0, edit=lambda d: d.update(
+        checks=[harness.load_builtin_config("example63").checks[1]])),
+        id="boundedness_on_a_sequential_problem"),
+    # alpha - beta = 1/3 in example63_forced, so q must exceed 3
+    pytest.param(_builtin_edited("example63_forced", 0, q=2.0),
+                 id="q_below_one_over_alpha_minus_beta"),
+    pytest.param(_builtin_edited("example46", 0, edit=lambda d: d["grid"].update(t_end=9.5)),
+                 id="slope_horizon_below_10"),
 ])
-def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys):
+def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
     path.write_text(text)
     with pytest.raises(ConfigError):
         harness.load_config(path)
+
+    def unreachable(*args):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(harness, "solve_direct", unreachable)
+    monkeypatch.setattr(harness, "solve_sequential", unreachable)
     assert cli.main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
-    err = capsys.readouterr().err.splitlines()
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("ident, index, changes", [
+    ("example46", 0, {"window_fraction": 0.9}),
+    ("example63_forced", 0, {"tau0": 0.5}),
+    ("example63_forced", 0, {"tau0": "step"}),
+    ("example63_forced", 0, {"q": 3.5}),
+    ("example63", 0, {"split": 0.0}),
+])
+def test_check_numbers_at_the_edges_of_their_ranges_load(ident, index, changes):
+    check, = harness.load_config(_builtin_with(ident, index, **changes)).checks
+    assert all(check[key] == value for key, value in changes.items())
+
+
+def test_slope_at_a_horizon_of_ten_loads():
+    doc = _builtin_with("example46", 0)
+    doc["grid"]["t_end"] = 10.0
+    assert harness.load_config(doc).t_end == 10.0
+
+
+def test_check_defaults_are_filled_in_at_load():
+    doc = make_config(checks=[{"name": "hypothesis", "expect": "converges",
+                               "integrand": {"name": "exp_decay"}}])
+    check, = harness.load_config(doc).checks
+    assert (check["weight_power"], check["split"]) == (0.0, 1.0)
+    doc = _builtin_with("example46", 0)
+    del doc["checks"][0]["window_fraction"]
+    check, = harness.load_config(doc).checks
+    assert check["window_fraction"] == 0.25
 
 
 def test_config_numbers_are_converted_at_load():
@@ -301,6 +374,19 @@ def test_study_manufactured(tmp_path):
     assert report.overall_pass
     orders = [line for line in report.info_lines if line.startswith("order")]
     assert len(orders) == config.refinement_levels - 1
+
+
+def test_run_and_study_evaluate_closed_form_alike(tmp_path):
+    # the study's closed_form check reads its finest grid
+    config = harness.load_builtin_config("manufactured_tau2")
+    study = harness.convergence_study(config, out_dir=tmp_path)
+    finest = config.n_steps * 2 ** (config.refinement_levels - 1)
+    doc = {"id": "finest", "problem": config.problem,
+           "grid": {"t_end": config.t_end, "n_steps": finest},
+           "checks": [config.checks[0]]}
+    solved = harness.run(harness.load_config(doc))
+    assert solved.measured == study.measured
+    assert solved.checks == study.checks[:1]
 
 
 def test_study_roundoff_reports_exact(tmp_path):
