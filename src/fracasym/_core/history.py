@@ -38,8 +38,9 @@ class BlockedHistory:
 
     f is read, never written: sums(m) uses f[0..m-1], which must be final
     by then, and f[0] must already be final when the object is made.  Calls
-    must come with m non-decreasing.  Pass bv/av of size 0 to skip the
-    second kernel (pv = cv = 0).
+    must come with m non-decreasing.  Pass bv/av of size 0 when the second
+    kernel is the first: sums then returns the first kernel's sums in its
+    place (pv = px, cv = cx).
     """
 
     def __init__(self, bx: np.ndarray, ax: np.ndarray, bv: np.ndarray,
@@ -69,9 +70,7 @@ class BlockedHistory:
             self._next_block += BLOCK
         start = m & -BLOCK or 1
         out = (self._acc[m] + self._f[start:m].dot(self._rev[BLOCK - m + start:])).tolist()
-        if len(out) == 2:
-            return out[0], out[1], 0.0, 0.0
-        return out[0], out[1], out[2], out[3]
+        return out[0], out[1], out[-2], out[-1]
 
     def _add_block(self, m: int) -> None:
         """Add the square whose source block ends at node m - 1."""

@@ -53,21 +53,16 @@ def pc_sums(bx: np.ndarray, ax: np.ndarray, bv: np.ndarray, av: np.ndarray,
     Returns (px, cx, pv, cv) with
         px = sum_{j=j0}^{n-1} bx[n-j] * fhist[j]
         cx = sum_{j=1}^{n-1}  ax[n-j] * fhist[j]
-    and the same with the v-kernel weights.  Pass bv/av of size 0 to skip
-    the second kernel (pv = cv = 0).
+    and the same with the v-kernel weights.  Pass bv/av of size 0 when the
+    second kernel is the first: (pv, cv) are then (px, cx).
     """
     fpred = fhist[j0:n]
     fcorr = fhist[1:n]
-    # weights b[n-j] for j ascending are b[n-j0], ..., b[1]
-    wxp = bx[1:n + 1 - j0][::-1]
-    wxc = ax[1:n][::-1]
-    px = float(np.dot(wxp, fpred)) if fpred.size else 0.0
-    cx = float(np.dot(wxc, fcorr)) if fcorr.size else 0.0
-    if bv.size:
-        wvp = bv[1:n + 1 - j0][::-1]
-        wvc = av[1:n][::-1]
-        pv = float(np.dot(wvp, fpred)) if fpred.size else 0.0
-        cv = float(np.dot(wvc, fcorr)) if fcorr.size else 0.0
-    else:
-        pv = cv = 0.0
-    return px, cx, pv, cv
+
+    def pair(b, a):
+        # weights b[n-j] for j ascending are b[n-j0], ..., b[1]
+        return (float(np.dot(b[1:n + 1 - j0][::-1], fpred)) if fpred.size else 0.0,
+                float(np.dot(a[1:n][::-1], fcorr)) if fcorr.size else 0.0)
+
+    first = pair(bx, ax)
+    return first + (pair(bv, av) if bv.size else first)

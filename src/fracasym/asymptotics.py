@@ -25,6 +25,7 @@ from .solvers import Solution
 
 __all__ = [
     "SlopeEstimate",
+    "slope_window_start",
     "power_slope",
     "lhopital_residual",
     "lhopital_lemma_term",
@@ -52,6 +53,16 @@ class SlopeEstimate:
     spread: float
 
 
+def slope_window_start(n_steps: int, window_fraction: float) -> int:
+    """First node of power_slope's trailing window on an n_steps grid; the
+    window must hold at least 3 nodes."""
+    start = max(1, int(math.ceil((1.0 - window_fraction) * n_steps)))
+    if n_steps + 1 - start < 3:
+        raise DomainError(f"trailing window has fewer than 3 nodes (window_fraction "
+                          f"{window_fraction:g} of n_steps {n_steps})")
+    return start
+
+
 def power_slope(sol: Solution, window_fraction: float = 0.25) -> SlopeEstimate:
     """Power-slope estimate of the solution's tail growth x ~ a tau^alpha."""
     if not 0.0 < window_fraction <= 0.9:
@@ -62,9 +73,7 @@ def power_slope(sol: Solution, window_fraction: float = 0.25) -> SlopeEstimate:
     alpha = sol.spec.alpha
     taus = grid.taus
     n = grid.n_steps
-    start = max(1, int(math.ceil((1.0 - window_fraction) * n)))
-    if n + 1 - start < 3:
-        raise DomainError("trailing window has fewer than 3 nodes")
+    start = slope_window_start(n, window_fraction)
     ratios = grid.values[start:] / taus[start:] ** alpha
     raw = float(ratios[-1])
     spread = float(np.max(ratios) - np.min(ratios))
@@ -122,7 +131,11 @@ def _signed_lhopital_residual(sol: Solution) -> float:
 @dataclass(frozen=True)
 class TailIntegrand:
     """An integrand with a declared analytic tail class, so that improper
-    integrals can be given honest convergence verdicts."""
+    integrals can be given honest convergence verdicts.
+
+    tail_exponent is the power p of the integrand's factor s^p: it rules the
+    integrand at 0 for both tagged classes and at infinity for a power tail.
+    """
 
     ident: str
     fn: Callable[[float], float]
@@ -144,7 +157,7 @@ def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"power_exp needs rate > 0, got {rate}")
     return TailIntegrand("power_exp", lambda s: s ** exponent * math.exp(-rate * s),
-                         "exponential")
+                         "exponential", tail_exponent=exponent)
 
 
 INTEGRANDS: dict[str, Callable[..., TailIntegrand]] = {
@@ -172,9 +185,10 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
 
     The verdict combines the integrand's analytic tail tag with the numeric
     behavior: exponential tails always converge, power tails follow the
-    p-integral rule, and untagged integrands are never certified convergent
+    p-integral rule, a tagged integrand from split = 0 follows the same
+    rule at 0, and untagged integrands are never certified convergent
     unless their dyadic increments both shrink below tolerance and decay
-    geometrically.
+    geometrically.  An integrand that overflows a float raises DomainError.
     """
     if split < 0:
         raise DomainError(f"split must be >= 0, got {split}")
@@ -182,17 +196,18 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     def f(s: float) -> float:
         return s ** weight_power * integrand.fn(s)
 
-    if integrand.tail_class == "power":
-        p_total = integrand.tail_exponent + weight_power
-        if p_total >= -1.0:
-            return TailEstimate(math.inf, "diverges")
+    p_total = integrand.tail_exponent + weight_power
+    if integrand.tail_class == "power" and p_total >= -1.0:  # at infinity
+        return TailEstimate(math.inf, "diverges")
+    if integrand.tail_class != "unknown" and split == 0.0 and p_total <= -1.0:  # at 0
+        return TailEstimate(math.inf, "diverges")
 
     total = 0.0
     lo = split
     hi = max(1.0, 2.0 * split)
     increments = []
     for _ in range(64):
-        piece, _ = quad(f, lo, hi, **_QUAD_OPTS)
+        piece = _piece(f, lo, hi)
         total += piece
         increments.append(abs(piece))
         lo, hi = hi, 2.0 * hi
@@ -202,7 +217,6 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     if integrand.tail_class == "exponential":
         return TailEstimate(total + _exponential_tail_bound(f, lo), "converges")
     if integrand.tail_class == "power":
-        p_total = integrand.tail_exponent + weight_power
         tail = lo ** (p_total + 1.0) / (-1.0 - p_total)
         return TailEstimate(total + tail, "converges")
 
@@ -215,11 +229,19 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     return TailEstimate(total, "inconclusive")
 
 
+def _piece(f: Callable[[float], float], lo: float, hi: float) -> float:
+    """int_lo^hi f by quad; an overflow of f is a DomainError naming the piece."""
+    try:
+        return quad(f, lo, hi, **_QUAD_OPTS)[0]
+    except OverflowError:
+        raise DomainError(f"tail integrand overflows a float on the piece "
+                          f"[{lo:g}, {hi:g}]") from None
+
+
 def _exponential_tail_bound(f: Callable[[float], float], H: float) -> float:
     """Crude remainder bound past H for exponentially decaying integrands:
     one more dyadic piece dominates the geometric remainder."""
-    piece, _ = quad(f, H, 2.0 * H, **_QUAD_OPTS)
-    return abs(piece)
+    return abs(_piece(f, H, 2.0 * H))
 
 
 def integrable_limit_check(fgrid: GridFunction, alpha: float,

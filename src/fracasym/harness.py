@@ -27,9 +27,9 @@ from . import bounds, catalog
 from ._core import backend_name
 from .asymptotics import (INTEGRANDS, boundedness_verdict, improper_tail,
                           lhopital_lemma_term, lhopital_residual, make_integrand,
-                          power_slope)
+                          power_slope, slope_window_start)
 from .bounds import growth_envelope_constants, uniform_bound_constant
-from .errors import ConfigError, HypothesisViolation
+from .errors import ConfigError, DomainError, HypothesisViolation
 from .grid import GridFunction
 from .solvers import ProblemKind, residual_check, solve_direct, solve_sequential
 
@@ -326,6 +326,7 @@ class _Check(NamedTuple):
     produces: tuple = ()  # measured values a later regression check may pin
     commands: tuple = ("run",)  # the runner functions that evaluate the check
     kind: ProblemKind | None = None  # the only problem kind the check applies to
+    min_t_end: float = 0.0  # the shortest grid.t_end the check can be evaluated on
 
 
 _CHECKS = {
@@ -333,12 +334,12 @@ _CHECKS = {
                           commands=("run", "convergence_study")),
     "residual": _Check(_residual, ("tolerance",), produces=("integral_defect",)),
     "slope": _Check(_slope, ("tolerance",), {"window_fraction": 0.25},
-                    ("slope_accelerated", "slope_raw", "slope_spread")),
+                    ("slope_accelerated", "slope_raw", "slope_spread"), min_t_end=10.0),
     "lhopital": _Check(_lhopital, ("tolerance",),
                        produces=("lhopital_residual", "lhopital_lemma_term")),
     "bound_envelope": _Check(_bound_envelope, ("tolerance", "phi", "weight"),
                              produces=("envelope_c1", "envelope_c2", "envelope_ratio"),
-                             kind=ProblemKind.SEQUENTIAL),
+                             kind=ProblemKind.SEQUENTIAL, min_t_end=1.0),
     "boundedness": _Check(_boundedness, ("tolerance", "q", "phi1", "phi2", "weight"),
                           {"tau0": "step", "variant": "corrected"},
                           ("sup_x", "sup_dbeta", "bound_constant"),
@@ -407,11 +408,17 @@ def _load_config(source) -> ExperimentConfig:
         # rules that read the problem, the grid or the preceding checks
         if table.kind not in (None, spec.kind):
             raise ConfigError(f"{where}: {name} applies to {table.kind.value} problems only")
-        if name == "boundedness":  # the bound's own q rule; load_config maps its DomainError
-            tau0 = grid["t_end"] / grid["n_steps"] if check["tau0"] == "step" else check["tau0"]
-            bounds.singular_convolution_constant(spec.alpha, spec.beta, check["q"], tau0)
-        if name == "slope" and grid["t_end"] < 10.0:
-            raise ConfigError(f"{where}: slope needs grid.t_end >= 10")
+        if grid["t_end"] < table.min_t_end:
+            raise ConfigError(f"{where}: {name} needs grid.t_end >= {table.min_t_end:g}")
+        try:  # the rules the evaluators themselves state
+            if name == "boundedness":
+                tau0 = (grid["t_end"] / grid["n_steps"] if check["tau0"] == "step"
+                        else check["tau0"])
+                bounds.singular_convolution_constant(spec.alpha, spec.beta, check["q"], tau0)
+            if name == "slope":
+                slope_window_start(grid["n_steps"], check["window_fraction"])
+        except DomainError as exc:
+            raise ConfigError(f"{where}: {exc}") from None
         if name == "order" and grid.get("refinement_levels", 1) < 2:
             raise ConfigError(f"{where}: order needs grid.refinement_levels >= 2")
         if name == "closed_form" and catalog.exact_solution(problem) is None:

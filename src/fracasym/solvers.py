@@ -7,7 +7,9 @@ corrector uses product-trapezoid weights.
 
 direct problem (order-alpha Caputo equation, 0 <= beta < alpha < 1):
     x(tau) = b + J^alpha f,        Dbeta x(tau) = J^(alpha-beta) f
-with beta = 0 meaning the third argument of f receives x itself.
+with beta = 0 meaning the third argument of f receives x itself: the solver
+then gives the Dbeta x quantities the x ones (v = x comes out of the same
+arithmetic) and sums the history once.
 
 sequential problem (first derivative of the order-alpha Caputo derivative,
 0 < beta < alpha < 1):
@@ -27,9 +29,10 @@ The predictor and corrector history sums of every step come from
 square blocks, each added by one FFT once its last f-value exists.  A solve
 costs O(N log^2 N) in the sums, and the per-step loop dominates.
 
-Right-hand sides flagged singular_at_zero are never evaluated at tau = 0:
-the first subinterval of every convolution uses an open (right-endpoint)
-product rule instead.
+The first subinterval of every convolution weights f at one lead node:
+node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
+flagged singular_at_zero, which is never evaluated at tau = 0.  At step 1
+the open rule's weight folds onto the unknown f-value itself.
 """
 
 from __future__ import annotations
@@ -117,90 +120,76 @@ class Solution:
     corrector_iterations: np.ndarray = field(repr=False)
 
 
+def _weights(mu: float, n: int, h: float):
+    """Predictor and corrector weights of the order-mu integral: (b, a, c,
+    predictor scale, corrector scale)."""
+    b = rectangle_coefficients(mu, n)
+    a, c = trapezoid_coefficients(mu, n)
+    return b, a, c, h ** mu / gamma_fn(mu + 1.0), h ** mu / gamma_fn(mu + 2.0)
+
+
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
-           v_inhom: Callable[[np.ndarray], np.ndarray] | None):
-    """Shared predictor-corrector recurrence; returns (x, v, fhist, iters)."""
+           v_inhom: Callable[[np.ndarray], np.ndarray]):
+    """Shared predictor-corrector recurrence; returns (x, v, fhist, iters).
+
+    mu_v None means v is x itself: the v quantities alias the x ones, and
+    v_inhom is not used.
+    """
     n = int(n_steps)
     if n < 2:
         raise DomainError(f"n_steps must be >= 2, got {n_steps}")
     h = t_end / n
     taus = np.linspace(0.0, t_end, n + 1)
     f = spec.rhs
-    singular = f.singular_at_zero
-    couple_v = mu_v is not None
+    lead = 1 if f.singular_at_zero else 0  # the node of the first subinterval's f
 
-    bx = rectangle_coefficients(mu_x, n)
-    ax, cx_arr = trapezoid_coefficients(mu_x, n)
-    wxp = h ** mu_x / gamma_fn(mu_x + 1.0)
-    wxc = h ** mu_x / gamma_fn(mu_x + 2.0)
-    if couple_v:
-        bv = rectangle_coefficients(mu_v, n)
-        av, cv_arr = trapezoid_coefficients(mu_v, n)
-        wvp = h ** mu_v / gamma_fn(mu_v + 1.0)
-        wvc = h ** mu_v / gamma_fn(mu_v + 2.0)
-    else:
-        bv = av = np.empty(0)
-        cv_arr = np.zeros(n + 1)
-        wvp = wvc = 0.0
-
+    bx, ax, cx, wxp, wxc = _weights(mu_x, n, h)
     x0 = x_inhom(taus)
-    v0 = v_inhom(taus) if couple_v else x0
+    if mu_v is None:  # the history sums the aliased rows once
+        bv, av, cv, wvp, wvc, v0 = bx, ax, cx, wxp, wxc, x0
+        v_rows = (np.empty(0), np.empty(0))
+    else:
+        bv, av, cv, wvp, wvc = _weights(mu_v, n, h)
+        v0 = v_inhom(taus)
+        v_rows = (bv, av)
+    # corrector weight of the unknown f[m] (x[m] = base_x + kx[m] f[m]); at
+    # step lead the first subinterval's weight folds onto it.  Lists and
+    # .item() keep the per-step arithmetic in Python floats, not numpy scalars.
+    kx = [wxc] * (n + 1)
+    kv = [wvc] * (n + 1)
+    kx[lead] = wxc * (1.0 + cx.item(lead))
+    kv[lead] = wvc * (1.0 + cv.item(lead))
 
     x = np.empty(n + 1)
     v = np.empty(n + 1)
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
-
     x[0] = x0[0]
-    v[0] = v0[0] if couple_v else x[0]
-    if not singular:
+    v[0] = v0[0]
+    if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], x[0], v[0])
+    f0 = fhist.item(0)
 
-    history = BlockedHistory(bx, ax, bv, av, fhist)
+    history = BlockedHistory(bx, ax, *v_rows, fhist)
     for m in range(1, n + 1):
         px, cxs, pv, cvs = history.sums(m)
-        if singular and m >= 2:
-            # open first subinterval: node 0's weight moves onto node 1
-            px += bx[m] * fhist[1]
-            cxs += cx_arr[m] * fhist[1]
-            if couple_v:
-                pv += bv[m] * fhist[1]
-                cvs += cv_arr[m] * fhist[1]
-            f0x = 0.0
-            f0v = 0.0
-        elif singular:  # m == 1: node-0 weight folds onto the unknown itself
-            f0x = cx_arr[1]
-            f0v = cv_arr[1] if couple_v else 0.0
-        else:
-            cxs += cx_arr[m] * fhist[0]
-            if couple_v:
-                cvs += cv_arr[m] * fhist[0]
-            f0x = 0.0
-            f0v = 0.0
-
-        # corrector affine form: x = base_x + coef_x * f_here
-        base_x = x0[m] + wxc * cxs
-        coef_x = wxc * (1.0 + f0x)
-        if couple_v:
-            base_v = v0[m] + wvc * cvs
-            coef_v = wvc * (1.0 + f0v)
-        else:
-            base_v = base_x
-            coef_v = coef_x
-
-        x_pred = x0[m] + wxp * px
-        v_pred = (v0[m] + wvp * pv) if couple_v else x_pred
+        # the first subinterval's weights multiply f[lead], which is 0 until
+        # step lead is done; the predictor sums already hold them times f[0]
+        fl = fhist.item(lead)
+        shift = fl - f0
+        x_pred = x0[m] + wxp * (px + bx.item(m) * shift)
+        v_pred = v0[m] + wvp * (pv + bv.item(m) * shift)
+        base_x = x0[m] + wxc * (cxs + cx.item(m) * fl)
+        base_v = v0[m] + wvc * (cvs + cv.item(m) * fl)
         phi = _eval_rhs(f, m, taus[m], x_pred, v_pred)
-
-        phi, used = _solve_corrector(f, m, taus[m], base_x, coef_x, base_v, coef_v, phi)
-        iters[m] = used
+        phi, iters[m] = _solve_corrector(f, m, taus[m], base_x, kx[m], base_v, kv[m], phi)
         fhist[m] = phi
-        x[m] = base_x + coef_x * phi
-        v[m] = (base_v + coef_v * phi) if couple_v else x[m]
+        x[m] = base_x + kx[m] * phi
+        v[m] = base_v + kv[m] * phi
 
-    return taus, x, v, fhist, iters
+    return x, v, fhist, iters
 
 
 def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> float:
@@ -261,12 +250,11 @@ def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
     if spec.kind is not ProblemKind.DIRECT:
         raise DomainError("solve_direct requires a direct ProblemSpec")
     alpha, beta, b = spec.alpha, spec.beta, spec.b1
-    mu_v = alpha - beta if beta > 0.0 else None
-    taus, x, v, fhist, iters = _march(
+    x, v, fhist, iters = _march(
         spec, t_end, n_steps,
-        mu_x=alpha, mu_v=mu_v,
+        mu_x=alpha, mu_v=alpha - beta if beta > 0.0 else None,
         x_inhom=lambda t: np.full_like(t, b),
-        v_inhom=(lambda t: np.zeros_like(t)) if mu_v is not None else None,
+        v_inhom=np.zeros_like,
     )
     return Solution(
         x=GridFunction(t_end, x),
@@ -289,7 +277,7 @@ def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
     alpha, beta, b1, b2 = spec.alpha, spec.beta, spec.b1, spec.b2
     ga1 = gamma_fn(alpha + 1.0)
     gab1 = gamma_fn(alpha - beta + 1.0)
-    taus, x, v, fhist, iters = _march(
+    x, v, fhist, iters = _march(
         spec, t_end, n_steps,
         mu_x=alpha + 1.0, mu_v=alpha - beta + 1.0,
         x_inhom=lambda t: b1 + b2 / ga1 * t ** alpha,

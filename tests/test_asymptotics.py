@@ -118,6 +118,29 @@ def test_tail_never_converges_at_critical_powers(p):
     assert est.verdict == "diverges"
 
 
+@pytest.mark.parametrize("name, params, weight_power", [
+    ("exp_decay", {}, -1.5),
+    ("exp_decay", {}, -1.0),
+    ("power", {"exponent": -3.0}, 0.0),
+    ("power_exp", {"exponent": -0.5}, -0.5),
+])
+def test_tail_from_zero_diverges_at_zero(name, params, weight_power):
+    # s^p with p <= -1 is not integrable at 0, whatever the tail does
+    est = improper_tail(make_integrand(name, params), weight_power=weight_power, split=0.0)
+    assert est == (math.inf, "diverges")
+
+
+def test_tail_power_exp_from_zero():
+    est = improper_tail(make_integrand("power_exp", {"exponent": -0.5}), split=0.0)
+    assert est.verdict == "converges"
+    assert est.finite_estimate == pytest.approx(math.sqrt(math.pi), rel=1e-6)  # Gamma(1/2)
+
+
+def test_tail_overflowing_integrand_names_the_piece():
+    with pytest.raises(DomainError, match=r"piece \[4, 8\]"):
+        improper_tail(make_integrand("exp_decay"), weight_power=400.0)
+
+
 def test_tail_unknown_class_shrinking():
     unk = TailIntegrand("custom", lambda s: math.exp(-s), "unknown")
     est = improper_tail(unk, split=0.0)

@@ -157,6 +157,11 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
                  id="q_below_one_over_alpha_minus_beta"),
     pytest.param(_builtin_edited("example46", 0, edit=lambda d: d["grid"].update(t_end=9.5)),
                  id="slope_horizon_below_10"),
+    # window_fraction 0.25 of 4 steps leaves nodes 3 and 4 in the trailing window
+    pytest.param(_builtin_edited("example46", 0, edit=lambda d: d["grid"].update(n_steps=4)),
+                 id="slope_window_below_3_nodes"),
+    pytest.param(_builtin_edited("example46", 2, edit=lambda d: d["grid"].update(t_end=0.5)),
+                 id="bound_envelope_horizon_below_1"),
 ])
 def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
@@ -542,6 +547,18 @@ def test_cli_rejects_a_check_the_command_cannot_evaluate_before_solving(
     monkeypatch.setattr(harness, "solve_sequential", unreachable)
     assert cli.main([command, ident, "--out-dir", str(tmp_path)]) == 1
     assert capsys.readouterr().err == err
+
+
+def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, capsys):
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(make_config(checks=[
+        {"name": "hypothesis", "integrand": {"name": "exp_decay"}, "weight_power": 400,
+         "expect": "converges"}])))
+    assert cli.main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: tail integrand overflows a float on the piece "
+                            "[4, 8]\n")
 
 
 def test_cli_bad_config(tmp_path):

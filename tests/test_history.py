@@ -49,7 +49,7 @@ def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
                                             np.abs(av), np.abs(f), m, j0))
         assert np.all(np.abs(got - want) <= 1e-12 * size), m
         if not with_v:
-            assert got[2] == got[3] == 0.0
+            assert (got[2], got[3]) == (got[0], got[1])
 
 
 def _conv_lower_direct(b, g, scale):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import zeta
 
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
@@ -198,6 +199,42 @@ def test_singular_forced_branch_is_bounded():
     f = np.array([spec.rhs(t, u, v) for t, u, v in
                   zip(sol.x.taus[1:], sol.x.values[1:], sol.dbeta_x.values[1:])])
     assert np.max(np.abs(f - sol.rhs_history[1:])) < 1e-9
+
+
+@pytest.mark.parametrize("kind, beta", [(ProblemKind.DIRECT, 0.0),
+                                        (ProblemKind.DIRECT, 0.3),
+                                        (ProblemKind.SEQUENTIAL, 0.3)])
+def test_open_first_subinterval_rule_converges_to_the_power_rule(kind, beta):
+    # f = c tau^(-g) is never evaluated at 0, and J^mu f = c Gamma(1-g) /
+    # Gamma(1-g+mu) tau^(mu-g) in closed form.  Near 0 the product rule acts
+    # as a trapezoid sum whose node-0 value is f(h), so its error at tau is
+    # tau^(mu-1)/Gamma(mu) c (zeta(g) + 1/2) h^(1-g) to leading order
+    # (Navot's expansion for an algebraic endpoint singularity)
+    c, g, alpha, t_end = 1.5, 0.4, 0.6, 2.0
+    rhs = RightHandSide(lambda t, u, v: c * t ** -g, singular_at_zero=True)
+    shift = 1.0 if kind is ProblemKind.SEQUENTIAL else 0.0  # x = b1 + J^(alpha+1) f
+    orders = {"x": alpha + shift, "dbeta_x": alpha - beta + shift}
+    start = {"x": 1.0, "dbeta_x": 1.0 if beta == 0.0 else 0.0}  # beta = 0: Dbeta x is x
+    solve = solve_direct if kind is ProblemKind.DIRECT else solve_sequential
+    errs = []
+    for n in (128, 256, 512):
+        sol = solve(ProblemSpec(kind, alpha, beta, 1.0, rhs), t_end, n)
+        h = sol.x.step
+        taus = sol.x.taus[sol.x.taus >= t_end / 4]
+        worst = 0.0
+        for name, mu in orders.items():
+            got = getattr(sol, name).values
+            exact = start[name] + c * gamma_fn(1.0 - g) / gamma_fn(1.0 - g + mu) * taus ** (mu - g)
+            err = got[-taus.size:] - exact
+            lead = taus ** (mu - 1.0) / gamma_fn(mu) * c * (zeta(g) + 0.5) * h ** (1.0 - g)
+            assert np.max(np.abs(err / lead - 1.0)) < 0.01, name
+            worst = max(worst, np.max(np.abs(err / exact)))
+            # at node 1 the rule integrates f(h) as a constant over [0, h]
+            open_cell = h ** mu / gamma_fn(mu + 1.0) * c * h ** -g
+            assert got[1] == pytest.approx(start[name] + open_cell, rel=1e-12), name
+        errs.append(worst)
+    assert errs[-1] < 0.03
+    assert all(math.log2(errs[i] / errs[i + 1]) >= 0.5 for i in range(2))  # 1 - g = 0.6
 
 
 def test_corrector_falls_back_to_root_finding():
