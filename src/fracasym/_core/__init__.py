@@ -1,13 +1,15 @@
 """Convolution kernels of the grid operators and the marching solver.
 
 `kernels` holds the whole-grid operators (conv_lower, trap_apply), which
-convolve by FFT, and the direct per-step history sums (pc_sums), the
-reference the blocked sums are tested against.
+convolve by FFT, and the direct per-step predictor-corrector history sums
+(pc_sums), the reference the blocked sums and the windowed solver are
+tested against.
 
-The marching solver does not call pc_sums: `history.BlockedHistory` sums
-directly only within aligned windows of BLOCK = 128 nodes and adds every
-other part of the history in dyadic square blocks by FFT, from 128 x 128
-up, which costs O(N log^2 N) per solve instead of O(N^2).
+The marching solver does not call pc_sums: `history.BlockedHistory` adds
+the corrector history from before each aligned block of BLOCK = 128 nodes
+in dyadic square blocks by FFT, from 128 x 128 up, which costs
+O(N log^2 N) per solve instead of O(N^2); within a block the solver applies
+the strictly lower Toeplitz matrix `BlockedHistory.lower` itself.
 """
 
 from . import kernels

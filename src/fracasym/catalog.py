@@ -10,7 +10,6 @@ reproducible.
 
 from __future__ import annotations
 
-import math
 from typing import Callable
 
 import numpy as np
@@ -32,14 +31,17 @@ __all__ = [
 ]
 
 
-def signed_power(u: float, p: float) -> float:
-    """sign(u) |u|^p: the real odd-power extension used by the catalog
-    nonlinearities, so trajectories may cross zero without leaving the
-    reals.  The growth hypotheses only ever see |u|^p, so bounds are
+def signed_power(u, p: float):
+    """sign(u) |u|^p, elementwise: the real odd-power extension used by the
+    catalog nonlinearities, so trajectories may cross zero without leaving
+    the reals.  The growth hypotheses only ever see |u|^p, so bounds are
     unaffected."""
-    if u == 0.0:
-        return 0.0
-    return math.copysign(abs(u) ** p, u)
+    return np.sign(u) * np.abs(u) ** p
+
+
+def _signed_power_slope(u, p: float):
+    """d/du signed_power(u, p) = p |u|^(p-1); infinite at 0 when p < 1."""
+    return p * np.abs(u) ** (p - 1.0)
 
 
 # --------------------------------------------------------------------------
@@ -56,9 +58,12 @@ def _rhs_exp_decay_power(rate: float = 1.0, exponent: float = 0.5) -> RightHandS
         raise ConfigError(f"exp_decay_power needs exponent in (0, 1], got {exponent}")
 
     def fn(tau, u, v):
-        return math.exp(-rate * tau) * signed_power(u, exponent)
+        return np.exp(-rate * tau) * signed_power(u, exponent)
 
-    return RightHandSide(fn)
+    def du(tau, u, v):
+        return np.exp(-rate * tau) * _signed_power_slope(u, exponent)
+
+    return RightHandSide(fn, du=du)
 
 
 def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
@@ -68,11 +73,20 @@ def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
         raise ConfigError(f"damped_singular_product needs rate > 0, got {rate}")
 
     def fn(tau, u, v):
-        return (tau ** pre_exponent * math.exp(-rate * tau)
+        return (tau ** pre_exponent * np.exp(-rate * tau)
                 * (signed_power(u, u_exponent) * signed_power(v, v_exponent)
-                   * math.cos(v) + forcing))
+                   * np.cos(v) + forcing))
 
-    return RightHandSide(fn, singular_at_zero=pre_exponent < 0)
+    def du(tau, u, v):
+        return (tau ** pre_exponent * np.exp(-rate * tau) * _signed_power_slope(u, u_exponent)
+                * signed_power(v, v_exponent) * np.cos(v))
+
+    def dv(tau, u, v):
+        return (tau ** pre_exponent * np.exp(-rate * tau) * signed_power(u, u_exponent)
+                * (_signed_power_slope(v, v_exponent) * np.cos(v)
+                   - signed_power(v, v_exponent) * np.sin(v)))
+
+    return RightHandSide(fn, singular_at_zero=pre_exponent < 0, du=du, dv=dv)
 
 
 def _rhs_manufactured_power(mu: float, alpha: float, kind: str) -> RightHandSide:

@@ -42,8 +42,8 @@ def rectangle_coefficients(mu: float, n: int) -> np.ndarray:
     """Left-rectangle product weights b[k] = k^mu - (k-1)^mu, k = 1..n.
 
     Entry 0 is unused and set to 0.  Together with the scale
-    h^mu / Gamma(mu+1) these give the predictor quadrature of the order-mu
-    integral.
+    h^mu / Gamma(mu+1) these give the product-rectangle quadrature of the
+    order-mu integral; with order 1 - mu they are the L1 Caputo weights.
     """
     k = np.arange(n + 1, dtype=float)
     b = np.zeros(n + 1)

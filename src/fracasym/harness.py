@@ -327,6 +327,7 @@ class _Check(NamedTuple):
     commands: tuple = ("run",)  # the runner functions that evaluate the check
     kind: ProblemKind | None = None  # the only problem kind the check applies to
     min_t_end: float = 0.0  # the shortest grid.t_end the check can be evaluated on
+    reads_solution: bool = True  # False: evaluated before the solve
 
 
 _CHECKS = {
@@ -345,7 +346,7 @@ _CHECKS = {
                           ("sup_x", "sup_dbeta", "bound_constant"),
                           kind=ProblemKind.DIRECT),
     "hypothesis": _Check(_hypothesis, ("integrand", "expect"),
-                         {"weight_power": 0.0, "split": 1.0}),
+                         {"weight_power": 0.0, "split": 1.0}, reads_solution=False),
     "order": _Check(_order, ("min_order",), commands=("convergence_study",)),
     "regression": _Check(_regression, ("key", "tolerance")),
 }
@@ -463,10 +464,11 @@ def load_expectations(ident: str) -> dict[str, float]:
 def run(config: ExperimentConfig, out_dir=None,
         expectations: dict[str, float] | None = None) -> RunReport:
     """Solve, evaluate the configured checks, write artifacts."""
-    report, (sol,) = _solved(config, "run", [config.n_steps])
+    report, (sol,), early = _solved(config, "run", [config.n_steps])
     if expectations is None:
         expectations = load_expectations(config.ident)
-    return _finish(report, _Context(config, sol, report.measured, expectations), out_dir)
+    return _finish(report, _Context(config, sol, report.measured, expectations), out_dir,
+                   early)
 
 
 def _solved(config: ExperimentConfig, command: str, levels: list[int]):
@@ -476,30 +478,44 @@ def _solved(config: ExperimentConfig, command: str, levels: list[int]):
             raise ConfigError(f"check {check['name']!r} is not valid for {command}()")
     report = RunReport(config=config)
     t0 = time.perf_counter()
+    # checks that read no solution go first, so that their errors cost no
+    # solve; _finish reports every check in config order
+    early = {i: _evaluate(check, _Context(config, None, report.measured, {}))
+             for i, check in enumerate(config.checks)
+             if not _CHECKS[check["name"]].reads_solution}
+    early_s = time.perf_counter() - t0
+    t0 = time.perf_counter()
     spec = catalog.build_problem_spec(config.problem)
     # the solver names are looked up when called, so a wrapper set on this
     # module (as perfbench's tracer does) sees every solve
     solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
     sols = [solve(spec, config.t_end, n) for n in levels]
     report.timings["solve"] = time.perf_counter() - t0
-    return report, sols
+    report.timings["checks"] = early_s
+    return report, sols, early
 
 
-def _finish(report: RunReport, ctx: _Context, out_dir) -> RunReport:
-    """Evaluate the configured checks on ctx, then write the artifacts."""
+def _evaluate(check: dict, ctx: _Context) -> CheckResult:
+    """The check's result on ctx; a violated hypothesis is a result too."""
+    table = _CHECKS[check["name"]]
+    try:
+        built = {k: _REFS[k](v["name"], v.get("params")) if k in _REFS else v
+                 for k, v in check.items()}
+        result, values = table.evaluate(built, ctx)
+        ctx.measured.update(zip(table.produces, values, strict=True))
+    except HypothesisViolation as exc:
+        result = CheckResult(check["name"], "FAILED-HYPOTHESIS", str(exc),
+                             "hypothesis holds", "-")
+    return result
+
+
+def _finish(report: RunReport, ctx: _Context, out_dir, early: dict) -> RunReport:
+    """Evaluate the configured checks on ctx, except the results in early
+    (by check index), then write the artifacts."""
     t0 = time.perf_counter()
-    for check in report.config.checks:
-        table = _CHECKS[check["name"]]
-        try:
-            built = {k: _REFS[k](v["name"], v.get("params")) if k in _REFS else v
-                     for k, v in check.items()}
-            result, values = table.evaluate(built, ctx)
-            ctx.measured.update(zip(table.produces, values, strict=True))
-        except HypothesisViolation as exc:
-            result = CheckResult(check["name"], "FAILED-HYPOTHESIS", str(exc),
-                                 "hypothesis holds", "-")
-        report.checks.append(result)
-    report.timings["checks"] = time.perf_counter() - t0
+    for i, check in enumerate(report.config.checks):
+        report.checks.append(early[i] if i in early else _evaluate(check, ctx))
+    report.timings["checks"] += time.perf_counter() - t0
 
     t0 = time.perf_counter()
     report.csv_path = _resolve_out(report.config.output.get("csv_path"), out_dir)
@@ -551,7 +567,7 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
     if exact is None:
         raise ConfigError(f"config {config.ident!r} has no exact solution to study")
     levels = [config.n_steps * 2 ** k for k in range(config.refinement_levels)]
-    report, sols = _solved(config, "convergence_study", levels)
+    report, sols, early = _solved(config, "convergence_study", levels)
     errors = [_max_error(sol, exact) for sol in sols]
 
     for n, e in zip(levels, errors):
@@ -566,7 +582,8 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
         label = "exact" if math.isinf(orders[-1]) else f"{orders[-1]:.4f}"
         report.info_lines.append(f"order {levels[i]}->{levels[i + 1]}: {label}")
 
-    return _finish(report, _Context(config, sols[-1], report.measured, {}, orders), out_dir)
+    return _finish(report, _Context(config, sols[-1], report.measured, {}, orders), out_dir,
+                   early)
 
 
 # --------------------------------------------------------------------------

@@ -1,14 +1,13 @@
 """Marching solvers for the two fractional initial value problem shapes.
 
 Both problems are solved through their Volterra integral reformulations on
-a uniform grid with a fractional Adams predictor-corrector: the predictor
-uses product-rectangle convolution of the past right-hand-side values, the
-corrector uses product-trapezoid weights.
+a uniform grid with the fractional product-trapezoid rule (the corrector of
+Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002).
 
 direct problem (order-alpha Caputo equation, 0 <= beta < alpha < 1):
     x(tau) = b + J^alpha f,        Dbeta x(tau) = J^(alpha-beta) f
 with beta = 0 meaning the third argument of f receives x itself: the solver
-then gives the Dbeta x quantities the x ones (v = x comes out of the same
+then gives the Dbeta x quantities the x ones (v is x, from the same
 arithmetic) and sums the history once.
 
 sequential problem (first derivative of the order-alpha Caputo derivative,
@@ -18,21 +17,36 @@ sequential problem (first derivative of the order-alpha Caputo derivative,
     Dalpha x    = b2 + J^1 f
 
 Both reduce to the same marching recurrence: x and Dbeta x at a node are
-affine in the single unknown f-value there, so the corrector is a scalar
-fixed point.  When the plain fixed-point iteration stalls (strong coupling
-through the derivative argument makes it non-contractive), the same scalar
-equation is solved by bracketed root finding before giving up.
+affine in the f-values up to that node, with weight k on the node's own
+f-value.  So the unknown f-values phi of one aligned block of BLOCK = 128
+nodes solve a lower-triangular system
 
-The predictor and corrector history sums of every step come from
-`_core.history.BlockedHistory`: terms within the current aligned window of
-128 nodes are summed directly, and the rest of the history arrives in dyadic
-square blocks, each added by one FFT once its last f-value exists.  A solve
-costs O(N log^2 N) in the sums, and the per-step loop dominates.
+    phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
+
+(L_x strictly lower Toeplitz in the weights; the same for v).  A window
+solves it by vectorized sweeps of diagonal Newton, as Garrappa does for
+implicit product-integration rules (Mathematics 6(2):16, 2018):
+
+    phi <- phi - (phi - F) / (1 - F_u k_x - F_v k_v),
+
+with plain Picard where that denominator is not finite or is 0 (a missing
+partial counts as 0).  Every node starts from f at the node before the
+window.  A node has converged once scale |delta phi| <= 1e-12 (1 + |x|) held
+in two sweeps in a row; the window commits its longest converged prefix and
+starts again at the first node that had not.  When the first node of a
+window does not converge, its scalar equation is solved by bracketed root
+finding and it records _FIXED_POINT_CAP iterations; every other node
+records the sweeps of its window, fewer than that.
+
+The history from before the block comes from `_core.history.BlockedHistory`,
+in dyadic square blocks, each added by one FFT once its last f-value
+exists, so a solve costs O(N log^2 N).
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
-flagged singular_at_zero, which is never evaluated at tau = 0.  At step 1
-the open rule's weight folds onto the unknown f-value itself.
+flagged singular_at_zero, which is never evaluated at tau = 0.  At node 1
+the open rule's weight folds onto the unknown f-value itself, and the
+window that holds node 1 starts it from f(tau_1, x_inhom, v_inhom).
 """
 
 from __future__ import annotations
@@ -45,10 +59,11 @@ from typing import Callable
 import numpy as np
 
 from ._core import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
-from ._core.history import BlockedHistory
+from ._core.history import BLOCK, BlockedHistory
 from ._scipy import brentq
 from .errors import DomainError, RhsEvaluationError, StepFailure
-from .fracops import rectangle_coefficients, rl_integral, trapezoid_coefficients
+from .fracops import rl_integral, trapezoid_coefficients
+from .fracops import rectangle_coefficients  # noqa: F401  perfbench/spans.py wraps it by name
 from .gamma import gamma_fn
 from .grid import GridFunction
 
@@ -76,13 +91,22 @@ class ProblemKind(Enum):
 class RightHandSide:
     """An evaluatable f(tau, u, v) plus the metadata the solver needs.
 
+    fn evaluates elementwise: the solver calls it on arrays of nodes, and
+    scalar calls work too.  A scalar result for array arguments is
+    broadcast, and a fn that cannot take arrays is called node by node.
+
     singular_at_zero: f cannot be evaluated at tau = 0 (e.g. a negative
     power prefactor); the solver switches to open quadrature on the first
     subinterval.
+
+    du, dv: the elementwise partials df/du and df/dv, which the corrector's
+    Newton sweeps use; a missing one counts as 0.
     """
 
     fn: Callable[[float, float, float], float]
     singular_at_zero: bool = False
+    du: Callable[[float, float, float], float] | None = None
+    dv: Callable[[float, float, float], float] | None = None
 
     def __call__(self, tau: float, u: float, v: float) -> float:
         return self.fn(tau, u, v)
@@ -121,18 +145,16 @@ class Solution:
 
 
 def _weights(mu: float, n: int, h: float):
-    """Predictor and corrector weights of the order-mu integral: (b, a, c,
-    predictor scale, corrector scale)."""
-    b = rectangle_coefficients(mu, n)
+    """Corrector weights of the order-mu integral: (a, c, scale)."""
     a, c = trapezoid_coefficients(mu, n)
-    return b, a, c, h ** mu / gamma_fn(mu + 1.0), h ** mu / gamma_fn(mu + 2.0)
+    return a, c, h ** mu / gamma_fn(mu + 2.0)
 
 
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
            v_inhom: Callable[[np.ndarray], np.ndarray]):
-    """Shared predictor-corrector recurrence; returns (x, v, fhist, iters).
+    """Shared windowed corrector recurrence; returns (x, v, fhist, iters).
 
     mu_v None means v is x itself: the v quantities alias the x ones, and
     v_inhom is not used.
@@ -145,51 +167,140 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     f = spec.rhs
     lead = 1 if f.singular_at_zero else 0  # the node of the first subinterval's f
 
-    bx, ax, cx, wxp, wxc = _weights(mu_x, n, h)
-    x0 = x_inhom(taus)
-    if mu_v is None:  # the history sums the aliased rows once
-        bv, av, cv, wvp, wvc, v0 = bx, ax, cx, wxp, wxc, x0
-        v_rows = (np.empty(0), np.empty(0))
-    else:
-        bv, av, cv, wvp, wvc = _weights(mu_v, n, h)
-        v0 = v_inhom(taus)
-        v_rows = (bv, av)
-    # corrector weight of the unknown f[m] (x[m] = base_x + kx[m] f[m]); at
-    # step lead the first subinterval's weight folds onto it.  Lists and
-    # .item() keep the per-step arithmetic in Python floats, not numpy scalars.
-    kx = [wxc] * (n + 1)
-    kv = [wvc] * (n + 1)
-    kx[lead] = wxc * (1.0 + cx.item(lead))
-    kv[lead] = wvc * (1.0 + cv.item(lead))
+    # one row per unknown quantity: x, then Dbeta x unless it is x itself
+    mus, inhoms = ((mu_x,), (x_inhom,)) if mu_v is None else ((mu_x, mu_v), (x_inhom, v_inhom))
+    a, c, w = zip(*(_weights(mu, n, h) for mu in mus))
+    c = np.array(c)
+    w = np.array(w)[:, None]
+    z0 = np.array([inhom(taus) for inhom in inhoms])
+    # weight of the unknown f[m] in the quantities at node m; at node lead
+    # the first subinterval's weight folds onto it
+    k = np.repeat(w, n + 1, axis=1)
+    k[:, lead] *= 1.0 + c[:, lead]
+    scale = np.abs(k[0]) + np.abs(k[-1])
 
-    x = np.empty(n + 1)
-    v = np.empty(n + 1)
+    z = np.empty((len(mus), n + 1))
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
-    x[0] = x0[0]
-    v[0] = v0[0]
+    z[:, 0] = z0[:, 0]
     if lead == 0:
-        fhist[0] = _eval_rhs(f, 0, taus[0], x[0], v[0])
-    f0 = fhist.item(0)
+        fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
 
-    history = BlockedHistory(bx, ax, *v_rows, fhist)
-    for m in range(1, n + 1):
-        px, cxs, pv, cvs = history.sums(m)
-        # the first subinterval's weights multiply f[lead], which is 0 until
-        # step lead is done; the predictor sums already hold them times f[0]
-        fl = fhist.item(lead)
-        shift = fl - f0
-        x_pred = x0[m] + wxp * (px + bx.item(m) * shift)
-        v_pred = v0[m] + wvp * (pv + bv.item(m) * shift)
-        base_x = x0[m] + wxc * (cxs + cx.item(m) * fl)
-        base_v = v0[m] + wvc * (cvs + cv.item(m) * fl)
-        phi = _eval_rhs(f, m, taus[m], x_pred, v_pred)
-        phi, iters[m] = _solve_corrector(f, m, taus[m], base_x, kx[m], base_v, kv[m], phi)
-        fhist[m] = phi
-        x[m] = base_x + kx[m] * phi
-        v[m] = base_v + kv[m] * phi
+    history = BlockedHistory(a, fhist)
+    for start in range(0, n + 1, BLOCK):
+        outside = history.block(start)
+        first = max(start, 1) - start  # block column of the first node with j >= 1
+        stop = min(start + BLOCK, n + 1)
+        m = start + first
+        while m < stop:
+            i = m - start
+            # everything but the window's own f-values: f[lead] is 0 until
+            # node lead is done, and then enters through c
+            known = (outside[:, i:] + c[:, m:stop] * fhist[lead]
+                     + history.lower[:, i:stop - start, first:i] @ fhist[start + first:m])
+            base = z0[:, m:stop] + w * known
+            lead_col = None
+            if m == lead:  # f[lead] is the window's first unknown
+                lead_col = w * c[:, m:stop]
+                lead_col[:, 0] = 0.0
+                phi0 = _eval_rhs(f, lead, taus[lead], z0[0, lead], z0[-1, lead])
+            else:
+                phi0 = fhist[m - 1]
+            window = _Window(f, taus[m:stop], base, w, history.lower[:, i:, i:],
+                             k[:, m:stop], scale[m:stop], lead_col)
+            done, sweeps = window.solve(phi0)
+            if done:
+                fhist[m:m + done] = window.phi[:done]
+                z[:, m:m + done] = window.arguments(window.phi[:done])
+                iters[m:m + done] = sweeps
+            else:  # the window's first node: its equation alone, by root finding
+                root = _root_find(f, m, taus[m], base[0, 0], k[0, m], base[-1, 0], k[-1, m],
+                                  phi0)
+                fhist[m] = root
+                z[:, m] = base[:, 0] + k[:, m] * root
+                iters[m] = _FIXED_POINT_CAP
+                done = 1
+            m += done
 
-    return x, v, fhist, iters
+    return z[0], z[-1], fhist, iters
+
+
+class _Window:
+    """The corrector equations of the nodes m..m+L-1 of one aligned block,
+
+        phi = f(tau, base + w * (lower @ phi) + k * phi  [+ lead_col * phi[0]]),
+
+    one row of base, w, lower and k per unknown quantity (x, then Dbeta x
+    unless it is x).  Solved by sweeps of diagonal Newton over the whole
+    window; rows are cut when a node's iterate stops being finite.
+    """
+
+    def __init__(self, f: RightHandSide, tau, base, w, lower, k, scale, lead_col):
+        self.f, self.tau, self.base, self.w, self.lower = f, tau, base, w, lower
+        self.k, self.scale, self.lead_col = k, scale, lead_col
+        self.phi = np.empty(0)
+
+    def arguments(self, phi: np.ndarray) -> np.ndarray:
+        """The quantities (x[, Dbeta x]) of the window's first phi.size nodes."""
+        size = phi.size
+        out = (self.base[:, :size] + self.w * (self.lower[:, :size, :size] @ phi)
+               + self.k[:, :size] * phi)
+        if self.lead_col is not None:
+            out += self.lead_col[:, :size] * phi[0]
+        return out
+
+    def solve(self, phi0: float) -> tuple[int, int]:
+        """Sweep from phi0 at every node; returns (number of leading nodes
+        that converged, sweeps made).  The iterate is left in self.phi."""
+        f = self.f
+        phi = np.full(self.tau.size, phi0)
+        passed = np.zeros(phi.size, dtype=bool)
+        done = 0
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for sweep in range(1, _FIXED_POINT_CAP):
+                size = phi.size
+                z = self.arguments(phi)
+                x, v = z[0], z[-1]
+                tau = self.tau[:size]
+                fx = _values(f.fn, tau, x, v)
+                denom = 1.0 - self._coupling(tau, x, v)
+                step = phi - fx
+                new = phi - np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
+                finite = np.isfinite(new)
+                if not finite.all():  # the nodes from the first bad one on start over
+                    size = int(finite.argmin())
+                    new, x, passed = new[:size], x[:size], passed[:size]
+                ok = (self.scale[:size] * np.abs(new - phi[:size])
+                      <= _FIXED_POINT_TOL * (1.0 + np.abs(x)))
+                # a node is converged once it passed the stop rule in two sweeps in a row
+                both = ok & passed
+                done = size if both.all() else int(both.argmin())
+                phi, passed = new, ok
+                if done == size:
+                    break
+        self.phi = phi
+        return done, sweep
+
+    def _coupling(self, tau, x, v):
+        """F_u kx + F_v kv (v is x when there is one row)."""
+        f, k = self.f, self.k[:, :tau.size]
+        du = 0.0 if f.du is None else _values(f.du, tau, x, v)
+        dv = 0.0 if f.dv is None else _values(f.dv, tau, x, v)
+        if len(k) == 1:
+            return (du + dv) * k[0]
+        return du * k[0] + dv * k[1]
+
+
+def _values(fn: Callable, tau: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """fn at every node as a float array.  A scalar result is broadcast; a
+    fn that cannot take arrays (a Python conditional or a math call on its
+    arguments) is called node by node."""
+    try:
+        out = fn(tau, u, v)
+    except (TypeError, ValueError):
+        out = [fn(*args) for args in zip(tau.tolist(), u.tolist(), v.tolist())]
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == tau.shape else np.broadcast_to(out, tau.shape)
 
 
 def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> float:
@@ -199,23 +310,12 @@ def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> fl
     return float(val)
 
 
-def _solve_corrector(f: RightHandSide, node: int, tau: float,
-                     base_x: float, coef_x: float,
-                     base_v: float, coef_v: float, phi0: float) -> tuple[float, int]:
-    """Solve phi = f(tau, base_x + coef_x phi, base_v + coef_v phi)."""
-    phi = phi0
-    scale = abs(coef_x) + abs(coef_v)
-    for it in range(1, _FIXED_POINT_CAP + 1):
-        x_cur = base_x + coef_x * phi
-        phi_new = _eval_rhs(f, node, tau, x_cur, base_v + coef_v * phi)
-        delta = scale * abs(phi_new - phi)
-        phi = phi_new
-        if delta <= _FIXED_POINT_TOL * (1.0 + abs(x_cur)):
-            return phi, it
-
-    # Fixed point stalled: the two unknowns are affine in the single f
-    # value, so fall back to bracketed scalar root finding on
-    # g(phi) = phi - f(...).
+def _root_find(f: RightHandSide, node: int, tau: float,
+               base_x: float, coef_x: float,
+               base_v: float, coef_v: float, phi: float) -> float:
+    """Solve phi = f(tau, base_x + coef_x phi, base_v + coef_v phi) by
+    bracketed root finding on g(phi) = phi - f(...), expanding a bracket
+    around the given phi."""
     def g(p: float) -> float:
         return p - _eval_rhs(f, node, tau, base_x + coef_x * p, base_v + coef_v * p)
 
@@ -224,9 +324,9 @@ def _solve_corrector(f: RightHandSide, node: int, tau: float,
     radius = max(abs(phi), 1.0) * 1e-3
     for _ in range(_BRACKET_EXPANSIONS):
         if glo == 0.0:
-            return lo, _FIXED_POINT_CAP
+            return lo
         if ghi == 0.0:
-            return hi, _FIXED_POINT_CAP
+            return hi
         if glo * ghi < 0.0:
             break
         lo -= radius
@@ -235,10 +335,9 @@ def _solve_corrector(f: RightHandSide, node: int, tau: float,
         ghi = g(hi)
         radius *= 2.0
     else:
-        raise StepFailure(node, tau, "corrector fixed point stalled and no root bracket found")
+        raise StepFailure(node, tau, "corrector did not converge and no root bracket found")
 
-    root = brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200)
-    return float(root), _FIXED_POINT_CAP
+    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 
 
 def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:

@@ -1,9 +1,14 @@
-"""Independent oracles for the bound-dominance and convolution tests.
+"""Independent oracles for the bound-dominance, convolution and solver tests.
 
-Everything here is deliberately built from plain numpy/scipy primitives
-(trapezoid cumulatives, adaptive quadrature) and never calls the package's
-own quadrature machinery, so a bug in the library cannot cancel out of the
-comparison.
+The bound and convolution oracles are deliberately built from plain
+numpy/scipy primitives (trapezoid cumulatives, adaptive quadrature) and
+never call the package's own quadrature machinery, so a bug in the library
+cannot cancel out of the comparison.
+
+`march_reference` is the marching solver's reference: the scalar fractional
+Adams predictor-corrector, one node at a time, with the direct history sums
+of `kernels.pc_sums`.  It shares the package's quadrature weights, so the
+windowed corrector must reproduce it to rounding.
 
 The integral inequalities have extremal solutions that solve them as
 equalities; Picard sweeps on a fine grid converge to those equalities, and
@@ -14,6 +19,13 @@ from __future__ import annotations
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.optimize import brentq
+
+from fracasym._core import kernels
+from fracasym.fracops import rectangle_coefficients, trapezoid_coefficients
+from fracasym.gamma import gamma_fn
+from fracasym.grid import GridFunction
+from fracasym.solvers import ProblemKind
 
 
 def _cumtrapz(values: np.ndarray, h: float) -> np.ndarray:
@@ -114,3 +126,92 @@ def random_piecewise_linear(rng, t_end: float, n_knots: int = 9,
         return np.interp(s, knots_t, knots_v)
 
     return fn, knots_t, knots_v
+
+
+# --------------------------------------------------------------------------
+# scalar predictor-corrector reference for the marching solver
+
+def _scalar_corrector(f, tau, base_x, coef_x, base_v, coef_v, phi, tol=1e-15, cap=10):
+    """Solve phi = f(tau, base_x + coef_x phi, base_v + coef_v phi): plain
+    fixed point, then bracketed root finding when it stalls.
+
+    The solver stops at 1e-12; at that tolerance the scalar step itself is
+    up to about 1e-12 of a column's max away from the exact solution of the
+    discrete equations, so the reference converges to rounding instead."""
+    scale = abs(coef_x) + abs(coef_v)
+    for _ in range(cap):
+        x_cur = base_x + coef_x * phi
+        phi_new = float(f(tau, x_cur, base_v + coef_v * phi))
+        delta = scale * abs(phi_new - phi)
+        phi = phi_new
+        if delta <= tol * (1.0 + abs(x_cur)):
+            return phi
+
+    def g(p):
+        return p - float(f(tau, base_x + coef_x * p, base_v + coef_v * p))
+
+    lo = hi = phi
+    radius = max(abs(phi), 1.0) * 1e-3
+    for _ in range(80):
+        if g(lo) * g(hi) <= 0.0:
+            break
+        lo, hi, radius = lo - radius, hi + radius, 2.0 * radius
+    else:
+        raise RuntimeError(f"no root bracket for the corrector at tau={tau}")
+    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
+
+
+def march_reference(spec, t_end: float, n: int):
+    """(x, Dbeta x, Dalpha x) of `spec` on n steps, marched one node at a
+    time: a product-rectangle predictor and a product-trapezoid corrector
+    solved as a scalar equation, with every history sum formed directly."""
+    alpha, beta, b1, b2 = spec.alpha, spec.beta, spec.b1, spec.b2
+    h = t_end / n
+    taus = np.linspace(0.0, t_end, n + 1)
+    if spec.kind is ProblemKind.DIRECT:
+        mu_x, mu_v = alpha, alpha - beta
+        x0, v0 = np.full(n + 1, b1), np.zeros(n + 1)
+    else:
+        mu_x, mu_v = alpha + 1.0, alpha - beta + 1.0
+        x0 = b1 + b2 / gamma_fn(alpha + 1.0) * taus ** alpha
+        v0 = b2 / gamma_fn(alpha - beta + 1.0) * taus ** (alpha - beta)
+    aliased = spec.kind is ProblemKind.DIRECT and beta == 0.0  # v is x
+
+    def weights(mu):
+        a, c = trapezoid_coefficients(mu, n)
+        return (rectangle_coefficients(mu, n), a, c,
+                h ** mu / gamma_fn(mu + 1.0), h ** mu / gamma_fn(mu + 2.0))
+
+    bx, ax, cx, wxp, wxc = weights(mu_x)
+    if aliased:
+        bv, av, cv, wvp, wvc, v0 = bx, ax, cx, wxp, wxc, x0
+        v_rows = (np.empty(0), np.empty(0))
+    else:
+        bv, av, cv, wvp, wvc = weights(mu_v)
+        v_rows = (bv, av)
+    f = spec.rhs
+    lead = 1 if f.singular_at_zero else 0
+    x, v, fhist = x0.copy(), v0.copy(), np.zeros(n + 1)
+    if lead == 0:
+        fhist[0] = float(f(0.0, x0[0], v0[0]))
+    for m in range(1, n + 1):
+        px, cxs, pv, cvs = kernels.pc_sums(bx, ax, *v_rows, fhist, m, 0)
+        # the first subinterval weights f[lead], which is 0 until step lead is done
+        fl = fhist[lead]
+        shift = fl - fhist[0]
+        x_pred = x0[m] + wxp * (px + bx[m] * shift)
+        v_pred = v0[m] + wvp * (pv + bv[m] * shift)
+        base_x = x0[m] + wxc * (cxs + cx[m] * fl)
+        base_v = v0[m] + wvc * (cvs + cv[m] * fl)
+        kx = wxc * (1.0 + cx[m]) if m == lead else wxc
+        kv = wvc * (1.0 + cv[m]) if m == lead else wvc
+        phi = _scalar_corrector(f, taus[m], base_x, kx, base_v, kv,
+                                float(f(taus[m], x_pred, v_pred)))
+        fhist[m] = phi
+        x[m] = base_x + kx * phi
+        v[m] = base_v + kv * phi
+    if spec.kind is ProblemKind.DIRECT:
+        dalpha = fhist
+    else:
+        dalpha = b2 + GridFunction(t_end, fhist).cumulative_integral()
+    return x, v, dalpha

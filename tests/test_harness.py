@@ -561,6 +561,35 @@ def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, c
                             "[4, 8]\n")
 
 
+def test_cli_evaluates_the_hypothesis_check_before_solving(tmp_path, capsys, monkeypatch):
+    # the hypothesis check reads no solution, so its error must come
+    # before a solve (here of 4096 steps)
+    def unreachable(*args):
+        raise AssertionError("solved before the hypothesis check was evaluated")
+
+    monkeypatch.setattr(harness, "solve_direct", unreachable)
+    monkeypatch.setattr(harness, "solve_sequential", unreachable)
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps(make_config(
+        grid={"t_end": 20.0, "n_steps": 4096},
+        checks=[{"name": "closed_form", "tolerance": 1e-10},
+                {"name": "hypothesis", "integrand": {"name": "exp_decay"},
+                 "weight_power": 400, "expect": "converges"}])))
+    assert cli.main(["solve", str(path), "--out-dir", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == ("error: tail integrand overflows a float on the "
+                                       "piece [4, 8]\n")
+
+
+def test_hypothesis_check_keeps_its_place_in_the_report():
+    config = harness.load_config(make_config(checks=[
+        {"name": "closed_form", "tolerance": 1e-10},
+        {"name": "hypothesis", "integrand": {"name": "exp_decay"}, "expect": "converges"},
+        {"name": "residual", "tolerance": 1e-10}]))
+    report = harness.run(config)
+    assert [c.name for c in report.checks] == ["closed_form", "hypothesis", "residual"]
+    assert report.exit_code == 0
+
+
 def test_cli_bad_config(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(make_config(extra=1)))

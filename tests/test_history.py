@@ -1,29 +1,20 @@
 """Fast convolution paths against their direct references.
 
-The blocked FFT history sums must reproduce `kernels.pc_sums` at every
-step, the FFT whole-grid operators must reproduce `np.convolve`, and
-solutions marched with the blocked sums must match solutions marched with
-the direct ones.
+The blocked FFT history sums plus the in-block Toeplitz products must
+reproduce the corrector sums of `kernels.pc_sums` at every node, the FFT
+whole-grid operators must reproduce `np.convolve`, and the windowed
+corrector must reproduce the scalar predictor-corrector of
+`_oracles.march_reference`.
 """
 
 import numpy as np
 import pytest
 
-import fracasym.solvers as solvers
+from _oracles import march_reference
 from fracasym import catalog, harness
 from fracasym._core import kernels
 from fracasym._core.history import BLOCK, BlockedHistory
-from fracasym.solvers import ProblemKind, solve_direct, solve_sequential
-
-
-class DirectHistory:
-    """The per-step direct sums the marching solver used before blocking."""
-
-    def __init__(self, bx, ax, bv, av, f):
-        self.args = (bx, ax, bv, av, f)
-
-    def sums(self, m):
-        return kernels.pc_sums(*self.args, m, 0)
+from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_sequential
 
 
 # 1030 = 2^10 + 6: the square of 1024 is cut to 7 targets by the grid's end
@@ -31,25 +22,31 @@ class DirectHistory:
 @pytest.mark.parametrize("j0", [0, 1])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
-    # j0 = 1 is the history of a right-hand side singular at 0: it stores
-    # f[0] = 0, so the direct sums that start the predictor at node 1 agree
+    # the corrector sums start at node 1; j0 = 1 is the history of a
+    # right-hand side singular at 0, which stores f[0] = 0, and with j0 = 0
+    # the blocks must leave the node-0 value out
     rng = np.random.default_rng(n + 10 * j0 + with_v)
     bx, ax, bv, av = (rng.normal(size=n + 1) for _ in range(4))
-    if not with_v:
-        bv = av = np.empty(0)
+    rows = (ax, av) if with_v else (ax,)
     f = rng.normal(size=n + 1)
     if j0 == 1:
         f[0] = 0.0
-    blocked = BlockedHistory(bx, ax, bv, av, f)
-    for m in range(1, n + 1):
-        got = np.array(blocked.sums(m))
-        want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, j0))
-        # sum of |w| |f| over the same terms, row by row
-        size = np.array(kernels.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
-                                            np.abs(av), np.abs(f), m, j0))
-        assert np.all(np.abs(got - want) <= 1e-12 * size), m
-        if not with_v:
-            assert (got[2], got[3]) == (got[0], got[1])
+    blocked = BlockedHistory(rows, f)
+    i, j = np.indices((BLOCK, BLOCK))
+    for r, w in enumerate(rows):  # strictly lower Toeplitz in the weights
+        assert np.array_equal(blocked.lower[r], np.where(i > j, w[i - j], 0.0))
+    for start in range(0, n + 1, BLOCK):
+        outside = blocked.block(start)
+        first = max(start, 1) - start
+        for m in range(start + first, min(start + BLOCK, n + 1)):
+            i = m - start
+            got = outside[:, i] + blocked.lower[:, i, first:i] @ f[start + first:m]
+            # the corrector sums (cx, cv) of the direct per-step reference and
+            # the sums of |w| |f| over the same terms
+            want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, j0)[1::2])
+            size = np.array(kernels.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
+                                            np.abs(av), np.abs(f), m, j0)[1::2])
+            assert np.all(np.abs(got - want[:len(rows)]) <= 1e-12 * size[:len(rows)]), m
 
 
 def _conv_lower_direct(b, g, scale):
@@ -93,15 +90,38 @@ def test_fft_trap_apply_matches_direct_convolution(n):
     assert np.all(np.abs(got - want) <= 1e-12 * size)
 
 
-@pytest.mark.parametrize("ident", ["example46", "example63_forced"])
-def test_blocked_solution_matches_direct_history_sums(ident, monkeypatch):
-    config = harness.load_builtin_config(ident)
-    spec = catalog.build_problem_spec(config.problem)
+def _assert_matches_reference(spec, t_end, n):
     solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
-    n = 2 ** 14
-    blocked = solve(spec, config.t_end, n)
-    monkeypatch.setattr(solvers, "BlockedHistory", DirectHistory)
-    direct = solve(spec, config.t_end, n)
-    for name in ("x", "dbeta_x", "dalpha_x"):
-        got, want = getattr(blocked, name).values, getattr(direct, name).values
+    sol = solve(spec, t_end, n)
+    for name, want in zip(("x", "dbeta_x", "dalpha_x"), march_reference(spec, t_end, n)):
+        got = getattr(sol, name).values
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want)), name
+
+
+_SHAPES = {"direct_beta0": (ProblemKind.DIRECT, 0.0), "direct": (ProblemKind.DIRECT, 0.3),
+           "sequential": (ProblemKind.SEQUENTIAL, 0.3)}
+_RHS = {
+    "singular": ("damped_singular_product", {"pre_exponent": -5.0 / 12.0, "forcing": 1.0}),
+    "state": ("damped_singular_product", {"pre_exponent": 0.5, "forcing": 1.0}),
+    "source": ("manufactured_power_mu", {"mu": 2.0}),
+}
+
+
+# N < BLOCK; a window cut by the grid's end (1000 = 7 * 128 + 104); 4099 =
+# 2^12 + 3, a last block of 4 nodes
+@pytest.mark.parametrize("n", [100, 1000, 4099])
+@pytest.mark.parametrize("rhs", sorted(_RHS))
+@pytest.mark.parametrize("shape", sorted(_SHAPES))
+def test_windowed_solution_matches_scalar_reference(shape, rhs, n):
+    kind, beta = _SHAPES[shape]
+    name, params = _RHS[rhs]
+    f = catalog.make_rhs(name, params, 0.6, kind.value)
+    assert f.singular_at_zero == (rhs == "singular")
+    _assert_matches_reference(ProblemSpec(kind, 0.6, beta, 1.0, f, b2=1.0), 20.0, n)
+
+
+@pytest.mark.parametrize("ident", ["example46", "example63_forced"])
+def test_blocked_solution_matches_direct_history_sums(ident):
+    config = harness.load_builtin_config(ident)
+    _assert_matches_reference(catalog.build_problem_spec(config.problem), config.t_end,
+                              2 ** 14)

@@ -113,13 +113,13 @@ def test_beta_zero_feeds_state_back():
 
     def fn(tau, u, v):
         seen.append((u, v))
-        return math.exp(-tau) * u * 0.0 + gamma_fn(3.0) / gamma_fn(2.5) * tau ** 1.5
+        return np.exp(-tau) * u * 0.0 + gamma_fn(3.0) / gamma_fn(2.5) * tau ** 1.5
 
     rhs = RightHandSide(fn)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.0, 0.0, rhs)
     sol = solve_direct(spec, 1.0, 128)
     assert np.array_equal(sol.dbeta_x.values, sol.x.values)
-    assert all(u == v for u, v in seen)
+    assert all(np.all(u == v) for u, v in seen)  # the solver calls f on arrays of nodes
 
 
 # --------------------------------------------------------------------------
