@@ -100,6 +100,9 @@ def main(argv=None) -> int:
     except FracasymError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 1
+    except ArithmeticError as exc:  # an overflow of huge config numbers
+        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        return 1
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")
         return 1

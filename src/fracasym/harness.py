@@ -151,8 +151,10 @@ def _object(d, where: str, required=(), optional=()) -> dict:
 
 def _number(value, where: str, kind=float):
     """value as a finite float, or with kind=int as an int; an int must also
-    be integral, so that 512.9 is not cut to 512."""
+    be integral, so that 512.9 is not cut to 512.  A boolean is no number."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         number = float(value)
     except (TypeError, ValueError, OverflowError):
         raise ConfigError(f"{where} must be a number, got {value!r}") from None
@@ -178,6 +180,9 @@ def _fn_ref(d, where: str, factory=None) -> dict:
         factory(ref["name"], ref.get("params"))
     return ref
 
+
+# The finest grid a config may ask for, n_steps * 2**(refinement_levels - 1)
+_MAX_FINEST_STEPS = 2 ** 24
 
 # How load reads the value of a grid or check key: a number must lie in its
 # range, as load's errors state it (NaN and infinities never load); a string
@@ -365,8 +370,9 @@ def load_config(source) -> ExperimentConfig:
         return _load_config(source)
     except ConfigError:
         raise
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
-        # json.JSONDecodeError and the catalog's DomainError are ValueErrors
+    except (KeyError, TypeError, ValueError, AttributeError, ArithmeticError) as exc:
+        # json.JSONDecodeError and the catalog's DomainError are ValueErrors;
+        # a catalog constant of huge parameters overflows
         raise ConfigError(f"malformed config: {type(exc).__name__}: {exc}") from exc
 
 
@@ -374,6 +380,11 @@ def _load_config(source) -> ExperimentConfig:
     if isinstance(source, (str, Path)):
         source = json.loads(Path(source).read_text())
     doc = _object(source, "config", ("id", "problem", "grid", "checks"), ("output", "seed"))
+    ident = doc["id"]
+    # the id names the pin file and the expectations
+    if not isinstance(ident, str) or not ident or "/" in ident or "\\" in ident:
+        raise ConfigError(f"id must be a non-empty string without a path separator, "
+                          f"got {ident!r}")
 
     problem = _object(doc["problem"], "problem", ("kind", "alpha", "b1", "rhs"),
                       ("beta", "b2"))
@@ -386,6 +397,10 @@ def _load_config(source) -> ExperimentConfig:
     grid = _object(doc["grid"], "grid", ("t_end", "n_steps"), ("refinement_levels",))
     for key, value in grid.items():
         grid[key] = _value(key, value, f"grid.{key}")
+    # a shift, since 2**(refinement_levels - 1) itself may not fit in memory
+    if grid["n_steps"] > _MAX_FINEST_STEPS >> (grid.get("refinement_levels", 1) - 1):
+        raise ConfigError(f"grid: the finest grid, n_steps * 2**(refinement_levels - 1), "
+                          f"must have at most 2**24 = {_MAX_FINEST_STEPS} steps")
 
     if not isinstance(doc["checks"], list):
         raise ConfigError("checks must be a list")
@@ -435,7 +450,7 @@ def _load_config(source) -> ExperimentConfig:
         if not isinstance(path, str):
             raise ConfigError(f"output.{key} must be a string")
     return ExperimentConfig(
-        ident=str(doc["id"]),
+        ident=ident,
         problem=problem,
         grid=grid,
         checks=tuple(checks),

@@ -23,9 +23,9 @@ nodes solve a lower-triangular system
 
     phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
 
-(L_x strictly lower Toeplitz in the weights; the same for v).  A window
-solves it by vectorized sweeps of diagonal Newton, as Garrappa does for
-implicit product-integration rules (Mathematics 6(2):16, 2018):
+(L_x strictly lower Toeplitz in the weights; the same for v).  `_sweep`
+solves a window of it by vectorized sweeps of diagonal Newton, as Garrappa
+does for implicit product-integration rules (Mathematics 6(2):16, 2018):
 
     phi <- phi - (phi - F) / (1 - F_u k_x - F_v k_v),
 
@@ -44,9 +44,10 @@ exists, so a solve costs O(N log^2 N).
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
-flagged singular_at_zero, which is never evaluated at tau = 0.  At node 1
-the open rule's weight folds onto the unknown f-value itself, and the
-window that holds node 1 starts it from f(tau_1, x_inhom, v_inhom).
+flagged singular_at_zero, which is never evaluated at tau = 0.  Node 1 is
+then solved alone, as a one-node window whose weight k = w (1 + c_1) holds
+the open rule's weight, started from f(tau_1, x_inhom, v_inhom).  Every
+later window knows f at the lead node.
 """
 
 from __future__ import annotations
@@ -91,9 +92,10 @@ class ProblemKind(Enum):
 class RightHandSide:
     """An evaluatable f(tau, u, v) plus the metadata the solver needs.
 
-    fn evaluates elementwise: the solver calls it on arrays of nodes, and
-    scalar calls work too.  A scalar result for array arguments is
-    broadcast, and a fn that cannot take arrays is called node by node.
+    fn must evaluate elementwise (numpy operations, np.where rather than a
+    Python conditional): the solver calls it on arrays of nodes, and on
+    scalars at the lead node and in root finding.  A scalar result for
+    array arguments is broadcast.
 
     singular_at_zero: f cannot be evaluated at tau = 0 (e.g. a negative
     power prefactor); the solver switches to open quadrature on the first
@@ -171,135 +173,100 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     mus, inhoms = ((mu_x,), (x_inhom,)) if mu_v is None else ((mu_x, mu_v), (x_inhom, v_inhom))
     a, c, w = zip(*(_weights(mu, n, h) for mu in mus))
     c = np.array(c)
-    w = np.array(w)[:, None]
+    w = np.array(w)[:, None]  # weight of the unknown f[m] in the quantities at node m
     z0 = np.array([inhom(taus) for inhom in inhoms])
-    # weight of the unknown f[m] in the quantities at node m; at node lead
-    # the first subinterval's weight folds onto it
-    k = np.repeat(w, n + 1, axis=1)
-    k[:, lead] *= 1.0 + c[:, lead]
-    scale = np.abs(k[0]) + np.abs(k[-1])
 
     z = np.empty((len(mus), n + 1))
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
     z[:, 0] = z0[:, 0]
+    history = BlockedHistory(a, fhist)
+
+    def commit(m, stop, base, lower, k, phi0):
+        """Commit the leading nodes of the window m..stop-1; returns how many."""
+        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, lower, k, phi0)
+        if done:
+            fhist[m:m + done] = phi[:done]
+            z[:, m:m + done] = _arguments(base, w, lower, k, phi[:done])
+            iters[m:m + done] = sweeps
+            return done
+        # the window's first node: its equation alone, by root finding
+        fhist[m] = _root_find(f, m, taus[m], base[0, 0], k[0, 0], base[-1, 0], k[-1, 0], phi0)
+        z[:, m] = base[:, 0] + k[:, 0] * fhist[m]
+        iters[m] = _FIXED_POINT_CAP
+        return 1
+
     if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
+    else:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
+        commit(1, 2, z0[:, 1:2], history.lower, w * (1.0 + c[:, 1:2]),
+               _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
 
-    history = BlockedHistory(a, fhist)
     for start in range(0, n + 1, BLOCK):
         outside = history.block(start)
         first = max(start, 1) - start  # block column of the first node with j >= 1
         stop = min(start + BLOCK, n + 1)
-        m = start + first
+        m = max(start, lead + 1)  # node lead is done
         while m < stop:
             i = m - start
-            # everything but the window's own f-values: f[lead] is 0 until
-            # node lead is done, and then enters through c
+            # everything but the window's own f-values; f[lead] enters through c
             known = (outside[:, i:] + c[:, m:stop] * fhist[lead]
                      + history.lower[:, i:stop - start, first:i] @ fhist[start + first:m])
-            base = z0[:, m:stop] + w * known
-            lead_col = None
-            if m == lead:  # f[lead] is the window's first unknown
-                lead_col = w * c[:, m:stop]
-                lead_col[:, 0] = 0.0
-                phi0 = _eval_rhs(f, lead, taus[lead], z0[0, lead], z0[-1, lead])
-            else:
-                phi0 = fhist[m - 1]
-            window = _Window(f, taus[m:stop], base, w, history.lower[:, i:, i:],
-                             k[:, m:stop], scale[m:stop], lead_col)
-            done, sweeps = window.solve(phi0)
-            if done:
-                fhist[m:m + done] = window.phi[:done]
-                z[:, m:m + done] = window.arguments(window.phi[:done])
-                iters[m:m + done] = sweeps
-            else:  # the window's first node: its equation alone, by root finding
-                root = _root_find(f, m, taus[m], base[0, 0], k[0, m], base[-1, 0], k[-1, m],
-                                  phi0)
-                fhist[m] = root
-                z[:, m] = base[:, 0] + k[:, m] * root
-                iters[m] = _FIXED_POINT_CAP
-                done = 1
-            m += done
+            m += commit(m, stop, z0[:, m:stop] + w * known, history.lower[:, i:, i:], w,
+                       fhist[m - 1])
 
     return z[0], z[-1], fhist, iters
 
 
-class _Window:
-    """The corrector equations of the nodes m..m+L-1 of one aligned block,
+def _arguments(base, w, lower, k, phi: np.ndarray) -> np.ndarray:
+    """The quantities (x[, Dbeta x]) at the first phi.size nodes of a window,
 
-        phi = f(tau, base + w * (lower @ phi) + k * phi  [+ lead_col * phi[0]]),
+        base + w * (lower @ phi) + k * phi,
 
     one row of base, w, lower and k per unknown quantity (x, then Dbeta x
-    unless it is x).  Solved by sweeps of diagonal Newton over the whole
-    window; rows are cut when a node's iterate stops being finite.
-    """
+    unless it is x); w and k are columns, the same at every node."""
+    size = phi.size
+    return base[:, :size] + w * (lower[:, :size, :size] @ phi) + k * phi
 
-    def __init__(self, f: RightHandSide, tau, base, w, lower, k, scale, lead_col):
-        self.f, self.tau, self.base, self.w, self.lower = f, tau, base, w, lower
-        self.k, self.scale, self.lead_col = k, scale, lead_col
-        self.phi = np.empty(0)
 
-    def arguments(self, phi: np.ndarray) -> np.ndarray:
-        """The quantities (x[, Dbeta x]) of the window's first phi.size nodes."""
-        size = phi.size
-        out = (self.base[:, :size] + self.w * (self.lower[:, :size, :size] @ phi)
-               + self.k[:, :size] * phi)
-        if self.lead_col is not None:
-            out += self.lead_col[:, :size] * phi[0]
-        return out
-
-    def solve(self, phi0: float) -> tuple[int, int]:
-        """Sweep from phi0 at every node; returns (number of leading nodes
-        that converged, sweeps made).  The iterate is left in self.phi."""
-        f = self.f
-        phi = np.full(self.tau.size, phi0)
-        passed = np.zeros(phi.size, dtype=bool)
-        done = 0
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            for sweep in range(1, _FIXED_POINT_CAP):
-                size = phi.size
-                z = self.arguments(phi)
-                x, v = z[0], z[-1]
-                tau = self.tau[:size]
-                fx = _values(f.fn, tau, x, v)
-                denom = 1.0 - self._coupling(tau, x, v)
-                step = phi - fx
-                new = phi - np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
-                finite = np.isfinite(new)
-                if not finite.all():  # the nodes from the first bad one on start over
-                    size = int(finite.argmin())
-                    new, x, passed = new[:size], x[:size], passed[:size]
-                ok = (self.scale[:size] * np.abs(new - phi[:size])
-                      <= _FIXED_POINT_TOL * (1.0 + np.abs(x)))
-                # a node is converged once it passed the stop rule in two sweeps in a row
-                both = ok & passed
-                done = size if both.all() else int(both.argmin())
-                phi, passed = new, ok
-                if done == size:
-                    break
-        self.phi = phi
-        return done, sweep
-
-    def _coupling(self, tau, x, v):
-        """F_u kx + F_v kv (v is x when there is one row)."""
-        f, k = self.f, self.k[:, :tau.size]
-        du = 0.0 if f.du is None else _values(f.du, tau, x, v)
-        dv = 0.0 if f.dv is None else _values(f.dv, tau, x, v)
-        if len(k) == 1:
-            return (du + dv) * k[0]
-        return du * k[0] + dv * k[1]
+def _sweep(f: RightHandSide, tau, base, w, lower, k, phi0: float):
+    """Solve phi = f(tau, _arguments(base, w, lower, k, phi)) by sweeps of
+    diagonal Newton over the whole window, every node started from phi0.
+    Returns (number of leading nodes that converged, sweeps made, iterate);
+    the nodes from the first one whose iterate is not finite are cut."""
+    scale = abs(k[0, 0]) + abs(k[-1, 0])
+    phi = np.full(tau.size, phi0)
+    passed = np.zeros(phi.size, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for sweep in range(1, _FIXED_POINT_CAP):
+            size = phi.size
+            z = _arguments(base, w, lower, k, phi)
+            x, v = z[0], z[-1]
+            t = tau[:size]
+            fx = _values(f.fn, t, x, v)
+            du = 0.0 if f.du is None else _values(f.du, t, x, v)
+            dv = 0.0 if f.dv is None else _values(f.dv, t, x, v)
+            # F_u k_x + F_v k_v, with v x itself when there is one row
+            denom = 1.0 - ((du + dv) * k[0] if len(k) == 1 else du * k[0] + dv * k[1])
+            step = phi - fx
+            new = phi - np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
+            finite = np.isfinite(new)
+            if not finite.all():  # the nodes from the first bad one on start over
+                size = int(finite.argmin())
+                new, x, passed = new[:size], x[:size], passed[:size]
+            ok = scale * np.abs(new - phi[:size]) <= _FIXED_POINT_TOL * (1.0 + np.abs(x))
+            # a node is converged once it passed the stop rule in two sweeps in a row
+            both = ok & passed
+            done = size if both.all() else int(both.argmin())
+            phi, passed = new, ok
+            if done == size:
+                break
+    return done, sweep, phi
 
 
 def _values(fn: Callable, tau: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """fn at every node as a float array.  A scalar result is broadcast; a
-    fn that cannot take arrays (a Python conditional or a math call on its
-    arguments) is called node by node."""
-    try:
-        out = fn(tau, u, v)
-    except (TypeError, ValueError):
-        out = [fn(*args) for args in zip(tau.tolist(), u.tolist(), v.tolist())]
-    out = np.asarray(out, dtype=float)
+    """fn at every node as a float array; a scalar result is broadcast."""
+    out = np.asarray(fn(tau, u, v), dtype=float)
     return out if out.shape == tau.shape else np.broadcast_to(out, tau.shape)
 
 
@@ -355,14 +322,7 @@ def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
         x_inhom=lambda t: np.full_like(t, b),
         v_inhom=np.zeros_like,
     )
-    return Solution(
-        x=GridFunction(t_end, x),
-        dbeta_x=GridFunction(t_end, v),
-        dalpha_x=GridFunction(t_end, fhist),
-        spec=spec,
-        rhs_history=fhist,
-        corrector_iterations=iters,
-    )
+    return _solution(spec, t_end, x, v, fhist, fhist, iters)
 
 
 def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
@@ -383,14 +343,13 @@ def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
         v_inhom=lambda t: b2 / gab1 * t ** (alpha - beta),
     )
     dalpha = b2 + GridFunction(t_end, fhist).cumulative_integral()
-    return Solution(
-        x=GridFunction(t_end, x),
-        dbeta_x=GridFunction(t_end, v),
-        dalpha_x=GridFunction(t_end, dalpha),
-        spec=spec,
-        rhs_history=fhist,
-        corrector_iterations=iters,
-    )
+    return _solution(spec, t_end, x, v, dalpha, fhist, iters)
+
+
+def _solution(spec: ProblemSpec, t_end: float, x, v, dalpha, fhist, iters) -> Solution:
+    return Solution(x=GridFunction(t_end, x), dbeta_x=GridFunction(t_end, v),
+                    dalpha_x=GridFunction(t_end, dalpha), spec=spec,
+                    rhs_history=fhist, corrector_iterations=iters)
 
 
 def residual_check(sol: Solution) -> float:

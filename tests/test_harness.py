@@ -1,4 +1,5 @@
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -162,6 +163,22 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
                  id="slope_window_below_3_nodes"),
     pytest.param(_builtin_edited("example46", 2, edit=lambda d: d["grid"].update(t_end=0.5)),
                  id="bound_envelope_horizon_below_1"),
+    # a JSON boolean is no number
+    pytest.param(_edited(lambda d: d["checks"][0].update(tolerance=True)),
+                 id="boolean_tolerance"),
+    pytest.param(_edited(lambda d: d["problem"].update(b1=True)), id="boolean_b1"),
+    pytest.param(_edited(lambda d: d["grid"].update(refinement_levels=True)),
+                 id="boolean_refinement_levels"),
+    pytest.param(_edited(lambda d: d.update(seed=False)), id="boolean_seed"),
+    pytest.param(_builtin_edited("example63_forced", 0, tau0=True), id="boolean_tau0"),
+    pytest.param(_edited(lambda d: d["problem"].update(
+        b1=0.0, rhs={"name": "manufactured_power_mu", "params": {"mu": True}})),
+        id="boolean_rhs_param"),
+    # the id names the pin file and the expectations
+    *(pytest.param(_edited(lambda d: d.update(id=ident)), id=f"id_{name}")
+      for name, ident in [("null", None), ("list", []), ("object", {"a": 1}), ("number", 5),
+                          ("boolean", True), ("empty", ""), ("slash", "a/b"),
+                          ("backslash", "a\\b")]),
 ])
 def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys, monkeypatch):
     path = tmp_path / "bad.json"
@@ -179,6 +196,31 @@ def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys, mo
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+@pytest.mark.parametrize("grid", [
+    {"n_steps": 2 ** 24 + 1},
+    {"n_steps": 2 ** 23 + 1, "refinement_levels": 2},
+    {"n_steps": 2, "refinement_levels": 25},
+    {"n_steps": 64, "refinement_levels": 1e300},
+    {"n_steps": 1e300},
+])
+def test_a_finest_grid_above_2_24_steps_does_not_load(grid):
+    doc = make_config()
+    doc["grid"].update(grid)
+    with pytest.raises(ConfigError, match="finest grid"):
+        harness.load_config(doc)
+
+
+@pytest.mark.parametrize("grid", [
+    {"n_steps": 2 ** 24},
+    {"n_steps": 2 ** 23, "refinement_levels": 2},
+    {"n_steps": 2, "refinement_levels": 24},
+])
+def test_a_finest_grid_of_2_24_steps_loads(grid):
+    doc = make_config()
+    doc["grid"].update(grid)
+    assert harness.load_config(doc).grid == {"t_end": 20.0, **grid}
 
 
 @pytest.mark.parametrize("ident, index, changes", [
@@ -559,6 +601,46 @@ def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, c
     assert captured.out == ""
     assert captured.err == ("error: tail integrand overflows a float on the piece "
                             "[4, 8]\n")
+
+
+# one number of a builtin config set to 1e300, and where it overflows
+@pytest.mark.parametrize("ident, path, command, err", [
+    ("manufactured_tau2", ("problem", "rhs", "params", "mu"), "study",
+     "config error:"),  # the rhs constant, at load
+    ("manufactured_tau2_seq", ("grid", "t_end"), "study", "error:"),  # corrector weights
+    ("example46", ("problem", "b1"), "solve", "error:"),  # slope check
+    ("example46", ("problem", "b2"), "solve", "error:"),  # Bihari transform
+    ("example63", ("problem", "b1"), "solve", "error:"),  # L^q Bihari bound
+    ("example63", ("checks", 1, "q"), "solve", "error:"),  # uniform bound constant
+])
+def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
+        ident, path, command, err, tmp_path, capsys):
+    doc = json.loads(resources.files("fracasym.configs").joinpath(f"{ident}.json")
+                     .read_text())
+    leaf = doc
+    for key in path[:-1]:
+        leaf = leaf[key]
+    leaf[path[-1]] = 1e300
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main([command, str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(err), lines
+
+
+@pytest.mark.parametrize("ident", catalog.builtin_config_ids())
+def test_builtin_config_runs_end_to_end(ident, tmp_path, capsys):
+    command = "study" if harness.load_builtin_config(ident).refinement_levels >= 2 else "solve"
+    code = cli.main([command, ident, "--out-dir", str(tmp_path)])
+    verdicts = [line.split()[2] for line in capsys.readouterr().out.splitlines()
+                if line.startswith("CHECK ")]
+    if ident == "hypothesis_violation":
+        assert (code, verdicts) == (2, ["FAILED-HYPOTHESIS"])
+    else:
+        assert code == 0
+        assert verdicts and all(v == "PASS" for v in verdicts), verdicts
 
 
 def test_cli_evaluates_the_hypothesis_check_before_solving(tmp_path, capsys, monkeypatch):

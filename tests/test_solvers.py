@@ -249,7 +249,7 @@ def test_corrector_falls_back_to_root_finding():
 
 
 def test_nonfinite_rhs_reports_location():
-    bad = RightHandSide(lambda t, u, v: float("nan") if t > 0.5 else 0.0)
+    bad = RightHandSide(lambda t, u, v: np.where(t > 0.5, np.nan, 0.0))
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0, bad)
     with pytest.raises(StepFailure) as excinfo:
         solve_direct(spec, 1.0, 64)
