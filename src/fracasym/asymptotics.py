@@ -135,6 +135,8 @@ class TailIntegrand:
 
     tail_exponent is the power p of the integrand's factor s^p: it rules the
     integrand at 0 for both tagged classes and at infinity for a power tail.
+    The catalog's fn are numpy-elementwise, so that a check samples its
+    weight on a whole grid in one call.
     """
 
     ident: str
@@ -146,7 +148,7 @@ class TailIntegrand:
 def _exp_decay(rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"exp_decay needs rate > 0, got {rate}")
-    return TailIntegrand("exp_decay", lambda s: math.exp(-rate * s), "exponential")
+    return TailIntegrand("exp_decay", lambda s: np.exp(-rate * s), "exponential")
 
 
 def _power(exponent: float) -> TailIntegrand:
@@ -156,7 +158,7 @@ def _power(exponent: float) -> TailIntegrand:
 def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"power_exp needs rate > 0, got {rate}")
-    return TailIntegrand("power_exp", lambda s: s ** exponent * math.exp(-rate * s),
+    return TailIntegrand("power_exp", lambda s: s ** exponent * np.exp(-rate * s),
                          "exponential", tail_exponent=exponent)
 
 

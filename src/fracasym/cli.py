@@ -69,6 +69,17 @@ def _load(args) -> harness.ExperimentConfig:
         "checks": list(config.checks), "output": config.output, "seed": seed})
 
 
+def _innermost(exc: BaseException) -> str:
+    """module.function of the innermost fracasym frame exc passed through."""
+    where, tb = "cli.main", exc.__traceback__
+    while tb is not None:
+        module = tb.tb_frame.f_globals.get("__name__", "")
+        if module.startswith("fracasym."):
+            where = f"{module.removeprefix('fracasym.')}.{tb.tb_frame.f_code.co_name}"
+        tb = tb.tb_next
+    return where
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
@@ -101,7 +112,7 @@ def main(argv=None) -> int:
         sys.stderr.write(f"error: {exc}\n")
         return 1
     except ArithmeticError as exc:  # an overflow of huge config numbers
-        sys.stderr.write(f"error: {type(exc).__name__}: {exc}\n")
+        sys.stderr.write(f"error: {type(exc).__name__} in {_innermost(exc)}: {exc}\n")
         return 1
     except OSError as exc:
         sys.stderr.write(f"io error: {exc}\n")

@@ -269,14 +269,26 @@ def _lhopital(check, ctx):
     return _threshold_result(check, abs(lemma)), (lhopital_residual(ctx.sol), lemma)
 
 
+def _weight_grid(weight, sol) -> GridFunction:
+    """The check's weight on the solution's grid, which it must be finite on."""
+    taus = sol.x.taus
+    with np.errstate(all="ignore"):  # a pole at 0 is a verdict, not a warning
+        values = weight.fn(taus)
+    bad = np.flatnonzero(~np.isfinite(values))
+    if bad.size:
+        raise HypothesisViolation(f"weight {weight.ident} must be finite on the grid, "
+                                  f"got {values[bad[0]]} at tau = {taus[bad[0]]:g}")
+    return GridFunction(sol.x.t_end, values)
+
+
 def _bound_envelope(check, ctx):
     sol, tol, weight = ctx.sol, check["tolerance"], check["weight"]
-    pgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in sol.x.taus]))
     tail = improper_tail(weight, weight_power=sol.spec.alpha, split=1.0)
     if tail.verdict != "converges":
         raise HypothesisViolation(
             f"weighted tail integral of {weight.ident} must converge "
             f"(verdict: {tail.verdict})")
+    pgrid = _weight_grid(weight, sol)
     bound = growth_envelope_constants(sol.spec.b1, sol.spec.b2, sol.spec.alpha, pgrid,
                                       check["phi"], tail_integral=tail.finite_estimate)
     ctx.bound_curve = bound.curve.values
@@ -287,7 +299,7 @@ def _bound_envelope(check, ctx):
 
 def _boundedness(check, ctx):
     sol, tol, weight = ctx.sol, check["tolerance"], check["weight"]
-    hgrid = GridFunction(sol.x.t_end, np.array([weight.fn(t) for t in sol.x.taus]))
+    hgrid = _weight_grid(weight, sol)
     tau0 = sol.x.step if check["tau0"] == "step" else check["tau0"]
     bound = uniform_bound_constant(sol.spec, hgrid, check["phi1"], check["phi2"], tau0,
                                    q=check["q"], variant=check["variant"])
@@ -555,6 +567,8 @@ def _resolve_out(path_str: str | None, out_dir) -> Path | None:
 
 
 def _write_csv(path: Path, sol, bound_curve) -> None:
+    from ._csvformat import format_rows  # imported on the first write, not with harness
+
     taus = sol.x.taus
     alpha = sol.spec.alpha
     n = taus.size
@@ -562,14 +576,12 @@ def _write_csv(path: Path, sol, bound_curve) -> None:
     ratio = np.full(n, np.nan)
     ratio[1:] = sol.x.values[1:] / taus[1:] ** alpha
     cols = (taus, sol.x.values, sol.dbeta_x.values, sol.dalpha_x.values, curve, ratio)
-    table = np.column_stack(cols)
-    row_fmt = ",".join(["%.16e"] * len(cols)) + "\n"
-    with path.open("w", encoding="utf-8") as out:
-        out.write(CSV_HEADER + "\n")
+    with path.open("wb") as out:
+        out.write(CSV_HEADER.encode() + b"\n")
         # formatting a chunk of rows at a time bounds the memory the text takes
         for start in range(0, n, _CSV_CHUNK_ROWS):
-            rows = table[start:start + _CSV_CHUNK_ROWS].tolist()
-            out.write("".join([row_fmt % tuple(row) for row in rows]))
+            out.write(format_rows(np.column_stack(
+                [col[start:start + _CSV_CHUNK_ROWS] for col in cols])))
 
 
 # --------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import json
+import warnings
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, RightHandSide,
-                      solve_sequential)
+                      solve_direct, solve_sequential)
 from fracasym import catalog, cli, harness
 from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
 
@@ -315,6 +316,36 @@ def test_csv_writer_matches_row_by_row_format(tmp_path):
     assert path.read_text().splitlines()[1].endswith(",nan,nan")
 
 
+def test_csv_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch):
+    config = harness.load_builtin_config("example63_forced")
+    sol = solve_direct(catalog.build_problem_spec(config.problem), 50.0, 300)
+    curve = np.linspace(1.0, 2.0, 301)
+    curve[::3] = np.nan  # NaN fields in some rows of a chunk only
+    written = []
+    for rows in (1, 7, 4096):
+        monkeypatch.setattr(harness, "_CSV_CHUNK_ROWS", rows)
+        path = tmp_path / f"chunk{rows}.csv"
+        harness._write_csv(path, sol, curve)
+        written.append(path.read_bytes())
+    assert written[0] == written[1] == written[2]
+    assert len(written[0].splitlines()) == 302
+
+
+def test_cli_csv_fields_round_trip_through_percent_format(tmp_path, capsys):
+    # 32768 steps put about 12 % of the values, in dalpha_x, below 1e-6,
+    # outside the range where 10**q is a double.  The run exits 1: the
+    # sup_x pin holds at the config's 2048 steps, not at 32768.
+    assert cli.main(["solve", "example63_forced", "--n-steps", "32768",
+                     "--out-dir", str(tmp_path)]) == 1
+    assert "CHECK boundedness: PASS" in capsys.readouterr().out
+    lines = (tmp_path / "example63_forced.csv").read_text().splitlines()
+    assert lines[0] == harness.CSV_HEADER and len(lines) == 32770
+    fields = ",".join(lines[1:]).split(",")
+    assert len(fields) == 6 * 32769
+    assert sum(0.0 < abs(float(f)) < 1e-6 for f in fields) > 20000
+    assert [f for f in fields if "%.16e" % float(f) != f] == []
+
+
 def _example46_lhopital(t_end, b1, tolerance):
     base = harness.load_builtin_config("example46")
     problem = dict(base.problem, b1=b1)
@@ -608,10 +639,12 @@ def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, c
     ("manufactured_tau2", ("problem", "rhs", "params", "mu"), "study",
      "config error:"),  # the rhs constant, at load
     ("manufactured_tau2_seq", ("grid", "t_end"), "study", "error:"),  # corrector weights
-    ("example46", ("problem", "b1"), "solve", "error:"),  # slope check
+    ("example46", ("problem", "b1"), "solve",
+     "error: OverflowError in asymptotics.power_slope: "),  # slope check
     ("example46", ("problem", "b2"), "solve", "error:"),  # Bihari transform
     ("example63", ("problem", "b1"), "solve", "error:"),  # L^q Bihari bound
-    ("example63", ("checks", 1, "q"), "solve", "error:"),  # uniform bound constant
+    ("example63", ("checks", 1, "q"), "solve",
+     "error: OverflowError in bounds.uniform_bound_constant: "),  # uniform bound constant
 ])
 def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
         ident, path, command, err, tmp_path, capsys):
@@ -628,6 +661,32 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err), lines
+
+
+# a weight with a pole at 0: the envelope's weighted tail diverges (-0.5 +
+# alpha >= -1), or its tail converges (-2 + alpha < -1) but the grid holds
+# the pole; the boundedness weight is sampled at 0 too
+@pytest.mark.parametrize("ident, index, exponent, reason", [
+    ("example46", 2, -0.5, "weighted tail integral of power must converge (verdict: diverges)"),
+    ("example46", 2, -2.0, "weight power must be finite on the grid, got inf at tau = 0"),
+    ("example63", 1, -0.5, "weight power must be finite on the grid, got inf at tau = 0"),
+])
+def test_cli_a_weight_with_a_pole_fails_its_hypothesis(ident, index, exponent, reason,
+                                                        tmp_path, capsys):
+    doc = json.loads(resources.files("fracasym.configs").joinpath(f"{ident}.json")
+                     .read_text())
+    check = dict(doc["checks"][index], weight={"name": "power",
+                                               "params": {"exponent": exponent}})
+    doc.update(checks=[check], output={})
+    config = tmp_path / "pole.json"
+    config.write_text(json.dumps(doc))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a numpy warning would reach stderr
+        code = cli.main(["solve", str(config), "--n-steps", "256"])
+    captured = capsys.readouterr()
+    assert (code, captured.err) == (2, "")
+    assert (f"CHECK {check['name']}: FAILED-HYPOTHESIS measured={reason} "
+            f"expected=hypothesis holds tol=-") in captured.out.splitlines()
 
 
 @pytest.mark.parametrize("ident", catalog.builtin_config_ids())
