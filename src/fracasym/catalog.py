@@ -60,10 +60,11 @@ def _rhs_exp_decay_power(rate: float = 1.0, exponent: float = 0.5) -> RightHandS
     def fn(tau, u, v):
         return np.exp(-rate * tau) * signed_power(u, exponent)
 
-    def du(tau, u, v):
-        return np.exp(-rate * tau) * _signed_power_slope(u, exponent)
+    def partials(tau, u, v):
+        damp = np.exp(-rate * tau)
+        return damp * signed_power(u, exponent), damp * _signed_power_slope(u, exponent), 0.0
 
-    return RightHandSide(fn, du=du)
+    return RightHandSide(fn, partials=partials)
 
 
 def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
@@ -77,16 +78,14 @@ def _rhs_damped_singular_product(pre_exponent: float, rate: float = 1.0,
                 * (signed_power(u, u_exponent) * signed_power(v, v_exponent)
                    * np.cos(v) + forcing))
 
-    def du(tau, u, v):
-        return (tau ** pre_exponent * np.exp(-rate * tau) * _signed_power_slope(u, u_exponent)
-                * signed_power(v, v_exponent) * np.cos(v))
+    def partials(tau, u, v):
+        prefactor = tau ** pre_exponent * np.exp(-rate * tau)
+        su, sv, cos = signed_power(u, u_exponent), signed_power(v, v_exponent), np.cos(v)
+        return (prefactor * (su * sv * cos + forcing),
+                prefactor * _signed_power_slope(u, u_exponent) * sv * cos,
+                prefactor * su * (_signed_power_slope(v, v_exponent) * cos - sv * np.sin(v)))
 
-    def dv(tau, u, v):
-        return (tau ** pre_exponent * np.exp(-rate * tau) * signed_power(u, u_exponent)
-                * (_signed_power_slope(v, v_exponent) * np.cos(v)
-                   - signed_power(v, v_exponent) * np.sin(v)))
-
-    return RightHandSide(fn, singular_at_zero=pre_exponent < 0, du=du, dv=dv)
+    return RightHandSide(fn, singular_at_zero=pre_exponent < 0, partials=partials)
 
 
 def _rhs_manufactured_power(mu: float, alpha: float, kind: str) -> RightHandSide:

@@ -70,12 +70,21 @@ def _load(args) -> harness.ExperimentConfig:
 
 
 def _innermost(exc: BaseException) -> str:
-    """module.function of the innermost fracasym frame exc passed through."""
-    where, tb = "cli.main", exc.__traceback__
+    """module.function of the innermost fracasym frame exc passed through; a
+    nested function is named after the functions that enclose it, as in
+    bounds.bihari_transform.<locals>.integrand."""
+    where, tb, names = "cli.main", exc.__traceback__, {}
     while tb is not None:
         module = tb.tb_frame.f_globals.get("__name__", "")
         if module.startswith("fracasym."):
-            where = f"{module.removeprefix('fracasym.')}.{tb.tb_frame.f_code.co_name}"
+            code = tb.tb_frame.f_code
+            name = getattr(code, "co_qualname", None)  # Python 3.11+
+            if name is None:  # the nearest enclosing frame holds the nested code object
+                outer = next((known for enclosing, known in reversed(names.items())
+                              if code in enclosing.co_consts), None)
+                name = code.co_name if outer is None else f"{outer}.<locals>.{code.co_name}"
+            names[code] = name
+            where = f"{module.removeprefix('fracasym.')}.{name}"
         tb = tb.tb_next
     return where
 

@@ -29,14 +29,27 @@ does for implicit product-integration rules (Mathematics 6(2):16, 2018):
 
     phi <- phi - (phi - F) / (1 - F_u k_x - F_v k_v),
 
-with plain Picard where that denominator is not finite or is 0 (a missing
-partial counts as 0).  Every node starts from f at the node before the
-window.  A node has converged once scale |delta phi| <= 1e-12 (1 + |x|) held
-in two sweeps in a row; the window commits its longest converged prefix and
-starts again at the first node that had not.  When the first node of a
-window does not converge, its scalar equation is solved by bracketed root
-finding and it records _FIXED_POINT_CAP iterations; every other node
-records the sweeps of its window, fewer than that.
+with plain Picard where that denominator is not finite or is 0.  Each sweep
+makes one elementwise call of the right-hand side's fused `partials`, which
+returns F, F_u and F_v together; a right-hand side without it is called
+through `fn`, with both partials 0.  Every node starts from f at the node
+before the window.  A node has converged once scale |delta phi| <= 1e-12
+(1 + |x|) held in two sweeps in a row; the window commits its longest
+converged prefix and starts again at the first node that had not.
+
+Where a partial is large, diagonal Newton advances about one node a sweep.
+A window attempt that reaches the sweep cap and commits only part of its
+nodes has stalled; the next attempt (of a right-hand side with partials)
+takes full Newton steps instead, solving with the window's lower-triangular
+Jacobian of phi - F,
+
+    J = diag(1 - F_u k_x - F_v k_v) - diag(F_u) w_x L_x - diag(F_v) w_v L_v,
+
+and the diagonal step in any sweep where J is not finite or is singular.
+When the first node of a window does not converge, its scalar equation is
+solved by bracketed root finding and it records _FIXED_POINT_CAP
+iterations; every other node records the sweeps of its window, fewer than
+that.
 
 The history from before the block comes from `_core.history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
@@ -101,14 +114,17 @@ class RightHandSide:
     power prefactor); the solver switches to open quadrature on the first
     subinterval.
 
-    du, dv: the elementwise partials df/du and df/dv, which the corrector's
-    Newton sweeps use; a missing one counts as 0.
+    partials: an elementwise call that returns (f, df/du, df/dv) at once,
+    sharing their common factors, with f equal to fn's value bit for bit
+    (a scalar partial is broadcast).  Each Newton sweep of the corrector
+    makes one such call; fn serves the lead node and root finding.  Without
+    partials the sweeps call fn and take both partials as 0 (plain Picard),
+    and a stalled window gets no full Newton steps.
     """
 
     fn: Callable[[float, float, float], float]
     singular_at_zero: bool = False
-    du: Callable[[float, float, float], float] | None = None
-    dv: Callable[[float, float, float], float] | None = None
+    partials: Callable[[float, float, float], tuple[float, float, float]] | None = None
 
     def __call__(self, tau: float, u: float, v: float) -> float:
         return self.fn(tau, u, v)
@@ -182,9 +198,14 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     z[:, 0] = z0[:, 0]
     history = BlockedHistory(a, fhist)
 
+    stalled = False  # the last window attempt reached the sweep cap and committed part
+
     def commit(m, stop, base, lower, k, phi0):
         """Commit the leading nodes of the window m..stop-1; returns how many."""
-        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, lower, k, phi0)
+        nonlocal stalled
+        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, lower, k, phi0,
+                                   newton=stalled and f.partials is not None)
+        stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
         if done:
             fhist[m:m + done] = phi[:done]
             z[:, m:m + done] = _arguments(base, w, lower, k, phi[:done])
@@ -229,27 +250,37 @@ def _arguments(base, w, lower, k, phi: np.ndarray) -> np.ndarray:
     return base[:, :size] + w * (lower[:, :size, :size] @ phi) + k * phi
 
 
-def _sweep(f: RightHandSide, tau, base, w, lower, k, phi0: float):
-    """Solve phi = f(tau, _arguments(base, w, lower, k, phi)) by sweeps of
-    diagonal Newton over the whole window, every node started from phi0.
+def _sweep(f: RightHandSide, tau, base, w, lower, k, phi0: float, newton: bool):
+    """Solve phi = f(tau, _arguments(base, w, lower, k, phi)) by sweeps over
+    the whole window, every node started from phi0: diagonal Newton, or
+    with newton full Newton steps on the window's lower-triangular Jacobian.
     Returns (number of leading nodes that converged, sweeps made, iterate);
     the nodes from the first one whose iterate is not finite are cut."""
     scale = abs(k[0, 0]) + abs(k[-1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
+    if newton:  # the strictly lower part of d(x[, Dbeta x])/d phi
+        coupling = w[:, :, None] * lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
             size = phi.size
             z = _arguments(base, w, lower, k, phi)
             x, v = z[0], z[-1]
             t = tau[:size]
-            fx = _values(f.fn, t, x, v)
-            du = 0.0 if f.du is None else _values(f.du, t, x, v)
-            dv = 0.0 if f.dv is None else _values(f.dv, t, x, v)
+            if f.partials is None:
+                fx, fu, fv = f.fn(t, x, v), 0.0, 0.0
+            else:
+                fx, fu, fv = f.partials(t, x, v)
+            fx = _values(fx, t.shape)
             # F_u k_x + F_v k_v, with v x itself when there is one row
-            denom = 1.0 - ((du + dv) * k[0] if len(k) == 1 else du * k[0] + dv * k[1])
+            denom = 1.0 - ((fu + fv) * k[0] if len(k) == 1 else fu * k[0] + fv * k[1])
             step = phi - fx
-            new = phi - np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
+            delta = None
+            if newton:
+                delta = _newton_step(step, denom, fu, fv, coupling[:, :size, :size])
+            if delta is None:  # diagonal Newton, plain Picard where denom is not finite or 0
+                delta = np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
+            new = phi - delta
             finite = np.isfinite(new)
             if not finite.all():  # the nodes from the first bad one on start over
                 size = int(finite.argmin())
@@ -264,10 +295,26 @@ def _sweep(f: RightHandSide, tau, base, w, lower, k, phi0: float):
     return done, sweep, phi
 
 
-def _values(fn: Callable, tau: np.ndarray, u: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """fn at every node as a float array; a scalar result is broadcast."""
-    out = np.asarray(fn(tau, u, v), dtype=float)
-    return out if out.shape == tau.shape else np.broadcast_to(out, tau.shape)
+def _newton_step(step, denom, fu, fv, coupling):
+    """Solve J d = step for the window's Jacobian of phi - F,
+
+        J = diag(denom) - diag(F_u) coupling_x - diag(F_v) coupling_v,
+
+    which is lower triangular (with one row, v is x: F_u + F_v multiply
+    coupling_x); None when J is not finite or is singular."""
+    slopes = (fu + fv,) if len(coupling) == 1 else (fu, fv)
+    jac = np.diag(np.broadcast_to(denom, step.shape))
+    for slope, part in zip(slopes, coupling):
+        jac -= np.broadcast_to(slope, step.shape)[:, None] * part
+    if not (np.isfinite(jac).all() and denom.all()):
+        return None
+    return np.linalg.solve(jac, step)
+
+
+def _values(out, shape) -> np.ndarray:
+    """A result of f as a float array of the given shape; a scalar is broadcast."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> float:

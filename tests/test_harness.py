@@ -663,6 +663,21 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
     assert len(lines) == 1 and lines[0].startswith(err), lines
 
 
+def test_cli_names_the_function_that_encloses_an_overflowing_closure(tmp_path, capsys):
+    # the Bihari transform's integrand is a closure of bounds.bihari_transform;
+    # Python 3.10 has no co_qualname, so the name comes from the enclosing frame
+    doc = json.loads(resources.files("fracasym.configs").joinpath("example46.json")
+                     .read_text())
+    doc["problem"]["b2"] = 1e300
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: OverflowError in "
+                            "bounds.bihari_transform.<locals>.integrand: math range error\n")
+
+
 # a weight with a pole at 0: the envelope's weighted tail diverges (-0.5 +
 # alpha >= -1), or its tail converges (-2 + alpha < -1) but the grid holds
 # the pole; the boundedness weight is sampled at 0 too

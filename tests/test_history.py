@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from _oracles import march_reference
-from fracasym import catalog, harness
+from fracasym import catalog, harness, solvers
 from fracasym._core import kernels
 from fracasym._core.history import BLOCK, BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_sequential
@@ -125,3 +125,21 @@ def test_blocked_solution_matches_direct_history_sums(ident):
     config = harness.load_builtin_config(ident)
     _assert_matches_reference(catalog.build_problem_spec(config.problem), config.t_end,
                               2 ** 14)
+
+
+def _builtin_solution(ident, n=None):
+    config = harness.load_builtin_config(ident)
+    spec = catalog.build_problem_spec(config.problem)
+    solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
+    return solve(spec, config.t_end, n or config.grid["n_steps"])
+
+
+def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
+    # where the |v|^(-2/3) partial is large, diagonal Newton advances about a
+    # node a sweep: 126 nodes of example63_forced were committed by windows at
+    # the sweep cap (9) before the attempt after a stall took full Newton steps
+    iters = _builtin_solution("example63_forced").corrector_iterations
+    assert iters.size == 2049
+    assert np.count_nonzero(iters == solvers._FIXED_POINT_CAP - 1) <= 16
+    # example46 never stalls, so its sweeps are those of diagonal Newton
+    assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 9082

@@ -7,6 +7,7 @@ from scipy.special import zeta
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
 from fracasym.catalog import make_rhs, signed_power
+from fracasym import solvers
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
 
 INV_GAMMA_1_5 = 1.1283791670955126
@@ -260,3 +261,74 @@ def test_signed_power():
     assert signed_power(8.0, 1 / 3) == pytest.approx(2.0)
     assert signed_power(-8.0, 1 / 3) == pytest.approx(-2.0)
     assert signed_power(0.0, 0.5) == 0.0
+
+
+# --------------------------------------------------------------------------
+# fused partials of the catalog right-hand sides
+
+_FUSED = {
+    "exp_decay_power": ("exp_decay_power", {"rate": 0.7, "exponent": 0.5}),
+    "damped_regular": ("damped_singular_product", {"pre_exponent": 0.5, "forcing": 1.0}),
+    "damped_singular": ("damped_singular_product", {"pre_exponent": -5.0 / 12.0,
+                                                    "forcing": 1.0}),
+}
+
+
+def _fused(case):
+    name, params = _FUSED[case]
+    rhs = make_rhs(name, params, 0.6, "direct")
+    assert rhs.partials is not None
+    return rhs
+
+
+def _points():
+    # every pair of these u and v values, 0 and negative ones included
+    values = np.array([-2.5, -0.8, -0.3, 0.0, 0.4, 1.1, 3.0])
+    u, v = np.meshgrid(values, values)
+    tau = np.linspace(0.1, 4.0, u.size)
+    return tau, u.ravel(), v.ravel()
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED))
+def test_fused_value_is_fn_bit_for_bit(case):
+    rhs = _fused(case)
+    tau, u, v = _points()
+    with np.errstate(divide="ignore", invalid="ignore"):  # the partials at 0
+        f, _, _ = rhs.partials(tau, u, v)
+    assert np.array_equal(f, rhs.fn(tau, u, v))
+
+
+@pytest.mark.parametrize("case", sorted(_FUSED))
+def test_fused_partials_match_central_differences(case):
+    rhs = _fused(case)
+    tau, u, v = _points()
+    keep = (u != 0.0) & (v != 0.0)
+    tau, u, v = tau[keep], u[keep], v[keep]
+    _, fu, fv = (np.broadcast_to(out, tau.shape) for out in rhs.partials(tau, u, v))
+    hu, hv = 1e-6 * np.abs(u), 1e-6 * np.abs(v)
+    du = (rhs.fn(tau, u + hu, v) - rhs.fn(tau, u - hu, v)) / (2.0 * hu)
+    dv = (rhs.fn(tau, u, v + hv) - rhs.fn(tau, u, v - hv)) / (2.0 * hv)
+    np.testing.assert_allclose(fu, du, rtol=1e-6, atol=0.0)
+    np.testing.assert_allclose(fv, dv, rtol=1e-6, atol=1e-12)
+
+
+# (x, v) where a partial is not finite: u = 0, or v = 0 for the product
+@pytest.mark.parametrize("case, x, v", [("exp_decay_power", 0.0, 0.5),
+                                        ("damped_regular", 0.0, 0.5),
+                                        ("damped_regular", 0.5, 0.0),
+                                        ("damped_singular", 0.5, 0.0)])
+def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v):
+    rhs = _fused(case)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, fu, fv = rhs.partials(1.0, x, v)
+    assert not (np.isfinite(fu) and np.isfinite(fv))
+    # a one-node window whose start phi0 = 1 sits at (x, v): a diagonal Newton
+    # step with the non-finite denominator would leave phi at 1, which then
+    # passes the stop rule without solving phi = f(1, x(phi), v(phi))
+    w = np.array([[0.1], [0.2]])
+    base = np.array([[x], [v]]) - w
+    done, sweeps, phi = solvers._sweep(rhs, np.array([1.0]), base, w, np.zeros((2, 1, 1)),
+                                       w, 1.0, newton=False)
+    z = base[:, 0] + w[:, 0] * phi[0]
+    assert done == 1 and phi[0] != 1.0
+    assert phi[0] == pytest.approx(rhs.fn(1.0, z[0], z[1]), rel=1e-12, abs=1e-15)
