@@ -78,11 +78,10 @@ def _innermost(exc: BaseException) -> str:
         module = tb.tb_frame.f_globals.get("__name__", "")
         if module.startswith("fracasym."):
             code = tb.tb_frame.f_code
-            name = getattr(code, "co_qualname", None)  # Python 3.11+
-            if name is None:  # the nearest enclosing frame holds the nested code object
-                outer = next((known for enclosing, known in reversed(names.items())
-                              if code in enclosing.co_consts), None)
-                name = code.co_name if outer is None else f"{outer}.<locals>.{code.co_name}"
+            # the nearest enclosing frame holds the nested code object
+            outer = next((known for enclosing, known in reversed(names.items())
+                          if code in enclosing.co_consts), None)
+            name = code.co_name if outer is None else f"{outer}.<locals>.{code.co_name}"
             names[code] = name
             where = f"{module.removeprefix('fracasym.')}.{name}"
         tb = tb.tb_next

@@ -664,8 +664,8 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
 
 
 def test_cli_names_the_function_that_encloses_an_overflowing_closure(tmp_path, capsys):
-    # the Bihari transform's integrand is a closure of bounds.bihari_transform;
-    # Python 3.10 has no co_qualname, so the name comes from the enclosing frame
+    # the Bihari transform's integrand is a closure of bounds.bihari_transform,
+    # named from the enclosing frame that holds its code object
     doc = json.loads(resources.files("fracasym.configs").joinpath("example46.json")
                      .read_text())
     doc["problem"]["b2"] = 1e300

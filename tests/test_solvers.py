@@ -317,18 +317,20 @@ def test_fused_partials_match_central_differences(case):
                                         ("damped_regular", 0.0, 0.5),
                                         ("damped_regular", 0.5, 0.0),
                                         ("damped_singular", 0.5, 0.0)])
-def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v):
+@pytest.mark.parametrize("newton", [False, True])
+def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v, newton):
     rhs = _fused(case)
     with np.errstate(divide="ignore", invalid="ignore"):
         _, fu, fv = rhs.partials(1.0, x, v)
     assert not (np.isfinite(fu) and np.isfinite(fv))
     # a one-node window whose start phi0 = 1 sits at (x, v): a diagonal Newton
     # step with the non-finite denominator would leave phi at 1, which then
-    # passes the stop rule without solving phi = f(1, x(phi), v(phi))
+    # passes the stop rule without solving phi = f(1, x(phi), v(phi)); a full
+    # Newton step on the non-finite Jacobian would make phi nan and cut the node
     w = np.array([[0.1], [0.2]])
     base = np.array([[x], [v]]) - w
     done, sweeps, phi = solvers._sweep(rhs, np.array([1.0]), base, w, np.zeros((2, 1, 1)),
-                                       w, 1.0, newton=False)
-    z = base[:, 0] + w[:, 0] * phi[0]
+                                       w, 1.0, newton=newton)
     assert done == 1 and phi[0] != 1.0
+    z = base[:, 0] + w[:, 0] * phi[0]
     assert phi[0] == pytest.approx(rhs.fn(1.0, z[0], z[1]), rel=1e-12, abs=1e-15)
