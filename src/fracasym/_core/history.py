@@ -9,10 +9,10 @@ Summed directly that is O(N^2) over a run.  BlockedHistory splits the index
 pairs (j, m), j < m, by the highest bit in which j and m differ (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
-* pairs that agree in every bit above the low seven lie in one aligned
-  block of BLOCK = 128 nodes; they are the strictly lower Toeplitz matrix
-  `lower[r]` applied to the block's f-values, which the solver forms itself
-  because most of them are the unknowns it solves for;
+* pairs that agree in every bit above the low nine lie in one aligned
+  block of BLOCK = 512 nodes; most of their f-values are the unknowns the
+  solver solves for, so it sums them itself, with `inblock`: one real FFT
+  of the block's values against each weight row;
 * every other pair lies in exactly one dyadic square: source block
   [s, s+p) and target block [s+p, s+2p), p >= BLOCK a power of two and s a
   multiple of 2p.  Once f[s+p-1] exists, the whole square is added to a
@@ -22,8 +22,13 @@ Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
 `block(start)` returns the accumulated out-of-block sums of the nodes of one
 aligned block.  The split is exact in exact arithmetic and costs
-O(N log^2 N) in total.  The FFT rounding error of a square is about machine
-epsilon times the size of that square's own terms.
+O(N log^2 N) in total.  The FFT rounding error of a square, or of an
+in-block sum, is about machine epsilon times the size of its own terms.
+
+The strictly lower Toeplitz matrix of the weights is kept dense only for
+LOWER = 128 nodes, as `lower`: the Jacobian of a full Newton step is built
+from it, and np.linalg.solve, cubic in the window length, takes windows of
+at most that many nodes.
 """
 
 from __future__ import annotations
@@ -31,7 +36,8 @@ from __future__ import annotations
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-BLOCK = 128  # a power of two
+BLOCK = 512  # a power of two
+LOWER = 128  # nodes of the dense Toeplitz block `lower`
 _FEW_TARGETS = 16
 
 
@@ -50,14 +56,15 @@ class BlockedHistory:
         n = f.size - 1
         self._n = n
         # lower[r][i, j] = rows[r][i - j] for i > j, else 0
-        self.lower = np.empty((len(rows), BLOCK, BLOCK))
-        lags = min(BLOCK - 1, n)
+        self.lower = np.empty((len(rows), LOWER, LOWER))
+        lags = min(LOWER - 1, n)
         for r, w in enumerate(rows):
-            padded = np.zeros(2 * BLOCK - 1)
-            padded[BLOCK - 1 - lags:BLOCK - 1] = w[lags:0:-1]
-            self.lower[r] = sliding_window_view(padded, BLOCK)[::-1]
+            padded = np.zeros(2 * LOWER - 1)
+            padded[LOWER - 1 - lags:LOWER - 1] = w[lags:0:-1]
+            self.lower[r] = sliding_window_view(padded, LOWER)[::-1]
         self._acc = np.zeros((len(rows), n + 1))
         self._spectra: dict[int, np.ndarray] = {}
+        self._inblock_spectra: dict[int, np.ndarray] = {}
         self._next_block = BLOCK
 
     def block(self, start: int) -> np.ndarray:
@@ -68,6 +75,19 @@ class BlockedHistory:
             self._add_block(self._next_block)
             self._next_block += BLOCK
         return self._acc[:, start:start + BLOCK]
+
+    def inblock(self, g: np.ndarray) -> np.ndarray:
+        """In-block sums sum_{j<i} a[i-j] g[j] for i < g.size, of the values
+        g at consecutive nodes (at most BLOCK of them): one row per weight
+        row, the head of the linear convolution of g with (0, a[1], a[2], ...)
+        by one real FFT."""
+        size = 1 << (2 * g.size - 1).bit_length()  # >= 2 g.size: no wrap-around
+        spec = self._inblock_spectra.get(size)
+        if spec is None:  # weights past size/2 reach no i < g.size
+            heads = np.array([w[:size // 2] for w in self._rows])
+            heads[:, 0] = 0.0
+            spec = self._inblock_spectra[size] = np.fft.rfft(heads, size)
+        return np.fft.irfft(spec * np.fft.rfft(g, size), size)[:, :g.size]
 
     def _add_block(self, m: int) -> None:
         """Add the square whose source block ends at node m - 1."""

@@ -73,7 +73,7 @@ from typing import Callable
 import numpy as np
 
 from ._core import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
-from ._core.history import BLOCK, BlockedHistory
+from ._core.history import BLOCK, LOWER, BlockedHistory
 from ._scipy import brentq
 from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rl_integral, trapezoid_coefficients
@@ -199,16 +199,21 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     history = BlockedHistory(a, fhist)
 
     stalled = False  # the last window attempt reached the sweep cap and committed part
+    block_stalled = False  # an attempt of the current block did
 
-    def commit(m, stop, base, lower, k, phi0):
-        """Commit the leading nodes of the window m..stop-1; returns how many."""
-        nonlocal stalled
-        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, lower, k, phi0,
-                                   newton=stalled and f.partials is not None)
+    def commit(m, stop, base, k, phi0):
+        """Commit the leading nodes of the window m..stop-1 (its first LOWER
+        nodes in a Newton attempt); returns how many."""
+        nonlocal stalled, block_stalled
+        newton = stalled and f.partials is not None
+        if newton:
+            stop = min(stop, m + LOWER)
+        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton)
         stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
+        block_stalled = block_stalled or stalled
         if done:
             fhist[m:m + done] = phi[:done]
-            z[:, m:m + done] = _arguments(base, w, lower, k, phi[:done])
+            z[:, m:m + done] = _arguments(base, w, history, k, phi[:done])
             iters[m:m + done] = sweeps
             return done
         # the window's first node: its equation alone, by root finding
@@ -220,51 +225,55 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
     else:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
-        commit(1, 2, z0[:, 1:2], history.lower, w * (1.0 + c[:, 1:2]),
+        commit(1, 2, z0[:, 1:2], w * (1.0 + c[:, 1:2]),
                _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
 
     for start in range(0, n + 1, BLOCK):
         outside = history.block(start)
+        # a block starts in Newton where an attempt of the block before it stalled
+        stalled, block_stalled = block_stalled, False
         first = max(start, 1) - start  # block column of the first node with j >= 1
         stop = min(start + BLOCK, n + 1)
         m = max(start, lead + 1)  # node lead is done
         while m < stop:
             i = m - start
-            # everything but the window's own f-values; f[lead] enters through c
+            # everything but the window's own f-values; f[lead] enters through
+            # c, and fhist is still 0 from node m on
             known = (outside[:, i:] + c[:, m:stop] * fhist[lead]
-                     + history.lower[:, i:stop - start, first:i] @ fhist[start + first:m])
-            m += commit(m, stop, z0[:, m:stop] + w * known, history.lower[:, i:, i:], w,
-                       fhist[m - 1])
+                     + history.inblock(fhist[start + first:stop])[:, i - first:])
+            m += commit(m, stop, z0[:, m:stop] + w * known, w, fhist[m - 1])
 
     return z[0], z[-1], fhist, iters
 
 
-def _arguments(base, w, lower, k, phi: np.ndarray) -> np.ndarray:
+def _arguments(base, w, history: BlockedHistory, k, phi: np.ndarray) -> np.ndarray:
     """The quantities (x[, Dbeta x]) at the first phi.size nodes of a window,
 
-        base + w * (lower @ phi) + k * phi,
+        base + w * history.inblock(phi) + k * phi,
 
-    one row of base, w, lower and k per unknown quantity (x, then Dbeta x
-    unless it is x); w and k are columns, the same at every node."""
-    size = phi.size
-    return base[:, :size] + w * (lower[:, :size, :size] @ phi) + k * phi
+    one row of base, w and k, and of the weights of history, per unknown
+    quantity (x, then Dbeta x unless it is x); w and k are columns, the
+    same at every node."""
+    return base[:, :phi.size] + w * history.inblock(phi) + k * phi
 
 
-def _sweep(f: RightHandSide, tau, base, w, lower, k, phi0: float, newton: bool):
-    """Solve phi = f(tau, _arguments(base, w, lower, k, phi)) by sweeps over
-    the whole window, every node started from phi0: diagonal Newton, or
-    with newton full Newton steps on the window's lower-triangular Jacobian.
-    Returns (number of leading nodes that converged, sweeps made, iterate);
-    the nodes from the first one whose iterate is not finite are cut."""
+def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: float,
+           newton: bool):
+    """Solve phi = f(tau, _arguments(base, w, history, k, phi)) by sweeps
+    over the whole window, every node started from phi0: diagonal Newton, or
+    with newton full Newton steps on the window's lower-triangular Jacobian
+    (a window of at most LOWER nodes).  Returns (number of leading nodes that
+    converged, sweeps made, iterate); the nodes from the first one whose
+    iterate is not finite are cut."""
     scale = abs(k[0, 0]) + abs(k[-1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
     if newton:  # the strictly lower part of d(x[, Dbeta x])/d phi
-        coupling = w[:, :, None] * lower[:, :phi.size, :phi.size]
+        coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
             size = phi.size
-            z = _arguments(base, w, lower, k, phi)
+            z = _arguments(base, w, history, k, phi)
             x, v = z[0], z[-1]
             t = tau[:size]
             if f.partials is None:

@@ -8,6 +8,7 @@ from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
 from fracasym.catalog import make_rhs, signed_power
 from fracasym import solvers
+from fracasym._core.history import BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
 
 INV_GAMMA_1_5 = 1.1283791670955126
@@ -329,8 +330,9 @@ def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v, newton
     # Newton step on the non-finite Jacobian would make phi nan and cut the node
     w = np.array([[0.1], [0.2]])
     base = np.array([[x], [v]]) - w
-    done, sweeps, phi = solvers._sweep(rhs, np.array([1.0]), base, w, np.zeros((2, 1, 1)),
-                                       w, 1.0, newton=newton)
+    history = BlockedHistory((np.zeros(2), np.zeros(2)), np.zeros(2))
+    done, sweeps, phi = solvers._sweep(rhs, np.array([1.0]), base, w, history, w, 1.0,
+                                       newton=newton)
     assert done == 1 and phi[0] != 1.0
     z = base[:, 0] + w[:, 0] * phi[0]
     assert phi[0] == pytest.approx(rhs.fn(1.0, z[0], z[1]), rel=1e-12, abs=1e-15)
