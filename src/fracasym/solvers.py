@@ -18,14 +18,16 @@ sequential problem (first derivative of the order-alpha Caputo derivative,
 
 Both reduce to the same marching recurrence: x and Dbeta x at a node are
 affine in the f-values up to that node, with weight k on the node's own
-f-value.  So the unknown f-values phi of one aligned block of BLOCK = 128
+f-value.  So the unknown f-values phi of one aligned block of BLOCK = 512
 nodes solve a lower-triangular system
 
     phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
 
-(L_x strictly lower Toeplitz in the weights; the same for v).  `_sweep`
-solves a window of it by vectorized sweeps of diagonal Newton, as Garrappa
-does for implicit product-integration rules (Mathematics 6(2):16, 2018):
+(L_x strictly lower Toeplitz in the weights; the same for v).  L_x phi is
+never formed densely: `BlockedHistory.inblock` applies it by one real FFT.
+`_sweep` solves a window of it by vectorized sweeps of diagonal Newton, as
+Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
+2018):
 
     phi <- phi - (phi - F) / (1 - F_u k_x - F_v k_v),
 
@@ -39,13 +41,16 @@ converged prefix and starts again at the first node that had not.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
-nodes has stalled; the next attempt (of a right-hand side with partials)
-takes full Newton steps instead, solving with the window's lower-triangular
-Jacobian of phi - F,
+nodes has stalled; the next attempt (of a right-hand side with partials),
+and the first attempt of the block after a block with a stall, take full
+Newton steps instead, on a window of at most LOWER = 128 nodes, solving
+with its lower-triangular Jacobian of phi - F,
 
     J = diag(1 - F_u k_x - F_v k_v) - diag(F_u) w_x L_x - diag(F_v) w_v L_v,
 
 and the diagonal step in any sweep where J is not finite or is singular.
+np.linalg.solve is cubic in the window length, hence the shorter window;
+J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`.
 When the first node of a window does not converge, its scalar equation is
 solved by bracketed root finding and it records _FIXED_POINT_CAP
 iterations; every other node records the sweeps of its window, fewer than
@@ -53,7 +58,8 @@ that.
 
 The history from before the block comes from `_core.history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
-exists, so a solve costs O(N log^2 N).
+exists, so a solve costs O(N log^2 N); the committed prefix of the block
+enters through `inblock` as well.
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
