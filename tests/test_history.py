@@ -17,10 +17,11 @@ from fracasym._core.history import BLOCK, LOWER, BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_sequential
 
 
-# BLOCK +- 1: one block less a node, and one block and a node; 1000 = 512 +
-# 488, a last block cut by the grid's end; 1030 = 2^10 + 6: the square of
-# 1024 is cut to 7 targets by the grid's end
-@pytest.mark.parametrize("n", [BLOCK - 1, BLOCK + 1, 1000, 1030, 3001])
+# 129: a grid inside the first block; BLOCK +- 1: one block less a node, and
+# one block and a node; 1000 = 512 + 488, a last block cut by the grid's
+# end; 1030 = 2^10 + 6: the square of 1024 is cut to 7 targets by the
+# grid's end
+@pytest.mark.parametrize("n", [129, BLOCK - 1, BLOCK + 1, 1000, 1030, 3001])
 @pytest.mark.parametrize("j0", [0, 1])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
