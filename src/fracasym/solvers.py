@@ -36,21 +36,30 @@ makes one elementwise call of the right-hand side's fused `partials`, which
 returns F, F_u and F_v together; a right-hand side without it is called
 through `fn`, with both partials 0.  Every node starts from f at the node
 before the window.  A node has converged once scale |delta phi| <= 1e-12
-(1 + |x|) held in two sweeps in a row; the window commits its longest
-converged prefix and starts again at the first node that had not.
+(1 + |x|) held in two sweeps in a row (scale = |k_x| + |k_v|) and the last
+sweep's changes of the nodes up to it move its x and Dbeta x by no more,
+in-block sums included:
+
+    scale |delta phi_i| + sum_{j<i} (w_x a_x[i-j] + w_v a_v[i-j]) |delta phi_j|
+        <= 1e-12 (1 + |x_i|).
+
+The window commits its longest converged prefix and starts again at the
+first node that had not.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
-nodes has stalled; the next attempt (of a right-hand side with partials),
-and the first attempt of the block after a block with a stall, take full
-Newton steps instead, on a window of at most LOWER = 128 nodes, solving
-with its lower-triangular Jacobian of phi - F,
+nodes has stalled; the next attempt (of a right-hand side with partials)
+takes full Newton steps instead, on a window of at most LOWER = 128 nodes,
+solving with its lower-triangular Jacobian of phi - F,
 
     J = diag(1 - F_u k_x - F_v k_v) - diag(F_u) w_x L_x - diag(F_v) w_v L_v,
 
 and the diagonal step in any sweep where J is not finite or is singular.
 np.linalg.solve is cubic in the window length, hence the shorter window;
-J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`.
+J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`
+and solved in reverse node order, where it is upper triangular, so that no
+row exchange mixes the rounding of later, unconverged nodes into the step
+of an earlier one.
 When the first node of a window does not converge, its scalar equation is
 solved by bracketed root finding and it records _FIXED_POINT_CAP
 iterations; every other node records the sweeps of its window, fewer than
@@ -205,18 +214,16 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     history = BlockedHistory(a, fhist)
 
     stalled = False  # the last window attempt reached the sweep cap and committed part
-    block_stalled = False  # an attempt of the current block did
 
     def commit(m, stop, base, k, phi0):
         """Commit the leading nodes of the window m..stop-1 (its first LOWER
         nodes in a Newton attempt); returns how many."""
-        nonlocal stalled, block_stalled
+        nonlocal stalled
         newton = stalled and f.partials is not None
         if newton:
             stop = min(stop, m + LOWER)
         done, sweeps, phi = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton)
         stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
-        block_stalled = block_stalled or stalled
         if done:
             fhist[m:m + done] = phi[:done]
             z[:, m:m + done] = _arguments(base, w, history, k, phi[:done])
@@ -236,8 +243,6 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
 
     for start in range(0, n + 1, BLOCK):
         outside = history.block(start)
-        # a block starts in Newton where an attempt of the block before it stalled
-        stalled, block_stalled = block_stalled, False
         first = max(start, 1) - start  # block column of the first node with j >= 1
         stop = min(start + BLOCK, n + 1)
         m = max(start, lead + 1)  # node lead is done
@@ -300,10 +305,19 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             if not finite.all():  # the nodes from the first bad one on start over
                 size = int(finite.argmin())
                 new, x, passed = new[:size], x[:size], passed[:size]
-            ok = scale * np.abs(new - phi[:size]) <= _FIXED_POINT_TOL * (1.0 + np.abs(x))
+            change = np.abs(new - phi[:size])
+            tol = _FIXED_POINT_TOL * (1.0 + np.abs(x))
+            ok = scale * change <= tol
             # a node is converged once it passed the stop rule in two sweeps in a row
             both = ok & passed
             done = size if both.all() else int(both.argmin())
+            if done and (done == size or sweep == _FIXED_POINT_CAP - 1):
+                # and the last change of the prefix, through the in-block
+                # sums (w a[i-j] >= 0), moves no later node's x, Dbeta x by more
+                reach = w * history.inblock(change[:done])
+                over = scale * change[:done] + reach[0] + reach[-1] > tol[:done]
+                if over.any():
+                    done = int(over.argmax())
             phi, passed = new, ok
             if done == size:
                 break
@@ -323,7 +337,9 @@ def _newton_step(step, denom, fu, fv, coupling):
         jac -= np.broadcast_to(slope, step.shape)[:, None] * part
     if not (np.isfinite(jac).all() and denom.all()):
         return None
-    return np.linalg.solve(jac, step)
+    # in reverse node order J is upper triangular: LU finds no pivot to swap,
+    # so each node's step depends on the steps of the nodes before it alone
+    return np.linalg.solve(jac[::-1, ::-1], step[::-1])[::-1]
 
 
 def _values(out, shape) -> np.ndarray:

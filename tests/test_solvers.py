@@ -336,3 +336,22 @@ def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v, newton
     assert done == 1 and phi[0] != 1.0
     z = base[:, 0] + w[:, 0] * phi[0]
     assert phi[0] == pytest.approx(rhs.fn(1.0, z[0], z[1]), rel=1e-12, abs=1e-15)
+
+
+def test_a_newton_step_at_a_node_depends_on_the_nodes_before_it_alone():
+    # a stiff window: coupling entries far above the diagonal make a pivoting
+    # LU of J exchange rows, and the later nodes, far from converged, have
+    # steps 20 orders above the first one's
+    rng = np.random.default_rng(3)
+    n = 128
+    coupling = np.tril(rng.uniform(0.0, 1.0, (2, n, n)), -1)
+    denom = rng.uniform(1.0, 2.0, n)
+    fu, fv = rng.uniform(-40.0, -20.0, n), rng.uniform(20.0, 40.0, n)
+    step = rng.normal(size=n) * np.logspace(-12, 8, n)
+    got = solvers._newton_step(step, denom, fu, fv, coupling)
+    jac = np.diag(denom) - fu[:, None] * coupling[0] - fv[:, None] * coupling[1]
+    want = np.empty(n)  # forward substitution
+    for i in range(n):
+        want[i] = (step[i] - jac[i, :i].dot(want[:i])) / jac[i, i]
+    assert got[0] == step[0] / denom[0]
+    np.testing.assert_allclose(got[:16], want[:16], rtol=1e-12, atol=0.0)
