@@ -312,8 +312,8 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             both = ok & passed
             done = size if both.all() else int(both.argmin())
             if done and (done == size or sweep == _FIXED_POINT_CAP - 1):
-                # and the last change of the prefix, through the in-block
-                # sums (w a[i-j] >= 0), moves no later node's x, Dbeta x by more
+                # and the last changes of the nodes up to it, through the
+                # in-block sums (w a[i-j] >= 0), move its x, Dbeta x by no more
                 reach = w * history.inblock(change[:done])
                 over = scale * change[:done] + reach[0] + reach[-1] > tol[:done]
                 if over.any():
