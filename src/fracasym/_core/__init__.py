@@ -6,15 +6,16 @@ convolve by FFT, and the direct per-step predictor-corrector history sums
 tested against.
 
 The marching solver does not call pc_sums: `history.BlockedHistory` adds
-the corrector history from before each aligned block of BLOCK = 128 nodes
-in dyadic square blocks by FFT, from 128 x 128 up, which costs
-O(N log^2 N) per solve instead of O(N^2); within a block the solver applies
-the strictly lower Toeplitz matrix `BlockedHistory.lower` itself.
+the corrector history from before each aligned block of BLOCK = 512 nodes
+in dyadic square blocks by FFT, from 512 x 512 up, which costs
+O(N log^2 N) per solve instead of O(N^2); `BlockedHistory.inblock` sums
+the pairs within a block by one more FFT.
 """
 
 from . import kernels
 
 
 def backend_name() -> str:
-    """Name of the kernel implementation, for run reports: always 'python'."""
+    """Name of the kernel implementation, for benchmark environment stamps:
+    always 'python'."""
     return "python"

@@ -24,7 +24,6 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, catalog
-from ._core import backend_name
 from .asymptotics import (INTEGRANDS, boundedness_verdict, improper_tail,
                           lhopital_lemma_term, lhopital_residual, make_integrand,
                           power_slope, slope_window_start)
@@ -119,7 +118,6 @@ class RunReport:
                            "grid": self.config.grid}, sort_keys=True)
         lines = [
             f"experiment: {self.config.ident}",
-            f"backend: {backend_name()}",
             f"seed: {self.config.seed}",
             f"grid: t_end={self.config.t_end:g} n_steps={self.config.n_steps}",
             f"config: {echo}",

@@ -1,4 +1,5 @@
 import json
+import math
 import warnings
 from importlib import resources
 
@@ -402,6 +403,8 @@ def test_report_line_format(tmp_path):
     doc = make_config(output={"report_path": "unit.txt"})
     report = harness.run(harness.load_config(doc), out_dir=tmp_path)
     text = report.report_path.read_text()
+    heads = [line.split(":")[0] for line in text.splitlines()[:4]]
+    assert heads == ["experiment", "seed", "grid", "config"]
     assert "CHECK closed_form: PASS measured=" in text
     assert "OVERALL: PASS" in text
     # every configured check appears exactly once
@@ -494,6 +497,18 @@ def test_order_check_needs_two_refinement_levels(tmp_path, monkeypatch, capsys):
     assert len(err) == 1 and err[0].startswith("config error:")
     doc["grid"]["refinement_levels"] = 2
     assert harness.load_config(doc).refinement_levels == 2
+
+
+def test_a_manufactured_power_of_high_degree_loads():
+    # Gamma(mu + 1) / Gamma(mu + 1 - alpha) is finite for every mu up to about
+    # 170.6; the rhs constant is built at load
+    doc = json.loads(resources.files("fracasym.configs")
+                     .joinpath("manufactured_tau2.json").read_text())
+    doc["problem"]["rhs"]["params"]["mu"] = 150.0
+    config = harness.load_config(doc)
+    rhs = catalog.build_problem_spec(config.problem).rhs
+    assert rhs.fn(1.0, 0.0, 0.0) == pytest.approx(
+        math.gamma(151.0) / math.gamma(150.5), rel=1e-14)
 
 
 def test_study_requires_exact_solution():
