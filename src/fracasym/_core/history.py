@@ -12,7 +12,9 @@ Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 * pairs that agree in every bit above the low nine lie in one aligned
   block of BLOCK = 512 nodes; most of their f-values are the unknowns the
   solver solves for, so it sums them itself, with `inblock`: one real FFT
-  of the block's values against each weight row;
+  of the block's values against each weight row, for one array of values
+  or for a stack of them at once (none for a single node, which has no
+  pair);
 * every other pair lies in exactly one dyadic square: source block
   [s, s+p) and target block [s+p, s+2p), p >= BLOCK a power of two and s a
   multiple of 2p.  Once f[s+p-1] exists, the whole square is added to a
@@ -26,12 +28,14 @@ O(N log^2 N) in total.  The FFT rounding error of a square, or of an
 in-block sum, is about machine epsilon times the size of its own terms.
 
 The strictly lower Toeplitz matrix of the weights is kept dense only for
-LOWER = 128 nodes, as `lower`: the Jacobian of a full Newton step is built
-from it, and np.linalg.solve, cubic in the window length, takes windows of
-at most that many nodes.
+LOWER = 128 nodes, as `lower`, built on first use: the Jacobian of a full
+Newton step is built from it, and np.linalg.solve, cubic in the window
+length, takes windows of at most that many nodes.
 """
 
 from __future__ import annotations
+
+from functools import cached_property
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -55,17 +59,22 @@ class BlockedHistory:
         self._f = f
         n = f.size - 1
         self._n = n
-        # lower[r][i, j] = rows[r][i - j] for i > j, else 0
-        self.lower = np.empty((len(rows), LOWER, LOWER))
-        lags = min(LOWER - 1, n)
-        for r, w in enumerate(rows):
-            padded = np.zeros(2 * LOWER - 1)
-            padded[LOWER - 1 - lags:LOWER - 1] = w[lags:0:-1]
-            self.lower[r] = sliding_window_view(padded, LOWER)[::-1]
         self._acc = np.zeros((len(rows), n + 1))
         self._spectra: dict[int, np.ndarray] = {}
         self._inblock_spectra: dict[int, np.ndarray] = {}
         self._next_block = BLOCK
+
+    @cached_property
+    def lower(self) -> np.ndarray:
+        """The strictly lower Toeplitz blocks of the weight rows over LOWER
+        nodes: lower[r][i, j] = rows[r][i - j] for i > j, else 0."""
+        lower = np.empty((len(self._rows), LOWER, LOWER))
+        lags = min(LOWER - 1, self._n)
+        for r, w in enumerate(self._rows):
+            padded = np.zeros(2 * LOWER - 1)
+            padded[LOWER - 1 - lags:LOWER - 1] = w[lags:0:-1]
+            lower[r] = sliding_window_view(padded, LOWER)[::-1]
+        return lower
 
     def block(self, start: int) -> np.ndarray:
         """Out-of-block sums S_a(m) - sum_{j in block, j>=1} a[m-j] f[j] for
@@ -77,17 +86,22 @@ class BlockedHistory:
         return self._acc[:, start:start + BLOCK]
 
     def inblock(self, g: np.ndarray) -> np.ndarray:
-        """In-block sums sum_{j<i} a[i-j] g[j] for i < g.size, of the values
-        g at consecutive nodes (at most BLOCK of them): one row per weight
-        row, the head of the linear convolution of g with (0, a[1], a[2], ...)
-        by one real FFT."""
-        size = 1 << (2 * g.size - 1).bit_length()  # >= 2 g.size: no wrap-around
+        """In-block sums sum_{j<i} a[i-j] g[j] for i < L, of the values g at
+        L consecutive nodes (at most BLOCK of them): one row per weight row,
+        the head of the linear convolution of g with (0, a[1], a[2], ...) by
+        one real FFT.  A stack g of shape (s, L) gives shape (s, rows, L)
+        from the same FFT call; a single node gives zeros without one."""
+        length = g.shape[-1]
+        if length == 1:  # no pair j < i
+            return np.zeros(g.shape[:-1] + (len(self._rows), 1))
+        size = 1 << (2 * length - 1).bit_length()  # >= 2 L: no wrap-around
         spec = self._inblock_spectra.get(size)
-        if spec is None:  # weights past size/2 reach no i < g.size
+        if spec is None:  # weights past size/2 reach no i < L
             heads = np.array([w[:size // 2] for w in self._rows])
             heads[:, 0] = 0.0
             spec = self._inblock_spectra[size] = np.fft.rfft(heads, size)
-        return np.fft.irfft(spec * np.fft.rfft(g, size), size)[:, :g.size]
+        prod = spec * np.fft.rfft(g, size)[..., None, :]
+        return np.fft.irfft(prod, size)[..., :length]
 
     def _add_block(self, m: int) -> None:
         """Add the square whose source block ends at node m - 1."""

@@ -62,11 +62,12 @@ def trapezoid_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
 
     All entries are non-negative for mu > 0.
     """
-    k = np.arange(n + 1, dtype=float)
+    k = np.arange(n + 2, dtype=float)
+    p = k ** (mu + 1.0)  # each power once: p[k] = k^(mu+1), k = 0..n+1
     a = np.zeros(n + 1)
-    a[1:] = (k[1:] + 1.0) ** (mu + 1.0) - 2.0 * k[1:] ** (mu + 1.0) + (k[1:] - 1.0) ** (mu + 1.0)
+    a[1:] = p[2:] - 2.0 * p[1:-1] + p[:-2]
     c = np.zeros(n + 1)
-    c[1:] = (k[1:] - 1.0) ** (mu + 1.0) - k[1:] ** mu * (k[1:] - mu - 1.0)
+    c[1:] = p[:-2] - k[1:-1] ** mu * (k[1:-1] - mu - 1.0)
     return a, c
 
 

@@ -24,7 +24,8 @@ nodes solve a lower-triangular system
     phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
 
 (L_x strictly lower Toeplitz in the weights; the same for v).  L_x phi is
-never formed densely: `BlockedHistory.inblock` applies it by one real FFT.
+never formed densely: `BlockedHistory.inblock` applies it by one real FFT
+(none for a one-node window, which has no pair).
 `_sweep` solves a window of it by vectorized sweeps of diagonal Newton, as
 Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
 2018):
@@ -44,7 +45,10 @@ in-block sums included:
         <= 1e-12 (1 + |x_i|).
 
 The window commits its longest converged prefix and starts again at the
-first node that had not.
+first node that had not.  The sweep that checks this coupled rule sums the
+last changes and the block's f-values with the new iterates in one stacked
+`inblock` call, so a window attempt makes one in-block transform per sweep
+and one more for the check and the commit together.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
@@ -56,10 +60,10 @@ solving with its lower-triangular Jacobian of phi - F,
 
 and the diagonal step in any sweep where J is not finite or is singular.
 np.linalg.solve is cubic in the window length, hence the shorter window;
-J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`
-and solved in reverse node order, where it is upper triangular, so that no
-row exchange mixes the rounding of later, unconverged nodes into the step
-of an earlier one.
+J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`,
+which the first Newton attempt of a solve builds, and solved in reverse
+node order, where it is upper triangular, so that no row exchange mixes
+the rounding of later, unconverged nodes into the step of an earlier one.
 When the first node of a window does not converge, its scalar equation is
 solved by bracketed root finding and it records _FIXED_POINT_CAP
 iterations; every other node records the sweeps of its window, fewer than
@@ -67,8 +71,11 @@ that.
 
 The history from before the block comes from `_core.history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
-exists, so a solve costs O(N log^2 N); the committed prefix of the block
-enters through `inblock` as well.
+exists, so a solve costs O(N log^2 N).  The committed prefix of the block
+enters through the in-block sums of the block's f-values that each commit's
+transform yields at every node of the block; `_march` carries them to the
+next attempt, and the first attempt of a block starts from zero sums.  Once
+the block is done, the same sums give x and Dbeta x at all its nodes.
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
@@ -217,74 +224,84 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
 
     def commit(m, stop, base, k, phi0):
         """Commit the leading nodes of the window m..stop-1 (its first LOWER
-        nodes in a Newton attempt); returns how many."""
+        nodes in a Newton attempt) and carry the in-block sums of the block's
+        f-values forward; returns how many."""
         nonlocal stalled
         newton = stalled and f.partials is not None
         if newton:
             stop = min(stop, m + LOWER)
-        done, sweeps, phi = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton)
+        values = fhist[start + first:end]  # 0 from node m on
+        done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
+                                         values, m - start - first)
         stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
         if done:
             fhist[m:m + done] = phi[:done]
-            z[:, m:m + done] = _arguments(base, w, history, k, phi[:done])
             iters[m:m + done] = sweeps
-            return done
-        # the window's first node: its equation alone, by root finding
-        fhist[m] = _root_find(f, m, taus[m], base[0, 0], k[0, 0], base[-1, 0], k[-1, 0], phi0)
-        z[:, m] = base[:, 0] + k[:, 0] * fhist[m]
-        iters[m] = _FIXED_POINT_CAP
-        return 1
+        else:  # the window's first node: its equation alone, by root finding
+            fhist[m] = _root_find(f, m, taus[m], base[0, 0], k[0, 0], base[-1, 0], k[-1, 0], phi0)
+            iters[m] = _FIXED_POINT_CAP
+            done = 1
+        # the in-block sums of the block's f-values, unless the last sweep's
+        # transform already gave them
+        carried[:, first:] = history.inblock(values) if sums is None else sums
+        return done
+
+    def known(m):
+        """Everything in the quantities at the nodes m..end-1 of the block but
+        their own f-values; f[lead] enters through c."""
+        i = m - start
+        return outside[:, i:] + c[:, m:end] * fhist[lead] + carried[:, i:]
 
     if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
-    else:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
-        commit(1, 2, z0[:, 1:2], w * (1.0 + c[:, 1:2]),
-               _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
 
     for start in range(0, n + 1, BLOCK):
         outside = history.block(start)
         first = max(start, 1) - start  # block column of the first node with j >= 1
-        stop = min(start + BLOCK, n + 1)
-        m = max(start, lead + 1)  # node lead is done
-        while m < stop:
-            i = m - start
-            # everything but the window's own f-values; f[lead] enters through
-            # c, and fhist is still 0 from node m on
-            known = (outside[:, i:] + c[:, m:stop] * fhist[lead]
-                     + history.inblock(fhist[start + first:stop])[:, i - first:])
-            m += commit(m, stop, z0[:, m:stop] + w * known, w, fhist[m - 1])
+        end = min(start + BLOCK, n + 1)
+        # in-block sums of the block's committed f-values at its nodes
+        carried = np.zeros((len(mus), end - start))
+        m = start + first
+        if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
+            m += commit(1, 2, z0[:, 1:2], w * (1.0 + c[:, 1:2]),
+                        _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
+        while m < end:
+            m += commit(m, end, z0[:, m:end] + w * known(m), w, fhist[m - 1])
+        # the block's quantities, from the in-block sums of all its f-values
+        m = start + first
+        z[:, m:end] = z0[:, m:end] + w * (known(m) + fhist[m:end])
 
     return z[0], z[-1], fhist, iters
 
 
-def _arguments(base, w, history: BlockedHistory, k, phi: np.ndarray) -> np.ndarray:
-    """The quantities (x[, Dbeta x]) at the first phi.size nodes of a window,
+def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: float,
+           newton: bool, values: np.ndarray, offset: int):
+    """Solve phi = f(tau, x(phi)[, Dbeta x(phi)]) by sweeps over the whole
+    window, every node started from phi0: diagonal Newton, or with newton
+    full Newton steps on the window's lower-triangular Jacobian (a window of
+    at most LOWER nodes).  The quantities are
 
         base + w * history.inblock(phi) + k * phi,
 
-    one row of base, w and k, and of the weights of history, per unknown
-    quantity (x, then Dbeta x unless it is x); w and k are columns, the
-    same at every node."""
-    return base[:, :phi.size] + w * history.inblock(phi) + k * phi
-
-
-def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: float,
-           newton: bool):
-    """Solve phi = f(tau, _arguments(base, w, history, k, phi)) by sweeps
-    over the whole window, every node started from phi0: diagonal Newton, or
-    with newton full Newton steps on the window's lower-triangular Jacobian
-    (a window of at most LOWER nodes).  Returns (number of leading nodes that
-    converged, sweeps made, iterate); the nodes from the first one whose
-    iterate is not finite are cut."""
+    one row of base, w and k, and of the weights of history, per quantity
+    (x, then Dbeta x unless it is x); w and k are columns, the same at every
+    node.  values holds the f-values of the window's block, 0 from the
+    window on, which starts at values[offset].  Returns (number of leading
+    nodes that converged, sweeps made, iterate, in-block sums of values
+    with the converged iterates written in); the nodes from the first one
+    whose iterate is not finite are cut.  The sums are None where the last
+    sweep did not yield them: no node converged, or the stop rule's reach
+    cut the converged prefix."""
     scale = abs(k[0, 0]) + abs(k[-1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
+    sums = None
     if newton:  # the strictly lower part of d(x[, Dbeta x])/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
             size = phi.size
-            z = _arguments(base, w, history, k, phi)
+            z = base[:, :size] + w * history.inblock(phi) + k * phi
             x, v = z[0], z[-1]
             t = tau[:size]
             if f.partials is None:
@@ -313,15 +330,23 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             done = size if both.all() else int(both.argmin())
             if done and (done == size or sweep == _FIXED_POINT_CAP - 1):
                 # and the last changes of the nodes up to it, through the
-                # in-block sums (w a[i-j] >= 0), move its x, Dbeta x by no more
-                reach = w * history.inblock(change[:done])
+                # in-block sums (w a[i-j] >= 0), move its x, Dbeta x by no
+                # more; the same transform sums values with the new iterates
+                # of those nodes, for the commit
+                window = slice(offset, offset + done)
+                stack = np.zeros((2, values.size))
+                stack[0, window] = change[:done]
+                stack[1] = values
+                stack[1, window] = new[:done]
+                reach, sums = history.inblock(stack)
+                reach = w * reach[:, window]
                 over = scale * change[:done] + reach[0] + reach[-1] > tol[:done]
                 if over.any():
-                    done = int(over.argmax())
+                    done, sums = int(over.argmax()), None
             phi, passed = new, ok
             if done == size:
                 break
-    return done, sweep, phi
+    return done, sweep, phi, sums
 
 
 def _newton_step(step, denom, fu, fv, coupling):

@@ -62,6 +62,25 @@ def test_trapezoid_weights_nonnegative():
         assert np.all(c[1:] >= 0.0)
 
 
+@pytest.mark.parametrize("mu", [0.05, 0.25, 0.5, 2.0 / 3.0, 1.0, 1.25, 1.6])
+@pytest.mark.parametrize("n", [3, 100, 4097, 2 ** 18])
+def test_trapezoid_weights_match_the_three_power_closed_form(mu, n):
+    # the weights take each power k^(mu+1) once; against the closed form
+    # with its three powers per weight, term by term in Python floats, to
+    # rounding in the size of the terms (numpy's vectorized power need not
+    # round as the scalar one does)
+    a, c = trapezoid_coefficients(mu, n)
+    assert a[0] == c[0] == 0.0
+    picks = sorted({*range(1, min(n, 300) + 1), *np.linspace(1, n, 200).astype(int)})
+    for k in picks:
+        terms = ((k + 1.0) ** (mu + 1.0), 2.0 * k ** (mu + 1.0), (k - 1.0) ** (mu + 1.0))
+        want = terms[0] - terms[1] + terms[2]
+        assert abs(a[k] - want) <= 1e-15 * sum(terms), k
+        terms = ((k - 1.0) ** (mu + 1.0), k ** mu * abs(k - mu - 1.0))
+        want = (k - 1.0) ** (mu + 1.0) - k ** mu * (k - mu - 1.0)
+        assert abs(c[k] - want) <= 1e-15 * sum(terms), k
+
+
 def test_rectangle_weights_nonnegative():
     for mu in (0.2, 0.5, 1.0, 1.7):
         b = rectangle_coefficients(mu, 128)

@@ -7,6 +7,8 @@ corrector must reproduce the scalar predictor-corrector of
 `_oracles.march_reference`.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,28 @@ def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
             size = np.array(kernels.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
                                             np.abs(av), np.abs(f), m, j0)[1::2])
             assert np.all(np.abs(got - want[:len(rows)]) <= 1e-12 * size[:len(rows)]), m
+
+
+def test_a_stack_of_values_gets_the_in_block_sums_of_each():
+    rng = np.random.default_rng(5)
+    rows = tuple(rng.normal(size=BLOCK + 1) for _ in range(2))
+    blocked = BlockedHistory(rows, np.zeros(BLOCK + 1))
+    for size in (2, 3, 100, BLOCK):
+        stack = rng.normal(size=(2, size))
+        got = blocked.inblock(stack)
+        assert got.shape == (2, len(rows), size)
+        for g, sums in zip(stack, got):
+            # the rounding of an FFT spreads over all its outputs: bound it by
+            # the largest sum of |a[i-j] g[j]| over the pairs j < i of a node
+            terms = max(np.convolve(np.abs(w[1:size]), np.abs(g))[:size - 1].max()
+                        for w in rows)
+            assert np.all(np.abs(sums - blocked.inblock(g)) <= 1e-15 * terms)
+
+
+def test_a_single_node_has_no_in_block_sums():
+    blocked = BlockedHistory((np.ones(BLOCK + 1), np.ones(BLOCK + 1)), np.zeros(BLOCK + 1))
+    assert np.array_equal(blocked.inblock(np.array([3.0])), np.zeros((2, 1)))
+    assert np.array_equal(blocked.inblock(np.array([[3.0], [4.0]])), np.zeros((2, 2, 1)))
 
 
 def _conv_lower_direct(b, g, scale):
@@ -149,3 +173,32 @@ def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
     assert not (iters == solvers._FIXED_POINT_CAP).any()
     # example46 never stalls, so its sweeps are those of diagonal Newton
     assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 11258
+
+
+def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):
+    build = BlockedHistory.__dict__["lower"].func
+    builds = []
+    monkeypatch.setattr(BlockedHistory, "lower",
+                        property(lambda self: builds.append(self) or build(self)))
+    config = harness.load_builtin_config("example63_forced")
+    spec = catalog.build_problem_spec(config.problem)
+    # the builtin stalls, so its attempts after a stall take Newton steps
+    iters = solve_direct(spec, config.t_end, 512).corrector_iterations
+    assert builds and (iters == solvers._FIXED_POINT_CAP - 1).any()
+    # its rhs without partials stalls as well, and takes no Newton step
+    builds.clear()
+    plain = dataclasses.replace(spec, rhs=solvers.RightHandSide(spec.rhs.fn, True))
+    iters = solve_direct(plain, config.t_end, 512).corrector_iterations
+    assert not builds and (iters == solvers._FIXED_POINT_CAP - 1).any()
+    # example46 never stalls
+    _builtin_solution("example46")
+    assert not builds
+
+
+@pytest.mark.parametrize("n", [2 ** 17, 2 ** 18])
+def test_example63_forced_sends_no_node_to_root_finding_at_large_n(n):
+    # the first Newton window after the capped first block sits at the edge
+    # of the stop rule; its in-block sums must not round differently from the
+    # sums of the block's f-values that the stop rule was tuned with
+    iters = _builtin_solution("example63_forced", n).corrector_iterations
+    assert not (iters == solvers._FIXED_POINT_CAP).any()

@@ -331,8 +331,8 @@ def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v, newton
     w = np.array([[0.1], [0.2]])
     base = np.array([[x], [v]]) - w
     history = BlockedHistory((np.zeros(2), np.zeros(2)), np.zeros(2))
-    done, sweeps, phi = solvers._sweep(rhs, np.array([1.0]), base, w, history, w, 1.0,
-                                       newton=newton)
+    done, sweeps, phi, _ = solvers._sweep(rhs, np.array([1.0]), base, w, history, w, 1.0,
+                                          newton, np.zeros(1), 0)
     assert done == 1 and phi[0] != 1.0
     z = base[:, 0] + w[:, 0] * phi[0]
     assert phi[0] == pytest.approx(rhs.fn(1.0, z[0], z[1]), rel=1e-12, abs=1e-15)
