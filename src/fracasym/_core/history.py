@@ -1,36 +1,39 @@
 """Blocked FFT history sums for the windowed product-trapezoid corrector.
 
-At node m the marching solver needs, for each corrector weight row a of
-(ax[, av]),
+The f-value at node 0 enters the corrector only through the first
+subinterval's weight, so the history is a causal convolution over the N
+unknowns g[i] = f[i + 1], i = 0..N-1: at unknown i (node m = i + 1) the
+marching solver needs, for each corrector weight row a of (ax[, av]),
 
-    S_a(m) = sum_{j=1}^{m-1} a[m-j] * f[j].
+    S_a(i) = sum_{j<i} a[i-j] * g[j].
 
 Summed directly that is O(N^2) over a run.  BlockedHistory splits the index
-pairs (j, m), j < m, by the highest bit in which j and m differ (Hairer,
+pairs (j, i), j < i, by the highest bit in which j and i differ (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
 * pairs that agree in every bit above the low nine lie in one aligned
-  block of BLOCK = 512 nodes; most of their f-values are the unknowns the
-  solver solves for, so it sums them itself, with `inblock`: one real FFT
+  block of BLOCK = 512 unknowns, which the solver solves for block by
+  block, so it sums these pairs itself, with `inblock`: one real FFT
   of the block's values against each weight row, for one array of values
-  or for a stack of them at once (none for a single node, which has no
-  pair);
+  or for a stack of them at once;
 * every other pair lies in exactly one dyadic square: source block
   [s, s+p) and target block [s+p, s+2p), p >= BLOCK a power of two and s a
-  multiple of 2p.  Once f[s+p-1] exists, the whole square is added to a
-  running accumulator by one real FFT of size 2p.  The source spectrum is
-  shared by all weight rows, and a level's weight spectra are kept while
-  the level has blocks left.
+  multiple of 2p.  Once g[s+p-1] exists, the whole square, or the part of
+  its targets that the grid holds, is added to a running accumulator by
+  one real FFT of size 2p.  The source spectrum is shared by all weight
+  rows, and a level's weight spectra are kept while the level has blocks
+  left.
 
-`block(start)` returns the accumulated out-of-block sums of the nodes of one
-aligned block.  The split is exact in exact arithmetic and costs
-O(N log^2 N) in total.  The FFT rounding error of a square, or of an
-in-block sum, is about machine epsilon times the size of its own terms.
+A grid of 2^k steps thus fills whole blocks.  `block(start)` returns the
+accumulated out-of-block sums of the unknowns of one aligned block.  The
+split is exact in exact arithmetic and costs O(N log^2 N) in total.  The
+FFT rounding error of a square, or of an in-block sum, is about machine
+epsilon times the size of its own terms.
 
 The strictly lower Toeplitz matrix of the weights is kept dense only for
-LOWER = 128 nodes, as `lower`, built on first use: the Jacobian of a full
-Newton step is built from it, and np.linalg.solve, cubic in the window
-length, takes windows of at most that many nodes.
+LOWER = 128 unknowns, as `lower`, built on first use: the Jacobian of a
+full Newton step is built from it, and np.linalg.solve, cubic in the
+window length, takes windows of at most that many nodes.
 """
 
 from __future__ import annotations
@@ -41,25 +44,22 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 BLOCK = 512  # a power of two
-LOWER = 128  # nodes of the dense Toeplitz block `lower`
-_FEW_TARGETS = 16
+LOWER = 128  # unknowns of the dense Toeplitz block `lower`
 
 
 class BlockedHistory:
-    """Corrector history sums over an f-history that the caller fills in
-    order, one aligned block at a time.
+    """Corrector history sums over the unknowns g = f[1:] of a grid, which
+    the caller fills in order, one aligned block at a time.
 
-    f is read, never written: block(start) uses f[1..start-1], which must
-    be final by then.  f[0] never enters the sums.  Calls must come with
-    start non-decreasing.
+    g is read, never written: block(start) uses g[0..start-1], which must
+    be final by then.  Calls must come with start non-decreasing.
     """
 
-    def __init__(self, rows: tuple[np.ndarray, ...], f: np.ndarray):
+    def __init__(self, rows: tuple[np.ndarray, ...], g: np.ndarray):
         self._rows = rows
-        self._f = f
-        n = f.size - 1
-        self._n = n
-        self._acc = np.zeros((len(rows), n + 1))
+        self._g = g
+        self._n = g.size
+        self._acc = np.zeros((len(rows), g.size))
         self._spectra: dict[int, np.ndarray] = {}
         self._inblock_spectra: dict[int, np.ndarray] = {}
         self._next_block = BLOCK
@@ -77,23 +77,22 @@ class BlockedHistory:
         return lower
 
     def block(self, start: int) -> np.ndarray:
-        """Out-of-block sums S_a(m) - sum_{j in block, j>=1} a[m-j] f[j] for
-        the nodes m of the aligned block that starts at `start`: one row per
-        weight row (a view of the accumulator)."""
+        """Out-of-block sums S_a(i) - sum_{j in block, j<i} a[i-j] g[j] for
+        the unknowns i of the aligned block that starts at unknown `start`:
+        one row per weight row (a view of the accumulator)."""
         while self._next_block <= start:
             self._add_block(self._next_block)
             self._next_block += BLOCK
         return self._acc[:, start:start + BLOCK]
 
     def inblock(self, g: np.ndarray) -> np.ndarray:
-        """In-block sums sum_{j<i} a[i-j] g[j] for i < L, of the values g at
-        L consecutive nodes (at most BLOCK of them): one row per weight row,
-        the head of the linear convolution of g with (0, a[1], a[2], ...) by
-        one real FFT.  A stack g of shape (s, L) gives shape (s, rows, L)
-        from the same FFT call; a single node gives zeros without one."""
+        """In-block sums sum_{j<i} a[i-j] g[j] for i < L, of the values g of
+        L consecutive unknowns (at most BLOCK of them): one row per weight
+        row, the head of the linear convolution of g with (0, a[1], a[2],
+        ...) by one real FFT, which gives exact zeros for a single unknown.
+        A stack g of shape (s, L) gives shape (s, rows, L) from the same FFT
+        call."""
         length = g.shape[-1]
-        if length == 1:  # no pair j < i
-            return np.zeros(g.shape[:-1] + (len(self._rows), 1))
         size = 1 << (2 * length - 1).bit_length()  # >= 2 L: no wrap-around
         spec = self._inblock_spectra.get(size)
         if spec is None:  # weights past size/2 reach no i < L
@@ -104,27 +103,16 @@ class BlockedHistory:
         return np.fft.irfft(prod, size)[..., :length]
 
     def _add_block(self, m: int) -> None:
-        """Add the square whose source block ends at node m - 1."""
+        """Add the square whose source block ends at unknown m - 1."""
         p = m & -m
         size = 2 * p
-        g = self._f[m - p:m]
-        if m == p:
-            g = g.copy()
-            g[0] = 0.0
-        stop = min(m + p, self._n + 1)
-        if stop - m <= _FEW_TARGETS:
-            # a square cut short by the end of the grid: a dot product per
-            # target costs less than the FFT of the whole square
-            for t in range(m, stop):
-                for r, w in enumerate(self._rows):
-                    self._acc[r, t] += g.dot(w[t - m + p:t - m:-1])
-            return
+        stop = min(m + p, self._n)
         spec = self._spectra.pop(p, None)
         if spec is None:
             spec = np.empty((len(self._rows), p + 1), dtype=complex)
             for r, w in enumerate(self._rows):
                 spec[r] = np.fft.rfft(w[1:size], size)
-        if m + size <= self._n:  # the level has another block
+        if m + size < self._n:  # the level has another block
             self._spectra[p] = spec
-        conv = np.fft.irfft(spec * np.fft.rfft(g, size), size)
+        conv = np.fft.irfft(spec * np.fft.rfft(self._g[m - p:m], size), size)
         self._acc[:, m:stop] += conv[:, p - 1:p - 1 + stop - m]

@@ -19,13 +19,13 @@ sequential problem (first derivative of the order-alpha Caputo derivative,
 Both reduce to the same marching recurrence: x and Dbeta x at a node are
 affine in the f-values up to that node, with weight k on the node's own
 f-value.  So the unknown f-values phi of one aligned block of BLOCK = 512
-nodes solve a lower-triangular system
+unknowns (nodes 1..512, 513..1024, ...; a grid of 2^k steps fills whole
+blocks) solve a lower-triangular system
 
     phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
 
-(L_x strictly lower Toeplitz in the weights; the same for v).  L_x phi is
-never formed densely: `BlockedHistory.inblock` applies it by one real FFT
-(none for a one-node window, which has no pair).
+(L_x strictly lower Toeplitz in the weights; the same for v).  A diagonal
+sweep applies L_x by one real FFT, `BlockedHistory.inblock`.
 `_sweep` solves a window of it by vectorized sweeps of diagonal Newton, as
 Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
 2018):
@@ -64,6 +64,8 @@ J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`,
 which the first Newton attempt of a solve builds, and solved in reverse
 node order, where it is upper triangular, so that no row exchange mixes
 the rounding of later, unconverged nodes into the step of an earlier one.
+For the same reason a Newton attempt sums the window by the causal product
+with that dense block, not by FFT, whose rounding reaches every node.
 When the first node of a window does not converge, its scalar equation is
 solved by bracketed root finding and it records _FIXED_POINT_CAP
 iterations; every other node records the sweeps of its window, fewer than
@@ -218,7 +220,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
     z[:, 0] = z0[:, 0]
-    history = BlockedHistory(a, fhist)
+    history = BlockedHistory(a, fhist[1:])
 
     stalled = False  # the last window attempt reached the sweep cap and committed part
 
@@ -230,9 +232,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
         newton = stalled and f.partials is not None
         if newton:
             stop = min(stop, m + LOWER)
-        values = fhist[start + first:end]  # 0 from node m on
+        values = fhist[start:end]  # 0 from node m on
         done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
-                                         values, m - start - first)
+                                         values, m - start)
         stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
         if done:
             fhist[m:m + done] = phi[:done]
@@ -243,7 +245,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
             done = 1
         # the in-block sums of the block's f-values, unless the last sweep's
         # transform already gave them
-        carried[:, first:] = history.inblock(values) if sums is None else sums
+        carried[:] = history.inblock(values) if sums is None else sums
         return done
 
     def known(m):
@@ -255,21 +257,19 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
 
-    for start in range(0, n + 1, BLOCK):
-        outside = history.block(start)
-        first = max(start, 1) - start  # block column of the first node with j >= 1
+    for start in range(1, n + 1, BLOCK):  # the blocks of unknowns f[1..n]
+        outside = history.block(start - 1)
         end = min(start + BLOCK, n + 1)
         # in-block sums of the block's committed f-values at its nodes
         carried = np.zeros((len(mus), end - start))
-        m = start + first
+        m = start
         if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
             m += commit(1, 2, z0[:, 1:2], w * (1.0 + c[:, 1:2]),
                         _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
         while m < end:
             m += commit(m, end, z0[:, m:end] + w * known(m), w, fhist[m - 1])
         # the block's quantities, from the in-block sums of all its f-values
-        m = start + first
-        z[:, m:end] = z0[:, m:end] + w * (known(m) + fhist[m:end])
+        z[:, start:end] = z0[:, start:end] + w * (known(start) + fhist[start:end])
 
     return z[0], z[-1], fhist, iters
 
@@ -281,11 +281,12 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     full Newton steps on the window's lower-triangular Jacobian (a window of
     at most LOWER nodes).  The quantities are
 
-        base + w * history.inblock(phi) + k * phi,
+        base + w * history.inblock(phi) + k * phi
 
-    one row of base, w and k, and of the weights of history, per quantity
-    (x, then Dbeta x unless it is x); w and k are columns, the same at every
-    node.  values holds the f-values of the window's block, 0 from the
+    (in a Newton attempt with history.lower[:, :size, :size] @ phi, the
+    dense causal sums its Jacobian is built from, for the FFT), one row of
+    base, w and k, and of the weights of history, per quantity (x, then
+    Dbeta x unless it is x); w and k are columns, the same at every node.  values holds the f-values of the window's block, 0 from the
     window on, which starts at values[offset].  Returns (number of leading
     nodes that converged, sweeps made, iterate, in-block sums of values
     with the converged iterates written in); the nodes from the first one
@@ -301,7 +302,8 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
             size = phi.size
-            z = base[:, :size] + w * history.inblock(phi) + k * phi
+            inner = history.lower[:, :size, :size] @ phi if newton else history.inblock(phi)
+            z = base[:, :size] + w * inner + k * phi
             x, v = z[0], z[-1]
             t = tau[:size]
             if f.partials is None:

@@ -21,32 +21,32 @@ from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_seque
 
 # 129: a grid inside the first block; BLOCK +- 1: one block less a node, and
 # one block and a node; 1000 = 512 + 488, a last block cut by the grid's
-# end; 1030 = 2^10 + 6: the square of 1024 is cut to 7 targets by the
-# grid's end
-@pytest.mark.parametrize("n", [129, BLOCK - 1, BLOCK + 1, 1000, 1030, 3001])
+# end; 1024: whole blocks; 1025 = 2^10 + 1: the square of 512 is cut to one
+# target by the grid's end; 1030 = 2^10 + 6: that square is cut to 6 targets
+@pytest.mark.parametrize("n", [129, BLOCK - 1, BLOCK + 1, 1000, 1024, 1025, 1030, 3001])
 @pytest.mark.parametrize("j0", [0, 1])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
-    # the corrector sums start at node 1; j0 = 1 is the history of a
-    # right-hand side singular at 0, which stores f[0] = 0, and with j0 = 0
-    # the blocks must leave the node-0 value out
+    # the corrector sums run over the unknowns f[1..n], which are all the
+    # blocks see; j0 = 1 is the history of a right-hand side singular at 0,
+    # which stores f[0] = 0, and with j0 = 0 the reference must leave the
+    # node-0 value out as well
     rng = np.random.default_rng(n + 10 * j0 + with_v)
     bx, ax, bv, av = (rng.normal(size=n + 1) for _ in range(4))
     rows = (ax, av) if with_v else (ax,)
     f = rng.normal(size=n + 1)
     if j0 == 1:
         f[0] = 0.0
-    blocked = BlockedHistory(rows, f)
+    blocked = BlockedHistory(rows, f[1:])
     i, j = np.indices((LOWER, LOWER))
     for r, w in enumerate(rows):  # strictly lower Toeplitz in the weights
         assert np.array_equal(blocked.lower[r], np.where(i > j, w[i - j], 0.0))
-    for start in range(0, n + 1, BLOCK):
-        outside = blocked.block(start)
-        first = max(start, 1) - start
-        for m in range(start + first, min(start + BLOCK, n + 1)):
+    for start in range(1, n + 1, BLOCK):  # the block of unknowns from node start
+        outside = blocked.block(start - 1)
+        for m in range(start, min(start + BLOCK, n + 1)):
             i = m - start
             # the in-block sums of the block's values up to node m, at node m
-            got = outside[:, i] + blocked.inblock(f[start + first:m + 1])[:, -1]
+            got = outside[:, i] + blocked.inblock(f[start:m + 1])[:, -1]
             # the corrector sums (cx, cv) of the direct per-step reference and
             # the sums of |w| |f| over the same terms
             want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, j0)[1::2])
@@ -172,7 +172,21 @@ def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
     # and no node is left to root finding, which records _FIXED_POINT_CAP
     assert not (iters == solvers._FIXED_POINT_CAP).any()
     # example46 never stalls, so its sweeps are those of diagonal Newton
-    assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 11258
+    assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 11264
+
+
+@pytest.mark.parametrize("n", [512, 1024, 2048])
+def test_a_grid_of_2k_steps_fills_whole_blocks(monkeypatch, n):
+    # the history is indexed by the unknowns f[1..n], so n = 2^k of them fill
+    # n / 512 blocks: one window per block, and a square for every block but
+    # the first
+    sweep, add_block = solvers._sweep, BlockedHistory._add_block
+    windows, squares = [], []
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: windows.append(args) or sweep(*args))
+    monkeypatch.setattr(BlockedHistory, "_add_block",
+                        lambda self, m: squares.append(m) or add_block(self, m))
+    _builtin_solution("manufactured_tau2", n)
+    assert (len(windows), len(squares)) == (n // BLOCK, n // BLOCK - 1)
 
 
 def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):
@@ -195,10 +209,10 @@ def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):
     assert not builds
 
 
-@pytest.mark.parametrize("n", [2 ** 17, 2 ** 18])
+@pytest.mark.parametrize("n", [2 ** 17, 2 ** 18, 2 ** 19])
 def test_example63_forced_sends_no_node_to_root_finding_at_large_n(n):
     # the first Newton window after the capped first block sits at the edge
-    # of the stop rule; its in-block sums must not round differently from the
-    # sums of the block's f-values that the stop rule was tuned with
+    # of the stop rule; its sums must be causal, as its Jacobian is, so that
+    # the rounding of later, unconverged nodes cannot move a converged one
     iters = _builtin_solution("example63_forced", n).corrector_iterations
     assert not (iters == solvers._FIXED_POINT_CAP).any()
