@@ -4,19 +4,20 @@ A finite-horizon computation cannot certify a limit, so everything here
 reports falsifiable surrogates: trailing-window spreads, extrapolated tail
 values, residuals of limit identities at the final node, and
 convergence/divergence verdicts for improper integrals backed by analytic
-tail tags.
+tail tags.  `improper_tail` takes its doubling pieces, and their quadrature,
+from `bounds.dyadic_pieces`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ._scipy import quad
-from .bounds import _QUAD_OPTS, BoundReport
+from .bounds import BoundReport, dyadic_pieces
 from .errors import DomainError
 from .fracops import rl_integral
 from .gamma import gamma_fn
@@ -205,21 +206,19 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
         return TailEstimate(math.inf, "diverges")
 
     total = 0.0
-    lo = split
-    hi = max(1.0, 2.0 * split)
     increments = []
-    for _ in range(64):
-        piece = _piece(f, lo, hi)
+    pieces = dyadic_pieces(f, split)
+    for hi, piece in islice(pieces, 64):
         total += piece
         increments.append(abs(piece))
-        lo, hi = hi, 2.0 * hi
         if increments[-1] < 1e-10:
             break
 
     if integrand.tail_class == "exponential":
-        return TailEstimate(total + _exponential_tail_bound(f, lo), "converges")
+        # one more piece dominates the geometric remainder
+        return TailEstimate(total + abs(next(pieces)[1]), "converges")
     if integrand.tail_class == "power":
-        tail = lo ** (p_total + 1.0) / (-1.0 - p_total)
+        tail = hi ** (p_total + 1.0) / (-1.0 - p_total)
         return TailEstimate(total + tail, "converges")
 
     # untagged integrand: demand clear geometric decay of the increments
@@ -231,28 +230,13 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     return TailEstimate(total, "inconclusive")
 
 
-def _piece(f: Callable[[float], float], lo: float, hi: float) -> float:
-    """int_lo^hi f by quad; an overflow of f is a DomainError naming the piece."""
-    try:
-        return quad(f, lo, hi, **_QUAD_OPTS)[0]
-    except OverflowError:
-        raise DomainError(f"tail integrand overflows a float on the piece "
-                          f"[{lo:g}, {hi:g}]") from None
-
-
-def _exponential_tail_bound(f: Callable[[float], float], H: float) -> float:
-    """Crude remainder bound past H for exponentially decaying integrands:
-    one more dyadic piece dominates the geometric remainder."""
-    return abs(_piece(f, H, 2.0 * H))
-
-
 def integrable_limit_check(fgrid: GridFunction, alpha: float,
                            tau_list, total_integral: float) -> list[float]:
     """Residuals of the averaged-integral limit
         (1/tau^alpha) J^(alpha+1) f(tau) -> total_integral / Gamma(alpha+1)
     at the requested times; J^(alpha+1) is realized as J^1 o J^alpha."""
     inner = rl_integral(fgrid, alpha)
-    outer = GridFunction(fgrid.t_end, inner.values).cumulative_integral()
+    outer = inner.cumulative_integral()
     limit = total_integral / gamma_fn(alpha + 1.0)
     out = []
     for tau in tau_list:

@@ -16,6 +16,10 @@ Conventions used throughout:
   construction is inapplicable, not that the code failed.
 * Class memberships (comparison functions, Lipschitz-majorant pairs) are
   falsified on sampling lattices, never proven.
+* Every improper integral, here and in asymptotics, is cut into the
+  doubling pieces of `dyadic_pieces`, [lo, max(1, 2 lo)] and then [hi, 2 hi];
+  an integrand that overflows a float on a piece raises DomainError naming
+  that piece.
 """
 
 from __future__ import annotations
@@ -23,7 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable
+from itertools import islice
+from typing import Callable, Iterator
 
 import numpy as np
 
@@ -49,6 +54,7 @@ __all__ = [
     "singular_convolution_constant",
     "uniform_bound_constant",
     "reciprocal_tail_verdict",
+    "dyadic_pieces",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
@@ -380,20 +386,29 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
     return inv ** (1.0 / q) if math.isfinite(inv) else math.inf
 
 
+def dyadic_pieces(f: Callable[[float], float], lo: float) -> Iterator[tuple[float, float]]:
+    """Yield (hi, int_lo^hi f) by quad for hi = max(1, 2 lo), then for each
+    next piece [hi, 2 hi], without end; an overflow of f is a DomainError
+    naming the piece."""
+    hi = max(1.0, 2.0 * lo)
+    while True:
+        try:
+            val, _ = quad(f, lo, hi, **_QUAD_OPTS)
+        except OverflowError:
+            raise DomainError(f"tail integrand overflows a float on the piece "
+                              f"[{lo:g}, {hi:g}]") from None
+        yield hi, val
+        lo, hi = hi, 2.0 * hi
+
+
 def reciprocal_tail_verdict(fn: Callable[[float], float]) -> str:
     """Classify int^inf ds / fn(s): 'diverges', 'converges' or 'inconclusive'.
 
-    Works on dyadic pieces of the reciprocal integrand; the piece ratio of a
-    power-law tail s^p is 2^(1-p), so ratios >= 1 pin divergence and ratios
-    bounded below 1 pin convergence.
+    Works on the first 44 dyadic pieces of the reciprocal integrand from 1;
+    the piece ratio of a power-law tail s^p is 2^(1-p), so ratios >= 1 pin
+    divergence and ratios bounded below 1 pin convergence.
     """
-    pieces = []
-    lo = 1.0
-    for _ in range(44):
-        hi = 2.0 * lo
-        val, _ = quad(lambda s: 1.0 / fn(s), lo, hi, **_QUAD_OPTS)
-        pieces.append(val)
-        lo = hi
+    pieces = [val for _, val in islice(dyadic_pieces(lambda s: 1.0 / fn(s), 1.0), 44)]
     ratios = [pieces[i + 1] / pieces[i] for i in range(len(pieces) - 1) if pieces[i] > 0]
     tail_ratios = ratios[-8:]
     if not tail_ratios:
@@ -458,15 +473,12 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
 
 def _improper_integral(fn: Callable[[float], float], what: str) -> float:
     """Integral of fn over [0, inf) by horizon doubling; raises
-    HypothesisViolation when the pieces do not settle."""
-    total, _ = quad(fn, 0.0, 1.0, **_QUAD_OPTS)
-    lo = 1.0
+    HypothesisViolation when the pieces past 1 do not settle."""
+    pieces = dyadic_pieces(fn, 0.0)
+    _, total = next(pieces)
     settled = 0
-    for _ in range(64):
-        hi = 2.0 * lo
-        piece, _ = quad(fn, lo, hi, **_QUAD_OPTS)
+    for _, piece in islice(pieces, 64):
         total += piece
-        lo = hi
         if abs(piece) <= 1e-12 * (1.0 + abs(total)):
             settled += 1
             if settled >= 2:

@@ -417,3 +417,6 @@ def test_reciprocal_tail_verdicts():
     assert reciprocal_tail_verdict(lambda s: s ** (14.0 / 15.0)) == "diverges"
     assert reciprocal_tail_verdict(lambda s: s) == "diverges"
     assert reciprocal_tail_verdict(lambda s: s ** 2) == "converges"
+    # 1/fn = e^s overflows a float from s = 710 on
+    with pytest.raises(DomainError, match=r"piece \[512, 1024\]"):
+        reciprocal_tail_verdict(lambda s: 1.0 / math.exp(s))

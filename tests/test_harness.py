@@ -678,6 +678,20 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
     assert len(lines) == 1 and lines[0].startswith(err), lines
 
 
+def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, capsys):
+    # phi1^q phi2^q of the boundedness check overflows on the first piece of
+    # its reciprocal-integral verdict
+    doc = json.loads(resources.files("fracasym.configs").joinpath("example63_forced.json")
+                     .read_text())
+    doc["checks"][0]["q"] = 1024
+    config = tmp_path / "huge_q.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: tail integrand overflows a float on the piece [1, 2]\n"
+
+
 def test_cli_names_the_function_that_encloses_an_overflowing_closure(tmp_path, capsys):
     # the Bihari transform's integrand is a closure of bounds.bihari_transform,
     # named from the enclosing frame that holds its code object

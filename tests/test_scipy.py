@@ -2,8 +2,9 @@
 
 scipy is imported on the first call of `fracasym._scipy.quad` or `brentq`,
 so a run that never integrates adaptively or root-finds never loads it.
-perfbench counts the bound layer's quadratures by wrapping `bounds.quad`,
-so the checks must call it through that module attribute.
+perfbench counts the quadratures of the bound and improper-tail checks
+by wrapping `bounds.quad`, so every adaptive quadrature of a check must
+go through that module attribute.
 """
 
 import json
@@ -11,6 +12,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+import scipy.integrate
 
 import fracasym.bounds as bounds
 from fracasym import harness
@@ -49,27 +52,41 @@ def test_scipy_is_loaded_only_by_the_checks_that_need_it():
     assert "scipy.integrate" in result["after"]
 
 
-def _run_one_check(ident, check_name):
+def _builtin_check(ident, check_name):
+    return next(c for c in harness.load_builtin_config(ident).checks
+                if c["name"] == check_name)
+
+
+def _run_one_check(ident, check):
     config = harness.load_builtin_config(ident)
     doc = {"id": ident, "problem": config.problem,
-           "grid": dict(config.grid, n_steps=256),
-           "checks": [c for c in config.checks if c["name"] == check_name]}
+           "grid": dict(config.grid, n_steps=256), "checks": [check]}
     return harness.run(harness.load_config(doc), expectations={})
 
 
-def test_bound_checks_integrate_through_the_module_name(monkeypatch):
-    calls = []
-    quad = bounds.quad
-
+def _recording(calls, fn):
     def recording(*args, **kwargs):
         calls.append(args)
-        return quad(*args, **kwargs)
+        return fn(*args, **kwargs)
+    return recording
 
-    monkeypatch.setattr(bounds, "quad", recording)
-    for ident, check_name in (("example46", "bound_envelope"),
-                              ("example63_forced", "boundedness")):
+
+def test_bound_checks_integrate_through_the_module_name(monkeypatch):
+    # _scipy.quad looks scipy.integrate.quad up on each call, so the second
+    # wrapper sees every adaptive quadrature, whichever module asked for it
+    calls, scipy_calls = [], []
+    monkeypatch.setattr(bounds, "quad", _recording(calls, bounds.quad))
+    monkeypatch.setattr(scipy.integrate, "quad",
+                        _recording(scipy_calls, scipy.integrate.quad))
+    cases = (("example46", _builtin_check("example46", "bound_envelope")),
+             ("example63_forced", _builtin_check("example63_forced", "boundedness")),
+             ("example46", {"name": "hypothesis", "integrand": {"name": "exp_decay"},
+                            "expect": "converges"}))
+    for ident, check in cases:
         calls.clear()
-        report = _run_one_check(ident, check_name)
-        assert [c.name for c in report.checks] == [check_name]
+        scipy_calls.clear()
+        report = _run_one_check(ident, check)
+        assert [c.name for c in report.checks] == [check["name"]]
         assert report.checks[0].status == "PASS"
-        assert calls, f"{check_name} made no call through bounds.quad"
+        assert calls, f"{check['name']} made no call through bounds.quad"
+        assert len(scipy_calls) == len(calls), check["name"]
