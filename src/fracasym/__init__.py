@@ -7,7 +7,6 @@ power-type asymptotics numerically.  A CLI harness (`fracasym`) drives
 reproducible, config-described experiment runs.
 """
 
-from ._core import backend_name
 from .asymptotics import (SlopeEstimate, TailEstimate, boundedness_verdict,
                           improper_tail, integrable_limit_check, lhopital_lemma_term,
                           lhopital_residual, power_slope)
@@ -26,6 +25,13 @@ from .solvers import (ProblemKind, ProblemSpec, RightHandSide, Solution,
                       residual_check, solve_direct, solve_sequential)
 
 __version__ = "0.1.0"
+
+
+def backend_name() -> str:
+    """Name of the kernel implementation, for benchmark environment stamps:
+    always 'python'."""
+    return "python"
+
 
 __all__ = [
     "__version__",

@@ -141,14 +141,8 @@ class BoundReport:
 
 
 @lru_cache(maxsize=256)
-def _ensure_valid_phi(phi: ComparisonFunction) -> bool:
-    phi.validate()
-    return True
-
-
-@lru_cache(maxsize=256)
-def _ensure_valid_lip(f: LipschitzClassFunction) -> bool:
-    f.validate()
+def _ensure_valid(obj: ComparisonFunction | LipschitzClassFunction) -> bool:
+    obj.validate()
     return True
 
 
@@ -239,7 +233,7 @@ def bihari_bound_curve(c1: float, c2: float, c3: float, gamma: float,
     """bihari_bound evaluated at many times in one pass (times ascending)."""
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    _ensure_valid_phi(phi)
+    _ensure_valid(phi)
     _check_nonnegative(g, "g")
     if taus is None:
         taus = g.taus
@@ -302,8 +296,8 @@ def linear_class_bound(c1: float, c2: float, c3: float, c4: float, gamma: float,
             raise DomainError(f"{name} must be positive, got {c}")
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    _ensure_valid_lip(F1)
-    _ensure_valid_lip(F2)
+    _ensure_valid(F1)
+    _ensure_valid(F2)
     _check_nonnegative(h, "h")
     if tau == 0.0:
         return 0.0 if gamma > 0 else c1
@@ -374,8 +368,8 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
         raise DomainError("k1 and k2 must be non-negative")
     if variant not in ("corrected", "literal"):
         raise DomainError(f"variant must be 'corrected' or 'literal', got {variant!r}")
-    _ensure_valid_phi(phi1)
-    _ensure_valid_phi(phi2)
+    _ensure_valid(phi1)
+    _ensure_valid(phi2)
     _check_nonnegative(h, "h")
 
     comp = _composite_power_nonlinearity(phi1, phi2, q, xi0)
@@ -441,7 +435,7 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    _ensure_valid_phi(phi)
+    _ensure_valid(phi)
     _check_nonnegative(P, "P")
     if P.t_end < 1.0:
         raise DomainError("P must be sampled on a grid covering [0, 1]")
@@ -503,8 +497,8 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
     """
     if not 0 < beta < alpha < 1:
         raise DomainError(f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}")
-    _ensure_valid_lip(F1)
-    _ensure_valid_lip(F2)
+    _ensure_valid(F1)
+    _ensure_valid(F2)
     c3 = max(1.0 / gamma_fn(alpha + 1.0), 1.0 / gamma_fn(alpha - beta + 1.0))
     c2 = abs(b2) * c3
     ab = abs(b1)
@@ -575,8 +569,8 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     """
     if spec.kind is not ProblemKind.DIRECT:
         raise DomainError("uniform_bound_constant applies to direct problems")
-    _ensure_valid_phi(phi1)
-    _ensure_valid_phi(phi2)
+    _ensure_valid(phi1)
+    _ensure_valid(phi2)
     _check_nonnegative(h, "h")
     k1 = singular_convolution_constant(spec.alpha, spec.beta, q, tau0)
     comp = _composite_power_nonlinearity(phi1, phi2, q, min(phi1.xi0, phi2.xi0))

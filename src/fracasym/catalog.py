@@ -139,8 +139,11 @@ def _build(table: dict, kind: str, name: str, params: dict):
 def make_rhs(name: str, params: dict | None, alpha: float, kind: str) -> RightHandSide:
     params = dict(params or {})
     if name == "manufactured_power_mu":
-        params.setdefault("alpha", alpha)
-        params.setdefault("kind", kind)
+        for key in ("alpha", "kind"):
+            if key in params:
+                raise ConfigError(f"rhs {name!r} takes {key} from the problem, "
+                                  f"not from its param {key!r}")
+        params.update(alpha=alpha, kind=kind)
     return _build(RHS, "rhs", name, params)
 
 

@@ -14,8 +14,10 @@ check failures.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 from pathlib import Path
+from types import FunctionType
 
 from . import harness
 from .errors import ConfigError, FracasymError, StepFailure
@@ -71,21 +73,19 @@ def _load(args) -> harness.ExperimentConfig:
 
 def _innermost(exc: BaseException) -> str:
     """module.function of the innermost fracasym frame exc passed through; a
-    nested function is named after the functions that enclose it, as in
-    bounds.bihari_transform.<locals>.integrand."""
-    where, tb, names = "cli.main", exc.__traceback__, {}
+    nested function is named by the __qualname__ of the function that runs
+    the frame's code, as in bounds.bihari_transform.<locals>.integrand."""
+    frame, tb = None, exc.__traceback__
     while tb is not None:
-        module = tb.tb_frame.f_globals.get("__name__", "")
-        if module.startswith("fracasym."):
-            code = tb.tb_frame.f_code
-            # the nearest enclosing frame holds the nested code object
-            outer = next((known for enclosing, known in reversed(names.items())
-                          if code in enclosing.co_consts), None)
-            name = code.co_name if outer is None else f"{outer}.<locals>.{code.co_name}"
-            names[code] = name
-            where = f"{module.removeprefix('fracasym.')}.{name}"
+        if tb.tb_frame.f_globals.get("__name__", "").startswith("fracasym."):
+            frame = tb.tb_frame
         tb = tb.tb_next
-    return where
+    if frame is None:
+        return "cli.main"
+    code = frame.f_code
+    name = next((ref.__qualname__ for ref in gc.get_referrers(code)
+                 if isinstance(ref, FunctionType) and ref.__code__ is code), code.co_name)
+    return f"{frame.f_globals['__name__'].removeprefix('fracasym.')}.{name}"
 
 
 def main(argv=None) -> int:

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ._core import kernels
+from . import kernels
 from .errors import DomainError
 from .gamma import gamma_fn
 from .grid import GridFunction, as_order

@@ -71,7 +71,7 @@ solved by bracketed root finding and it records _FIXED_POINT_CAP
 iterations; every other node records the sweeps of its window, fewer than
 that.
 
-The history from before the block comes from `_core.history.BlockedHistory`,
+The history from before the block comes from `history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
 exists, so a solve costs O(N log^2 N).  The committed prefix of the block
 enters through the in-block sums of the block's f-values that each commit's
@@ -96,14 +96,14 @@ from typing import Callable
 
 import numpy as np
 
-from ._core import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
-from ._core.history import BLOCK, LOWER, BlockedHistory
+from . import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
 from ._scipy import brentq
 from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rl_integral, trapezoid_coefficients
 from .fracops import rectangle_coefficients  # noqa: F401  perfbench/spans.py wraps it by name
 from .gamma import gamma_fn
 from .grid import GridFunction
+from .history import BLOCK, LOWER, BlockedHistory
 
 __all__ = [
     "ProblemKind",

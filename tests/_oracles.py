@@ -21,7 +21,7 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from fracasym._core import kernels
+from fracasym import kernels
 from fracasym.fracops import rectangle_coefficients, trapezoid_coefficients
 from fracasym.gamma import gamma_fn
 from fracasym.grid import GridFunction

@@ -8,7 +8,7 @@ import pytest
 
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, RightHandSide,
                       solve_direct, solve_sequential)
-from fracasym import catalog, cli, harness
+from fracasym import bounds, catalog, cli, harness
 from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
 
 
@@ -511,6 +511,29 @@ def test_a_manufactured_power_of_high_degree_loads():
         math.gamma(151.0) / math.gamma(150.5), rel=1e-14)
 
 
+@pytest.mark.parametrize("key, value", [("alpha", 0.9), ("kind", 1)])
+def test_cli_rejects_a_manufactured_rhs_param_the_problem_sets(key, value, tmp_path, capsys,
+                                                               monkeypatch):
+    # the source is built for the problem's alpha and kind; a param of the
+    # same name would build another problem's source
+    doc = json.loads(resources.files("fracasym.configs")
+                     .joinpath("manufactured_tau2.json").read_text())
+    doc["problem"]["rhs"]["params"][key] = value
+    path = tmp_path / "shadow.json"
+    path.write_text(json.dumps(doc))
+
+    def unreachable(*args):
+        raise AssertionError("solved before the config was checked")
+
+    monkeypatch.setattr(harness, "solve_direct", unreachable)
+    monkeypatch.setattr(harness, "solve_sequential", unreachable)
+    assert cli.main(["study", str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"config error: rhs 'manufactured_power_mu' takes {key} from "
+                            f"the problem, not from its param {key!r}\n")
+
+
 def test_study_requires_exact_solution():
     doc = make_config()
     doc["problem"]["rhs"] = {"name": "exp_decay_power",
@@ -705,6 +728,17 @@ def test_cli_names_the_function_that_encloses_an_overflowing_closure(tmp_path, c
     assert captured.out == ""
     assert captured.err == ("error: OverflowError in "
                             "bounds.bihari_transform.<locals>.integrand: math range error\n")
+
+
+def test_cli_names_a_closure_called_after_its_maker_returned():
+    # no frame of the maker is left in the traceback; the closure's own
+    # function object carries the enclosing name
+    phi = bounds._composite_power_nonlinearity(
+        catalog.make_phi("constant", {"value": 1e200}), catalog.make_phi("identity"),
+        2.0, 1e-8)
+    with pytest.raises(OverflowError) as info:
+        phi(4.0)
+    assert cli._innermost(info.value) == "bounds._composite_power_nonlinearity.<locals>.fn"
 
 
 # a weight with a pole at 0: the envelope's weighted tail diverges (-0.5 +

@@ -13,9 +13,9 @@ import numpy as np
 import pytest
 
 from _oracles import march_reference
-from fracasym import catalog, harness, solvers
-from fracasym._core import kernels
-from fracasym._core.history import BLOCK, LOWER, BlockedHistory
+from fracasym import catalog, harness, kernels, solvers
+from fracasym.fracops import trapezoid_coefficients
+from fracasym.history import BLOCK, LOWER, BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_sequential
 
 
@@ -24,19 +24,18 @@ from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_seque
 # end; 1024: whole blocks; 1025 = 2^10 + 1: the square of 512 is cut to one
 # target by the grid's end; 1030 = 2^10 + 6: that square is cut to 6 targets
 @pytest.mark.parametrize("n", [129, BLOCK - 1, BLOCK + 1, 1000, 1024, 1025, 1030, 3001])
-@pytest.mark.parametrize("j0", [0, 1])
+@pytest.mark.parametrize("trapezoid", [0, 1])
 @pytest.mark.parametrize("with_v", [True, False])
-def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
+def test_blocked_history_matches_direct_sums_at_every_step(n, trapezoid, with_v):
     # the corrector sums run over the unknowns f[1..n], which are all the
-    # blocks see; j0 = 1 is the history of a right-hand side singular at 0,
-    # which stores f[0] = 0, and with j0 = 0 the reference must leave the
-    # node-0 value out as well
-    rng = np.random.default_rng(n + 10 * j0 + with_v)
+    # blocks see; the weight rows are random, or with trapezoid = 1 the
+    # solver's own, of a growing kernel (mu = 1.5) and a singular one (mu = 0.25)
+    rng = np.random.default_rng(n + 10 * trapezoid + with_v)
     bx, ax, bv, av = (rng.normal(size=n + 1) for _ in range(4))
+    if trapezoid:
+        ax, av = (trapezoid_coefficients(mu, n)[0] for mu in (1.5, 0.25))
     rows = (ax, av) if with_v else (ax,)
     f = rng.normal(size=n + 1)
-    if j0 == 1:
-        f[0] = 0.0
     blocked = BlockedHistory(rows, f[1:])
     i, j = np.indices((LOWER, LOWER))
     for r, w in enumerate(rows):  # strictly lower Toeplitz in the weights
@@ -49,9 +48,9 @@ def test_blocked_history_matches_direct_sums_at_every_step(n, j0, with_v):
             got = outside[:, i] + blocked.inblock(f[start:m + 1])[:, -1]
             # the corrector sums (cx, cv) of the direct per-step reference and
             # the sums of |w| |f| over the same terms
-            want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, j0)[1::2])
+            want = np.array(kernels.pc_sums(bx, ax, bv, av, f, m, 1)[1::2])
             size = np.array(kernels.pc_sums(np.abs(bx), np.abs(ax), np.abs(bv),
-                                            np.abs(av), np.abs(f), m, j0)[1::2])
+                                            np.abs(av), np.abs(f), m, 1)[1::2])
             assert np.all(np.abs(got - want[:len(rows)]) <= 1e-12 * size[:len(rows)]), m
 
 

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+import fracasym
 import fracasym.fracops as fracops
 import fracasym.solvers as solvers
 from fracasym import harness
@@ -25,7 +26,8 @@ KERNEL_NAMES = ("pc_sums", "trap_apply", "conv_lower")
 
 
 def test_solvers_and_fracops_share_one_kernels_module():
-    assert solvers.kernels is fracops.kernels
+    assert fracasym.kernels is solvers.kernels is fracops.kernels
+    assert fracasym.backend_name() == "python"  # the benchmark stamps it
     for name in KERNEL_NAMES:
         assert callable(getattr(solvers.kernels, name))
 

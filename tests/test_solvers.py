@@ -8,7 +8,7 @@ from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
 from fracasym.catalog import make_rhs, signed_power
 from fracasym import solvers
-from fracasym._core.history import BlockedHistory
+from fracasym.history import BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
 
 INV_GAMMA_1_5 = 1.1283791670955126
