@@ -37,9 +37,10 @@ makes one elementwise call of the right-hand side's fused `partials`, which
 returns F, F_u and F_v together; a right-hand side without it is called
 through `fn`, with both partials 0.  Every node starts from f at the node
 before the window.  A node has converged once scale |delta phi| <= 1e-12
-(1 + |x|) held in two sweeps in a row (scale = |k_x| + |k_v|) and the last
-sweep's changes of the nodes up to it move its x and Dbeta x by no more,
-in-block sums included:
+(1 + |x|) held in two sweeps in a row (scale = |k_x| + |k_v|), or in one
+sweep that moved no node of the window (every delta phi exactly 0: the next
+sweep would repeat it bit for bit), and the last sweep's changes of the
+nodes up to it move its x and Dbeta x by no more, in-block sums included:
 
     scale |delta phi_i| + sum_{j<i} (w_x a_x[i-j] + w_v a_v[i-j]) |delta phi_j|
         <= 1e-12 (1 + |x_i|).
@@ -48,7 +49,10 @@ The window commits its longest converged prefix and starts again at the
 first node that had not.  The sweep that checks this coupled rule sums the
 last changes and the block's f-values with the new iterates in one stacked
 `inblock` call, so a window attempt makes one in-block transform per sweep
-and one more for the check and the commit together.
+and one more for the check and the commit together.  A diagonal attempt
+whose window is its whole block and whose last sweep moved no node (as for
+a source that does not depend on the state) makes no such call: its changes
+are 0, and the block's in-block sums are that sweep's own transform.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
@@ -286,13 +290,18 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     (in a Newton attempt with history.lower[:, :size, :size] @ phi, the
     dense causal sums its Jacobian is built from, for the FFT), one row of
     base, w and k, and of the weights of history, per quantity (x, then
-    Dbeta x unless it is x); w and k are columns, the same at every node.  values holds the f-values of the window's block, 0 from the
-    window on, which starts at values[offset].  Returns (number of leading
-    nodes that converged, sweeps made, iterate, in-block sums of values
-    with the converged iterates written in); the nodes from the first one
-    whose iterate is not finite are cut.  The sums are None where the last
-    sweep did not yield them: no node converged, or the stop rule's reach
-    cut the converged prefix."""
+    Dbeta x unless it is x); w and k are columns, the same at every node.
+    values holds the f-values of the window's block, 0 from the window on,
+    which starts at values[offset].  A node has converged once it passed the
+    stop rule in two sweeps in a row, or in a sweep that moved no node.
+    Returns (number of leading nodes that converged, sweeps made, iterate,
+    in-block sums of values with the converged iterates written in); the
+    nodes from the first one whose iterate is not finite are cut.  The sums
+    come from the stacked transform that checks the stop rule's reach, or,
+    where a diagonal sweep moved no node of a window that is its whole block
+    (offset 0, every node converged), from that sweep's own transform.  They
+    are None where the last sweep did not yield them: no node converged, or
+    the stop rule's reach cut the converged prefix."""
     scale = abs(k[0, 0]) + abs(k[-1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
@@ -327,10 +336,17 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             change = np.abs(new - phi[:size])
             tol = _FIXED_POINT_TOL * (1.0 + np.abs(x))
             ok = scale * change <= tol
-            # a node is converged once it passed the stop rule in two sweeps in a row
-            both = ok & passed
+            # a node is converged once it passed the stop rule in two sweeps
+            # in a row, or in a sweep that moved no node of the window: the
+            # next sweep would repeat that one exactly
+            still = size == phi.size and not change.any()
+            both = ok & (passed | still)
             done = size if both.all() else int(both.argmin())
-            if done and (done == size or sweep == _FIXED_POINT_CAP - 1):
+            if still and done == values.size and not newton:
+                # the whole block at a fixed point: the last changes are 0 and
+                # its in-block sums are this sweep's own
+                sums = inner
+            elif done and (done == size or sweep == _FIXED_POINT_CAP - 1):
                 # and the last changes of the nodes up to it, through the
                 # in-block sums (w a[i-j] >= 0), move its x, Dbeta x by no
                 # more; the same transform sums values with the new iterates

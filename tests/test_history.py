@@ -8,6 +8,7 @@ corrector must reproduce the scalar predictor-corrector of
 """
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -186,6 +187,66 @@ def test_a_grid_of_2k_steps_fills_whole_blocks(monkeypatch, n):
                         lambda self, m: squares.append(m) or add_block(self, m))
     _builtin_solution("manufactured_tau2", n)
     assert (len(windows), len(squares)) == (n // BLOCK, n // BLOCK - 1)
+
+
+def _count_inblock(monkeypatch):
+    """The ndim of the values of every `BlockedHistory.inblock` call from now on."""
+    inblock, calls = BlockedHistory.inblock, []
+    monkeypatch.setattr(BlockedHistory, "inblock",
+                        lambda self, g: calls.append(g.ndim) or inblock(self, g))
+    return calls
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4099])
+@pytest.mark.parametrize("ident, sweeps", [("manufactured_tau2", 2),
+                                           ("manufactured_tau2_seq", 2), ("zero_rhs", 1)])
+def test_a_state_independent_block_ends_at_its_fixed_point(monkeypatch, ident, sweeps, n):
+    # the source does not depend on the state, so the first sweep moves each
+    # iterate onto its f-value (zero_rhs starts on it) and the next one moves
+    # no node: that sweep ends the block, and its own transform, one 1-d
+    # in-block call, gives the block's sums without a stacked check
+    calls = _count_inblock(monkeypatch)
+    iters = _builtin_solution(ident, n).corrector_iterations
+    assert np.all(iters[1:] == sweeps)
+    assert calls == [1] * (sweeps * -(-n // BLOCK))
+
+
+def test_newton_and_partial_windows_keep_the_stacked_check(monkeypatch):
+    # example63_forced stalls at its builtin N, so it has Newton attempts and
+    # windows after a partial commit; these still end in the stacked check,
+    # and its sweeps sum to what they did when only two passing sweeps in a
+    # row ended a window
+    sweep, windows = solvers._sweep, []
+    monkeypatch.setattr(solvers, "_sweep",
+                        lambda *args: windows.append((args[7], args[9])) or sweep(*args))
+    calls = _count_inblock(monkeypatch)
+    iters = _builtin_solution("example63_forced").corrector_iterations
+    newton, offsets = zip(*windows)  # the newton and offset arguments
+    assert any(newton) and any(offsets)
+    assert 2 in calls
+    assert iters.sum() == 7048
+
+
+def test_a_whole_block_fixed_point_commits_its_own_in_block_sums(monkeypatch):
+    # f depends on tau alone and lies within a factor 2 of the start, so the
+    # first sweep lands on it exactly and the second moves no node: the block
+    # ends there and returns that sweep's own transform as its sums
+    rows = tuple(trapezoid_coefficients(mu, BLOCK)[0] for mu in (1.6, 0.3))
+    history = BlockedHistory(rows, np.zeros(BLOCK))
+    tau = np.linspace(0.0, 1.0, BLOCK + 1)[1:]
+    w = np.array([[0.3], [0.2]])
+    f = solvers.RightHandSide(lambda t, u, v: 1.0 + 0.5 * np.sin(7.0 * t))
+    calls = _count_inblock(monkeypatch)
+    done, sweeps, phi, sums = solvers._sweep(f, tau, np.zeros((2, BLOCK)), w, history, w,
+                                             1.0, False, np.zeros(BLOCK), 0)
+    assert (done, sweeps, calls) == (BLOCK, 2, [1, 1])
+    assert np.array_equal(phi, f.fn(tau, 0.0, 0.0))
+    for a, got in zip(rows, sums):
+        # the direct sums over the pairs j < i, correctly rounded, against the
+        # FFT bound of test_a_stack_of_values_gets_the_in_block_sums_of_each
+        want = np.array([math.fsum(a[i:0:-1] * phi[:i]) for i in range(BLOCK)])
+        terms = np.convolve(np.abs(a[1:BLOCK]), np.abs(phi))[:BLOCK - 1].max()
+        assert np.all(np.abs(got - want) <= 1e-15 * terms)
 
 
 def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):
