@@ -1,8 +1,9 @@
 """scipy's `quad` and `brentq`, imported on first call.
 
 Importing scipy.integrate costs about half a second, and only the bound
-checks, the improper-tail checks and the corrector's root-finding fallback
-need it, so a run that reaches none of them never loads scipy.
+checks and the improper-tail checks need it (`brentq` serves
+`bounds.bihari_inverse` alone), so a run that reaches none of them never
+loads scipy.
 """
 
 

@@ -30,17 +30,21 @@ sweep applies L_x by one real FFT, `BlockedHistory.inblock`.
 Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
 2018):
 
-    phi <- phi - (phi - F) / (1 - F_u k_x - F_v k_v),
+    phi <- phi - (phi - F) / (1 - s),   s = F_u k_x + F_v k_v,
 
-with plain Picard where that denominator is not finite or is 0.  Each sweep
-makes one elementwise call of the right-hand side's fused `partials`, which
-returns F, F_u and F_v together; a right-hand side without it is called
-through `fn`, with both partials 0.  Every node starts from f at the node
-before the window.  A node has converged once scale |delta phi| <= 1e-12
-(1 + |x|) held in two sweeps in a row (scale = |k_x| + |k_v|), or in one
-sweep that moved no node of the window (every delta phi exactly 0: the next
-sweep would repeat it bit for bit), and the last sweep's changes of the
-nodes up to it move its x and Dbeta x by no more, in-block sums included:
+and phi <- F (plain Picard) where that denominator is 1, not finite or 0.
+Each sweep makes one elementwise call of the right-hand side's fused
+`partials`, which returns F, F_u and F_v together.  A right-hand side
+without it is called through `fn`, and s is the secant slope of F at each
+node from the last sweep to this one, (F - F_last) / (phi - phi_last): 0
+in the first sweep, where phi did not move and where F did not change, so
+a source that does not depend on the state takes Picard steps.  Every node
+starts from f at the node before the window.  A node has converged once
+scale |delta phi| <= 1e-12 (1 + |x|) held in two sweeps in a row (scale =
+|k_x| + |k_v|), or in one sweep that moved no node of the window (every
+delta phi exactly 0: the next sweep would repeat it bit for bit), and the
+last sweep's changes of the nodes up to it move its x and Dbeta x by no
+more, in-block sums included:
 
     scale |delta phi_i| + sum_{j<i} (w_x a_x[i-j] + w_v a_v[i-j]) |delta phi_j|
         <= 1e-12 (1 + |x_i|).
@@ -70,10 +74,10 @@ node order, where it is upper triangular, so that no row exchange mixes
 the rounding of later, unconverged nodes into the step of an earlier one.
 For the same reason a Newton attempt sums the window by the causal product
 with that dense block, not by FFT, whose rounding reaches every node.
-When the first node of a window does not converge, its scalar equation is
-solved by bracketed root finding and it records _FIXED_POINT_CAP
-iterations; every other node records the sweeps of its window, fewer than
-that.
+Every node records the sweeps of the window attempt that committed it,
+fewer than _FIXED_POINT_CAP.  A window whose first node does not converge
+raises StepFailure for that node: its iterate was not finite, or the
+sweeps reached the cap.
 
 The history from before the block comes from `history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
@@ -101,7 +105,6 @@ from typing import Callable
 import numpy as np
 
 from . import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
-from ._scipy import brentq
 from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rl_integral, trapezoid_coefficients
 from .fracops import rectangle_coefficients  # noqa: F401  perfbench/spans.py wraps it by name
@@ -121,7 +124,6 @@ __all__ = [
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_CAP = 10
-_BRACKET_EXPANSIONS = 80
 
 
 class ProblemKind(Enum):
@@ -135,8 +137,8 @@ class RightHandSide:
 
     fn must evaluate elementwise (numpy operations, np.where rather than a
     Python conditional): the solver calls it on arrays of nodes, and on
-    scalars at the lead node and in root finding.  A scalar result for
-    array arguments is broadcast.
+    scalars at the lead node.  A scalar result for array arguments is
+    broadcast.
 
     singular_at_zero: f cannot be evaluated at tau = 0 (e.g. a negative
     power prefactor); the solver switches to open quadrature on the first
@@ -145,9 +147,10 @@ class RightHandSide:
     partials: an elementwise call that returns (f, df/du, df/dv) at once,
     sharing their common factors, with f equal to fn's value bit for bit
     (a scalar partial is broadcast).  Each Newton sweep of the corrector
-    makes one such call; fn serves the lead node and root finding.  Without
-    partials the sweeps call fn and take both partials as 0 (plain Picard),
-    and a stalled window gets no full Newton steps.
+    makes one such call; fn serves the lead node.  Without partials the
+    sweeps call fn and take the secant slope of f between sweeps as the
+    diagonal of the Jacobian, and a stalled window gets no full Newton
+    steps.
     """
 
     fn: Callable[[float, float, float], float]
@@ -240,13 +243,12 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
         done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
                                          values, m - start)
         stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
-        if done:
-            fhist[m:m + done] = phi[:done]
-            iters[m:m + done] = sweeps
-        else:  # the window's first node: its equation alone, by root finding
-            fhist[m] = _root_find(f, m, taus[m], base[0, 0], k[0, 0], base[-1, 0], k[-1, 0], phi0)
-            iters[m] = _FIXED_POINT_CAP
-            done = 1
+        if not done:  # the window's first node
+            if not phi.size:
+                raise RhsEvaluationError(m, taus[m], "rhs value or corrector step not finite")
+            raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
+        fhist[m:m + done] = phi[:done]
+        iters[m:m + done] = sweeps
         # the in-block sums of the block's f-values, unless the last sweep's
         # transform already gave them
         carried[:] = history.inblock(values) if sums is None else sums
@@ -305,7 +307,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     scale = abs(k[0, 0]) + abs(k[-1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
-    sums = None
+    sums = last = None
     if newton:  # the strictly lower part of d(x[, Dbeta x])/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -315,20 +317,21 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             z = base[:, :size] + w * inner + k * phi
             x, v = z[0], z[-1]
             t = tau[:size]
-            if f.partials is None:
-                fx, fu, fv = f.fn(t, x, v), 0.0, 0.0
+            if f.partials is None:  # the secant slope of F from the last sweep to this one
+                fx, slope = _values(f.fn(t, x, v), t.shape), 0.0
+                if last is not None and not np.array_equal(fx, last[1][:size]):
+                    dphi = phi - last[0][:size]
+                    slope = np.where(dphi != 0.0, (fx - last[1][:size]) / dphi, 0.0)
+                last = phi, fx
             else:
                 fx, fu, fv = f.partials(t, x, v)
-            fx = _values(fx, t.shape)
-            # F_u k_x + F_v k_v, with v x itself when there is one row
-            denom = 1.0 - ((fu + fv) * k[0] if len(k) == 1 else fu * k[0] + fv * k[1])
-            step = phi - fx
+                fx = _values(fx, t.shape)
+                # F_u k_x + F_v k_v, with v x itself when there is one row
+                slope = (fu + fv) * k[0] if len(k) == 1 else fu * k[0] + fv * k[1]
             delta = None
             if newton:
-                delta = _newton_step(step, denom, fu, fv, coupling[:, :size, :size])
-            if delta is None:  # diagonal Newton, plain Picard where denom is not finite or 0
-                delta = np.where(np.isfinite(denom) & (denom != 0.0), step / denom, step)
-            new = phi - delta
+                delta = _newton_step(phi - fx, 1.0 - slope, fu, fv, coupling[:, :size, :size])
+            new = _diagonal_step(phi, fx, slope) if delta is None else phi - delta
             finite = np.isfinite(new)
             if not finite.all():  # the nodes from the first bad one on start over
                 size = int(finite.argmin())
@@ -385,6 +388,16 @@ def _newton_step(step, denom, fu, fv, coupling):
     return np.linalg.solve(jac[::-1, ::-1], step[::-1])[::-1]
 
 
+def _diagonal_step(phi, fx, slope):
+    """The diagonal Newton step phi - (phi - F) / (1 - slope); F itself (plain
+    Picard) where that denominator is 1, not finite or 0."""
+    if not np.any(slope):
+        return fx
+    denom = 1.0 - slope
+    picard = (denom == 1.0) | (denom == 0.0) | ~np.isfinite(denom)
+    return np.where(picard, fx, phi - (phi - fx) / denom)
+
+
 def _values(out, shape) -> np.ndarray:
     """A result of f as a float array of the given shape; a scalar is broadcast."""
     out = np.asarray(out, dtype=float)
@@ -396,36 +409,6 @@ def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> fl
     if not math.isfinite(val):
         raise RhsEvaluationError(node, tau, f"rhs returned non-finite value {val}")
     return float(val)
-
-
-def _root_find(f: RightHandSide, node: int, tau: float,
-               base_x: float, coef_x: float,
-               base_v: float, coef_v: float, phi: float) -> float:
-    """Solve phi = f(tau, base_x + coef_x phi, base_v + coef_v phi) by
-    bracketed root finding on g(phi) = phi - f(...), expanding a bracket
-    around the given phi."""
-    def g(p: float) -> float:
-        return p - _eval_rhs(f, node, tau, base_x + coef_x * p, base_v + coef_v * p)
-
-    lo = hi = phi
-    glo = ghi = g(phi)
-    radius = max(abs(phi), 1.0) * 1e-3
-    for _ in range(_BRACKET_EXPANSIONS):
-        if glo == 0.0:
-            return lo
-        if ghi == 0.0:
-            return hi
-        if glo * ghi < 0.0:
-            break
-        lo -= radius
-        hi += radius
-        glo = g(lo)
-        ghi = g(hi)
-        radius *= 2.0
-    else:
-        raise StepFailure(node, tau, "corrector did not converge and no root bracket found")
-
-    return float(brentq(g, lo, hi, xtol=1e-15, rtol=8.9e-16, maxiter=200))
 
 
 def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:

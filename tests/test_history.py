@@ -169,7 +169,8 @@ def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
     iters = _builtin_solution("example63_forced").corrector_iterations
     assert iters.size == 2049
     assert np.count_nonzero(iters == solvers._FIXED_POINT_CAP - 1) <= 16
-    # and no node is left to root finding, which records _FIXED_POINT_CAP
+    # and no node reaches the cap: a window whose first node does not
+    # converge raises StepFailure
     assert not (iters == solvers._FIXED_POINT_CAP).any()
     # example46 never stalls, so its sweeps are those of diagonal Newton
     assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 11264

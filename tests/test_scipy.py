@@ -1,7 +1,8 @@
 """The scipy boundary.
 
 scipy is imported on the first call of `fracasym._scipy.quad` or `brentq`,
-so a run that never integrates adaptively or root-finds never loads it.
+so a run that never integrates adaptively or inverts a Bihari transform
+never loads it; the corrector never does either.
 perfbench counts the quadratures of the bound and improper-tail checks
 by wrapping `bounds.quad`, so every adaptive quadrature of a check must
 go through that module attribute.
@@ -26,6 +27,8 @@ _PROBE = """
 import json, sys, tempfile
 import fracasym, fracasym.cli
 from fracasym import catalog, cli, harness
+from fracasym.catalog import signed_power
+from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide, solve_direct
 
 def scipy_loaded():
     return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
@@ -35,6 +38,9 @@ with tempfile.TemporaryDirectory() as tmp:
         harness.load_builtin_config(ident)
     codes = [cli.main(["catalog"]),
              cli.main(["study", "manufactured_tau2", "--n-steps", "64", "--out-dir", tmp])]
+    # a stiff right-hand side without partials: the corrector's own sweeps
+    stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
+    solve_direct(ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff), 2.0, 128)
     before = scipy_loaded()
     codes.append(cli.main(["solve", "example46", "--n-steps", "256", "--out-dir", tmp]))
 print(json.dumps({"codes": codes, "before": before, "after": scipy_loaded()}))

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -6,8 +7,8 @@ from scipy.special import zeta
 
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
-from fracasym.catalog import make_rhs, signed_power
-from fracasym import solvers
+from fracasym.catalog import build_problem_spec, make_rhs, signed_power
+from fracasym import harness, solvers
 from fracasym.history import BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
 
@@ -239,15 +240,53 @@ def test_open_first_subinterval_rule_converges_to_the_power_rule(kind, beta):
     assert all(math.log2(errs[i] / errs[i + 1]) >= 0.5 for i in range(2))  # 1 - g = 0.6
 
 
-def test_corrector_falls_back_to_root_finding():
-    # strong derivative coupling stalls the plain fixed point near v = 0
+def test_secant_sweeps_solve_a_stiff_rhs_without_partials():
+    # strong derivative coupling near v = 0: plain Picard sweeps stall here,
+    # and the secant slope of F between sweeps gives the diagonal Newton step
     stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff)
     sol = solve_direct(spec, 2.0, 128)
-    assert sol.corrector_iterations.max() == 10  # cap reached, fallback engaged
+    assert sol.corrector_iterations.max() < solvers._FIXED_POINT_CAP
     f = np.array([stiff(t, u, v) for t, u, v in
                   zip(sol.x.taus[1:], sol.x.values[1:], sol.dbeta_x.values[1:])])
     assert np.max(np.abs(f - sol.rhs_history[1:])) < 1e-9
+
+
+def test_a_rhs_without_partials_matches_the_solve_with_them():
+    config = harness.load_builtin_config("example63_forced")
+    spec = build_problem_spec(config.problem)
+    plain = dataclasses.replace(spec, rhs=RightHandSide(spec.rhs.fn, True))
+    ref = solve_direct(spec, config.t_end, 2048)
+    sol = solve_direct(plain, config.t_end, 2048)
+    assert sol.corrector_iterations.max() < solvers._FIXED_POINT_CAP
+    assert np.max(np.abs(sol.x.values - ref.x.values)) < 1e-13
+
+
+# an infinite slope at the root, and a jump with no root at all
+@pytest.mark.parametrize("fn", [lambda t, u, v: -50.0 * np.cbrt(u - 0.2),
+                                lambda t, u, v: -5.0 * np.sign(u - 0.3)],
+                         ids=["cbrt", "sign"])
+def test_a_window_whose_first_node_does_not_converge_fails_there(fn):
+    spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 0.0, RightHandSide(fn))
+    with pytest.raises(StepFailure, match="did not converge") as excinfo:
+        solve_direct(spec, 1.0, 64)
+    assert excinfo.value.node == 1
+
+
+def test_a_picard_step_lands_on_f():
+    # f depends on tau alone and lies below half the start phi0 = 1 at some
+    # nodes, where phi0 - (phi0 - F) misses F by an ulp: the first sweep
+    # takes F itself, and the second moves no node
+    n = 64
+    rows = tuple(np.linspace(1.0, 0.1, n) for _ in range(2))
+    history = BlockedHistory(rows, np.zeros(n))
+    tau = np.linspace(0.0, 1.0, n + 1)[1:]
+    w = np.array([[0.3], [0.2]])
+    f = RightHandSide(lambda t, u, v: 0.1 + t * t)
+    done, sweeps, phi, _ = solvers._sweep(f, tau, np.zeros((2, n)), w, history, w,
+                                          1.0, False, np.zeros(n), 0)
+    assert (done, sweeps) == (n, 2)
+    assert np.array_equal(phi, f.fn(tau, 0.0, 0.0))
 
 
 def test_nonfinite_rhs_reports_location():
