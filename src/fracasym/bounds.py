@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._scipy import brentq, quad
+from ._quadrature import brentq, quad
 from .errors import ClassViolation, DomainError, HypothesisViolation
 from .gamma import gamma_fn
 from .grid import GridFunction

@@ -1,8 +1,8 @@
-"""The scipy boundary.
+"""No part of the package imports scipy.
 
-scipy is imported on the first call of `fracasym._scipy.quad` or `brentq`,
-so a run that never integrates adaptively or inverts a Bihari transform
-never loads it; the corrector never does either.
+The adaptive quadrature and the root finder of the bound checks are the
+package's own (`fracasym._quadrature`); scipy is only a test oracle, and
+this file imports none of it, so that it runs where scipy is not installed.
 perfbench counts the quadratures of the bound and improper-tail checks
 by wrapping `bounds.quad`, so every adaptive quadrature of a check must
 go through that module attribute.
@@ -14,48 +14,64 @@ import subprocess
 import sys
 from pathlib import Path
 
-import scipy.integrate
-
+import fracasym._quadrature as quadrature
 import fracasym.bounds as bounds
 from fracasym import harness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
-# the test suite imports scipy itself, so the imports are watched in a
-# fresh interpreter
+# a fresh interpreter whose first import finder refuses scipy runs every
+# builtin through the CLI: the bound_envelope, boundedness and hypothesis
+# checks among them
 _PROBE = """
 import json, sys, tempfile
-import fracasym, fracasym.cli
-from fracasym import catalog, cli, harness
+
+refused = []
+
+
+class RefuseScipy:
+    def find_spec(self, name, path=None, target=None):
+        if name == "scipy" or name.startswith("scipy."):
+            refused.append(name)
+            raise ImportError(f"import of {name} refused")
+        return None
+
+
+sys.meta_path.insert(0, RefuseScipy())
+
+from fracasym import catalog, cli
 from fracasym.catalog import signed_power
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide, solve_direct
 
-def scipy_loaded():
-    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
-
+studies = ("manufactured_tau2", "manufactured_tau2_seq")
 with tempfile.TemporaryDirectory() as tmp:
+    codes = {"catalog": cli.main(["catalog"])}
     for ident in catalog.builtin_config_ids():
-        harness.load_builtin_config(ident)
-    codes = [cli.main(["catalog"]),
-             cli.main(["study", "manufactured_tau2", "--n-steps", "64", "--out-dir", tmp])]
+        codes[ident] = cli.main(["study" if ident in studies else "solve", ident,
+                                 "--out-dir", tmp])
     # a stiff right-hand side without partials: the corrector's own sweeps
     stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
     solve_direct(ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff), 2.0, 128)
-    before = scipy_loaded()
-    codes.append(cli.main(["solve", "example46", "--n-steps", "256", "--out-dir", tmp]))
-print(json.dumps({"codes": codes, "before": before, "after": scipy_loaded()}))
+loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+print(json.dumps({"codes": codes, "refused": refused, "loaded": loaded}))
 """
 
 
-def test_scipy_is_loaded_only_by_the_checks_that_need_it():
+def test_no_run_imports_scipy():
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run([sys.executable, "-c", _PROBE], env=env, check=True,
                           capture_output=True, text=True)
     result = json.loads(proc.stdout.splitlines()[-1])
-    # example46's regression pins hold at its configured N, not at 256
-    assert result["codes"] == [0, 0, 1]
-    assert result["before"] == []
-    assert "scipy.integrate" in result["after"]
+    assert result["codes"] == {"catalog": 0, "example46": 0, "example63": 0,
+                               "example63_forced": 0, "hypothesis_violation": 2,
+                               "manufactured_tau2": 0, "manufactured_tau2_seq": 0,
+                               "zero_rhs": 0}
+    for line in ("CHECK bound_envelope: PASS", "CHECK hypothesis: PASS",
+                 "CHECK boundedness: PASS", "CHECK boundedness: FAILED-HYPOTHESIS"):
+        assert line in proc.stdout
+    assert proc.stderr == ""
+    assert result["refused"] == []
+    assert result["loaded"] == []
 
 
 def _builtin_check(ident, check_name):
@@ -78,21 +94,20 @@ def _recording(calls, fn):
 
 
 def test_bound_checks_integrate_through_the_module_name(monkeypatch):
-    # _scipy.quad looks scipy.integrate.quad up on each call, so the second
+    # every quad call runs _qags once, looked up on each call, so the second
     # wrapper sees every adaptive quadrature, whichever module asked for it
-    calls, scipy_calls = [], []
+    calls, core_calls = [], []
     monkeypatch.setattr(bounds, "quad", _recording(calls, bounds.quad))
-    monkeypatch.setattr(scipy.integrate, "quad",
-                        _recording(scipy_calls, scipy.integrate.quad))
+    monkeypatch.setattr(quadrature, "_qags", _recording(core_calls, quadrature._qags))
     cases = (("example46", _builtin_check("example46", "bound_envelope")),
              ("example63_forced", _builtin_check("example63_forced", "boundedness")),
              ("example46", {"name": "hypothesis", "integrand": {"name": "exp_decay"},
                             "expect": "converges"}))
     for ident, check in cases:
         calls.clear()
-        scipy_calls.clear()
+        core_calls.clear()
         report = _run_one_check(ident, check)
         assert [c.name for c in report.checks] == [check["name"]]
         assert report.checks[0].status == "PASS"
         assert calls, f"{check['name']} made no call through bounds.quad"
-        assert len(scipy_calls) == len(calls), check["name"]
+        assert len(core_calls) == len(calls), check["name"]
