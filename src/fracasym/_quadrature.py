@@ -1,13 +1,12 @@
-"""Adaptive quadrature and bracketed root finding, in pure Python.
+"""Adaptive quadrature on a finite interval, in pure Python.
 
 `quad` is QUADPACK's qags (Piessens, de Doncker-Kapenga, Ueberhuber and
 Kahaner, 1983): 21-point Gauss-Kronrod panels, bisection of the panel with
 the largest error estimate, and Wynn's epsilon algorithm over the sequence
 of panel sums.  The extrapolation is what makes integrable endpoint
 singularities such as s^-0.99 converge: bisection alone ends 23 % short of
-that integral in the 200 panels the bounds allow.  An infinite upper limit is mapped onto (0, 1] by
-qagi's substitution x = a + (1 - t)/t.  `brentq` is Brent's method
-(Brent, 1973) in the form of scipy.optimize.brentq.
+that integral in the 200 panels allowed.  Every quadrature of the package
+asks for the one tolerance below, so it is fixed here.
 
 Every integrand of the package is a Python closure, so a scalar loop costs
 little beside the calls into it.  The routines follow the Fortran closely,
@@ -20,11 +19,16 @@ import math
 import warnings
 from typing import Callable
 
-__all__ = ["quad", "brentq"]
+__all__ = ["quad"]
 
 _EPS = 2.220446049250313e-16     # spacing of floats at 1
 _TINY = 2.2250738585072014e-308  # smallest normal float
 _HUGE = 1.7976931348623157e308   # largest float
+
+# the requested accuracy max(_EPSABS, _EPSREL |integral|), in at most _LIMIT panels
+_EPSABS = 1e-14
+_EPSREL = 1e-11
+_LIMIT = 200
 
 # The 21-point Kronrod abscissae on [-1, 1] from the end inwards, and their
 # weights; the odd entries are the 10-point Gauss abscissae, with weights _WG.
@@ -53,22 +57,15 @@ _TROUBLE = ("",
             "the integral is probably divergent, or slowly convergent")
 
 
-def quad(f: Callable[[float], float], a: float, b: float, *,
-         epsabs: float, epsrel: float, limit: int) -> tuple[float, float]:
-    """(integral of f over [a, b], error estimate) to max(epsabs, epsrel |integral|)
-    in at most `limit` panels; a finite, b finite or +inf.
+def quad(f: Callable[[float], float], a: float, b: float) -> tuple[float, float]:
+    """(integral of f over the finite [a, b], error estimate) to
+    max(_EPSABS, _EPSREL |integral|) in at most _LIMIT panels.
 
     Where the tolerance is not met (the panel limit, roundoff, a divergent
     integral) a RuntimeWarning says why and the estimate is returned.  An
     exception of f propagates unchanged.
     """
-    if b == math.inf:
-        def mapped(t: float) -> float:
-            return f(a + (1.0 - t) / t) / t / t
-
-        value, error, ier = _qags(mapped, 0.0, 1.0, epsabs, epsrel, limit)
-    else:
-        value, error, ier = _qags(f, a, b, epsabs, epsrel, limit)
+    value, error, ier = _qags(f, a, b)
     if ier:
         warnings.warn(f"quad over [{a:g}, {b:g}]: {_TROUBLE[ier]}; the estimate "
                       f"{value:.17g} has error estimate {error:.3g}",
@@ -119,25 +116,23 @@ def _qk21(f, a, b):
     return result, abserr, resabs, resasc
 
 
-def _qags(f, a, b, epsabs, epsrel, limit):
+def _qags(f, a, b):
     """QUADPACK dqagse: (result, abserr, ier), ier 0 when the tolerance was met."""
     result, abserr, defabs, resabs = _qk21(f, a, b)
     dres = abs(result)
-    errbnd = max(epsabs, epsrel * dres)
+    errbnd = max(_EPSABS, _EPSREL * dres)
     ier = 0
     if abserr <= 100.0 * _EPS * defabs and abserr > errbnd:
         ier = 2
-    if limit == 1:
-        ier = 1
     if ier != 0 or (abserr <= errbnd and abserr != resabs) or abserr == 0.0:
         return result, abserr, ier
 
-    # panel tables indexed 1..limit, the extrapolation table 1..52
-    alist = [0.0] * (limit + 1)
-    blist = [0.0] * (limit + 1)
-    rlist = [0.0] * (limit + 1)
-    elist = [0.0] * (limit + 1)
-    iord = [0] * (limit + 1)
+    # panel tables indexed 1.._LIMIT, the extrapolation table 1..52
+    alist = [0.0] * (_LIMIT + 1)
+    blist = [0.0] * (_LIMIT + 1)
+    rlist = [0.0] * (_LIMIT + 1)
+    elist = [0.0] * (_LIMIT + 1)
+    iord = [0] * (_LIMIT + 1)
     alist[1], blist[1], rlist[1], elist[1], iord[1] = a, b, result, abserr, 1
     rlist2 = [0.0] * 53
     res3la = [0.0] * 4
@@ -157,7 +152,7 @@ def _qags(f, a, b, epsabs, epsrel, limit):
     small = erlarg = ertest = correc = 0.0
     converged = False  # errsum met the tolerance: the result is the panel sum
 
-    for last in range(2, limit + 1):
+    for last in range(2, _LIMIT + 1):
         # bisect the panel with the nrmax-th largest error estimate
         a1 = alist[maxerr]
         b1 = 0.5 * (alist[maxerr] + blist[maxerr])
@@ -180,12 +175,12 @@ def _qags(f, a, b, epsabs, epsrel, limit):
                 iroff3 += 1
         rlist[maxerr] = area1
         rlist[last] = area2
-        errbnd = max(epsabs, epsrel * abs(area))
+        errbnd = max(_EPSABS, _EPSREL * abs(area))
         if iroff1 + iroff2 >= 10 or iroff3 >= 20:
             ier = 2
         if iroff2 >= 5:
             ierro = 3
-        if last == limit:
+        if last == _LIMIT:
             ier = 1
         if max(abs(a1), abs(b2)) <= (1.0 + 100.0 * _EPS) * (abs(a2) + 1000.0 * _TINY):
             ier = 4
@@ -203,7 +198,7 @@ def _qags(f, a, b, epsabs, epsrel, limit):
             blist[last] = b2
             elist[maxerr] = error1
             elist[last] = error2
-        maxerr, errmax, nrmax = _qpsrt(limit, last, maxerr, elist, iord, nrmax)
+        maxerr, errmax, nrmax = _qpsrt(last, maxerr, elist, iord, nrmax)
         if errsum <= errbnd:
             converged = True
             break
@@ -228,7 +223,7 @@ def _qags(f, a, b, epsabs, epsrel, limit):
             nrmax = 2
         if ierro != 3 and erlarg > ertest:
             # bisect the larger panels first while they hold errors above ertest
-            jupbnd = last if last <= 2 + limit // 2 else limit + 3 - last
+            jupbnd = last if last <= 2 + _LIMIT // 2 else _LIMIT + 3 - last
             large = False
             for _ in range(nrmax, jupbnd + 1):
                 maxerr = iord[nrmax]
@@ -250,7 +245,7 @@ def _qags(f, a, b, epsabs, epsrel, limit):
             abserr = abseps
             result = reseps
             correc = erlarg
-            ertest = max(epsabs, epsrel * abs(reseps))
+            ertest = max(_EPSABS, _EPSREL * abs(reseps))
             if abserr <= ertest:
                 break
         # go on bisecting the smallest panels
@@ -289,7 +284,7 @@ def _qags(f, a, b, epsabs, epsrel, limit):
     return result, abserr, ier - 1 if ier > 2 else ier
 
 
-def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
+def _qpsrt(last, maxerr, elist, iord, nrmax):
     """QUADPACK dqpsrt: keep iord ordered by decreasing error estimate after
     a bisection (panels maxerr and last); returns the next (maxerr, errmax,
     nrmax).  Only as many entries are kept in order as bisections remain."""
@@ -305,7 +300,7 @@ def _qpsrt(limit, last, maxerr, elist, iord, nrmax):
                 break
             iord[nrmax] = isucc
             nrmax -= 1
-        jupbn = last if last <= limit // 2 + 2 else limit + 3 - last
+        jupbn = last if last <= _LIMIT // 2 + 2 else _LIMIT + 3 - last
         errmin = elist[last]
         jbnd = jupbn - 1
         for i in range(nrmax + 1, jbnd + 1):
@@ -407,54 +402,3 @@ def _qelg(n, epstab, res3la, nres):
                   + abs(result - res3la[1]))
         res3la[1], res3la[2], res3la[3] = res3la[2], res3la[3], result
     return n, result, max(abserr, 5.0 * _EPS * abs(result)), nres
-
-
-def brentq(f: Callable[[float], float], a: float, b: float, *,
-           xtol: float, rtol: float, maxiter: int) -> float:
-    """A zero of f between a and b, where f changes sign, by Brent's method:
-    inverse quadratic interpolation or secant steps that stay well inside the
-    bracket, bisection otherwise, until the bracket is within
-    xtol + rtol |x|.  Raises ValueError if f(a) and f(b) have one sign and
-    RuntimeError after maxiter steps."""
-    xpre, xcur = a, b
-    fpre, fcur = f(xpre), f(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError(f"f({a:g}) and f({b:g}) must have different signs")
-    xblk = fblk = spre = scur = 0.0
-    for _ in range(maxiter):
-        if fpre != 0.0 and fcur != 0.0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2.0
-        sbis = (xblk - xcur) / 2.0
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        interpolate = abs(spre) > delta and abs(fcur) < abs(fpre)
-        if interpolate:
-            if xpre == xblk:  # secant
-                num, den = -fcur * (xcur - xpre), fcur - fpre
-            else:  # inverse quadratic interpolation
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                num, den = -fcur * (fblk * dblk - fpre * dpre), dblk * dpre * (fblk - fpre)
-            # a denominator that underflowed to 0 is an infinite step: bisect
-            interpolate = (den != 0.0
-                           and 2.0 * abs(num / den) < min(abs(spre), 3.0 * abs(sbis) - delta))
-        if interpolate:
-            spre, scur = scur, num / den
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = f(xcur)
-    raise RuntimeError(f"brentq did not converge in {maxiter} steps")

@@ -32,7 +32,7 @@ from typing import Callable, Iterator
 
 import numpy as np
 
-from ._quadrature import brentq, quad
+from ._quadrature import quad
 from .errors import ClassViolation, DomainError, HypothesisViolation
 from .gamma import gamma_fn
 from .grid import GridFunction
@@ -56,9 +56,6 @@ __all__ = [
     "reciprocal_tail_verdict",
     "dyadic_pieces",
 ]
-
-_QUAD_OPTS = dict(epsabs=1e-14, epsrel=1e-11, limit=200)
-
 
 @dataclass(frozen=True)
 class ComparisonFunction:
@@ -151,7 +148,10 @@ def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
 
     Integrated in log coordinates (s = e^u), which keeps the integrand's
     dynamic range flat for the power-law comparison functions even when
-    xi0 is many decades below xi.
+    xi0 is many decades below xi.  E(inf), which the growth envelope asks
+    for once its first branch has blown up, is integrated over t in (0, 1]
+    with u = log xi0 + (1 - t)/t; an s = e^u past the float range raises
+    OverflowError.
     """
     if xi < phi.xi0:
         raise DomainError(f"xi={xi} below transform base xi0={phi.xi0}")
@@ -170,7 +170,11 @@ def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
             return 0.0
         return s / v
 
-    val, _ = quad(integrand, math.log(phi.xi0), math.log(xi), **_QUAD_OPTS)
+    a = math.log(phi.xi0)
+    if math.isinf(xi):
+        val, _ = quad(lambda t: integrand(a + (1.0 - t) / t) / t / t, 0.0, 1.0)
+    else:
+        val, _ = quad(integrand, a, math.log(xi))
     return float(val)
 
 
@@ -179,32 +183,45 @@ def _transform_clamped(phi: ComparisonFunction, x: float) -> float:
 
 
 def bihari_inverse(phi: ComparisonFunction, y: float, lo_hint: float | None = None) -> float:
-    """Inverse of the transform: the xi >= xi0 with E(xi) = y.
+    """Inverse of the transform: the xi >= xi0 with E(xi) = y, by Newton
+    steps xi <- xi + (y - E(xi)) phi(xi) from lo_hint (xi0 by default).
 
-    Returns math.inf (the blow-up signal) when y exceeds the supremum of E,
-    which happens exactly when the reciprocal integral of phi converges.
+    E' = 1/phi, and E is concave for a nondecreasing phi, so a step from
+    either side lands at or below the root and the iterates then climb to
+    it.  A step that leaves the bracket seen so far takes the bracket's
+    geometric midpoint instead, which keeps a phi outside the class
+    converging.  Returns math.inf (the blow-up signal) when y exceeds the
+    supremum of E, which happens exactly when the reciprocal integral of phi
+    converges: the climb passes 1e280 or phi overflows.
     """
+    y = float(y)  # a numpy y would make an overflow below a RuntimeWarning
     if y < 0:
         raise DomainError(f"transform inverse needs y >= 0, got {y}")
     if y == 0.0:
         return phi.xi0
     if math.isinf(y):
         return math.inf
-    lo = phi.xi0 if lo_hint is None else max(lo_hint, phi.xi0)
-    if bihari_transform(phi, lo) > y:
-        lo = phi.xi0
-    hi = max(2.0 * lo, lo + 1.0)
-    while bihari_transform(phi, hi) < y:
-        lo = hi
-        hi *= 8.0
-        if hi > 1e280:
+    lo, hi = phi.xi0, math.inf  # E(lo) <= y < E(hi)
+    xi = lo if lo_hint is None else max(lo_hint, lo)
+    for _ in range(300):
+        e = bihari_transform(phi, xi)
+        if e <= y:
+            lo = xi
+        else:
+            hi = xi
+        try:
+            slope = phi(xi)
+        except OverflowError:
+            slope = math.inf
+        step = (y - e) * slope
+        if abs(step) <= 1e-13 * xi:
+            return xi + step
+        xi += step
+        if not lo < xi < hi:
+            xi = math.sqrt(lo * hi)
+        if xi > 1e280:
             return math.inf
-
-    def f(xi: float) -> float:
-        return bihari_transform(phi, xi) - y
-
-    root = brentq(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
-    return float(root)
+    raise RuntimeError(f"bihari_inverse({phi.name}, {y!r}) did not converge in 300 steps")
 
 
 def _check_nonnegative(g: GridFunction, what: str) -> None:
@@ -302,10 +319,10 @@ def linear_class_bound(c1: float, c2: float, c3: float, c4: float, gamma: float,
     if tau == 0.0:
         return 0.0 if gamma > 0 else c1
 
-    i_f, _ = quad(lambda s: F1(s, c3) + F2(s, c4), 0.0, tau, **_QUAD_OPTS)
+    i_f, _ = quad(lambda s: F1(s, c3) + F2(s, c4), 0.0, tau)
     i_h = h.integral_to(tau)
     i_n, _ = quad(lambda s: s ** gamma * (F1.majorant_at(s) + F2.majorant_at(s)),
-                  0.0, tau, **_QUAD_OPTS)
+                  0.0, tau)
     return tau ** gamma * (c1 + c2 * (i_f + i_h)) * math.exp(c2 * i_n)
 
 
@@ -387,7 +404,7 @@ def dyadic_pieces(f: Callable[[float], float], lo: float) -> Iterator[tuple[floa
     hi = max(1.0, 2.0 * lo)
     while True:
         try:
-            val, _ = quad(f, lo, hi, **_QUAD_OPTS)
+            val, _ = quad(f, lo, hi)
         except OverflowError:
             raise DomainError(f"tail integrand overflows a float on the piece "
                               f"[{lo:g}, {hi:g}]") from None

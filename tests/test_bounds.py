@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -64,6 +65,23 @@ def test_inverse_blowup_signal():
     phi = ComparisonFunction(lambda s: s ** 2, xi0=1.0, name="s^2")
     assert bihari_inverse(phi, 0.5) == pytest.approx(2.0, rel=1e-9)  # 1 - 1/xi = y
     assert math.isinf(bihari_inverse(phi, 2.0))
+
+
+def test_inverse_of_an_infinite_target_is_infinite():
+    phi = ComparisonFunction(lambda s: s, xi0=1.0)
+    assert bihari_inverse(phi, math.inf) == math.inf
+
+
+def test_inverse_blowup_with_numpy_target_and_overflowing_phi_does_not_warn():
+    # the climb steps by (y - E) phi: 1e10 * 1e300 overflows a float, which
+    # a numpy y would turn into a RuntimeWarning (an error under this suite)
+    square = ComparisonFunction(lambda s: s ** 2, xi0=1.0, name="s^2")
+    exp = ComparisonFunction(math.exp, xi0=1.0, name="exp")  # math.exp raises
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert bihari_inverse(square, np.float64(1e10)) == math.inf
+        assert bihari_inverse(exp, np.float64(1.0)) == math.inf
+    assert type(bihari_inverse(square, np.float64(0.5))) is float
 
 
 def test_roundtrip_property():
@@ -137,6 +155,27 @@ def test_bihari_dominates_equality_oracle():
     idx = np.arange(16, n + 1, 16)
     curve = bihari_bound_curve(c1, c2, c3, gamma, g, phi, taus=g.taus[idx])
     assert np.all(z[idx] <= curve * (1.0 + 1e-9))
+
+
+def test_bihari_curve_blows_up_where_the_transform_range_ends():
+    # phi(s) = s + s^2/K is in the class on the range validate() samples, but
+    # its transform from xi0 = 1 is bounded by log(1 + K): the curve with
+    # c1 = 1, c2 = 0 and g = 1 is Einv(c3 tau), finite before
+    # tau* = log(1 + K)/c3 and inf from there on, past 1 as well
+    big = 1e16
+    phi = ComparisonFunction(lambda s: s + s * s / big, xi0=1.0, name="s+s^2/K")
+    c3 = 40.0
+    g = const_grid(1.0)
+    curve = bihari_bound_curve(1.0, 0.0, c3, 0.0, g, phi)
+    t_star = math.log1p(big) / c3
+    before = g.taus < t_star
+    assert 0.5 < t_star < 1.0 and before.sum() > 100
+    # E(xi) = log(xi / (1 + xi/K)) + log(1 + 1/K), so Einv(y) = u / (1 - u/K)
+    # with u = e^y / (1 + 1/K)
+    u = np.exp(c3 * g.taus[before]) / (1.0 + 1.0 / big)
+    np.testing.assert_allclose(curve[before], u / (1.0 - u / big), rtol=1e-9)
+    assert np.all(np.isinf(curve[~before]))
+    assert np.any(g.taus[~before] >= 1.0)
 
 
 def test_bihari_monotone_in_coefficients():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, RightHandSide,
-                      solve_direct, solve_sequential)
+                      StepFailure, solve_direct, solve_sequential)
 from fracasym import bounds, catalog, cli, harness
 from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
 
@@ -446,6 +446,18 @@ def test_regression_roundtrip(tmp_path):
     assert report.overall_pass
 
 
+def test_regression_of_a_value_whose_check_failed_its_hypothesis_is_not_measured():
+    doc = json.loads(resources.files("fracasym.configs")
+                     .joinpath("hypothesis_violation.json").read_text())
+    doc["output"] = {}
+    doc["checks"].append({"name": "regression", "key": "sup_x", "tolerance": 1e-6})
+    report = harness.run(harness.load_config(doc), expectations={"sup_x": 1.0})
+    assert [(c.status, c.measured, c.expected) for c in report.checks[1:]] == [
+        ("FAIL", "not-measured", 1.0)]
+    assert report.checks[0].status == "FAILED-HYPOTHESIS"
+    assert report.exit_code == 2
+
+
 # --------------------------------------------------------------------------
 # convergence study
 
@@ -468,6 +480,20 @@ def test_run_and_study_evaluate_closed_form_alike(tmp_path):
     solved = harness.run(harness.load_config(doc))
     assert solved.measured == study.measured
     assert solved.checks == study.checks[:1]
+
+
+def test_study_of_the_sequential_zero_problem_matches_its_closed_form(tmp_path):
+    # x = b1 + b2 tau^alpha / Gamma(alpha + 1)
+    doc = make_config(grid={"t_end": 20.0, "n_steps": 32, "refinement_levels": 2},
+                      checks=[{"name": "closed_form", "tolerance": 1e-10},
+                              {"name": "order", "min_order": 1.0}])
+    doc["problem"].update(kind="sequential", b1=3.0, b2=-2.0)
+    config = harness.load_config(doc)
+    exact = catalog.exact_solution(config.problem)
+    assert exact(np.array([0.0, 4.0])) == pytest.approx(
+        [3.0, 3.0 - 2.0 * 2.0 / math.gamma(1.5)], rel=1e-15)
+    report = harness.convergence_study(config, out_dir=tmp_path)
+    assert [c.status for c in report.checks] == ["PASS", "PASS"]
 
 
 def test_study_roundoff_reports_exact(tmp_path):
@@ -636,6 +662,40 @@ def test_cli_overrides(tmp_path, capsys):
 def test_cli_exit_code_hypothesis(tmp_path):
     assert cli.main(["solve", "hypothesis_violation",
                      "--out-dir", str(tmp_path)]) == 2
+
+
+def test_cli_pin_writes_the_measured_values(tmp_path, capsys):
+    exp_dir = tmp_path / "pins"
+    code = cli.main(["pin", "example63_forced", "--expectations-dir", str(exp_dir),
+                     "--out-dir", str(tmp_path)])
+    path = exp_dir / "example63_forced.json"
+    assert code == 0
+    assert capsys.readouterr().out == f"pinned expectations written to {path}\n"
+    report = harness.run(harness.load_builtin_config("example63_forced"), out_dir=tmp_path,
+                         expectations={})
+    assert json.loads(path.read_text()) == report.measured
+    assert set(report.measured) == set(harness.load_expectations("example63_forced"))
+
+
+def test_cli_reports_a_solver_failure_as_one_line(tmp_path, capsys, monkeypatch):
+    def failing(*args):
+        raise StepFailure(7, 0.5, "corrector diverged")
+
+    monkeypatch.setattr(harness, "solve_direct", failing)
+    assert cli.main(["solve", "zero_rhs", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "solver failure: step 7 (tau=0.5): corrector diverged\n"
+
+
+def test_cli_reports_an_out_dir_that_is_a_file_as_one_io_error_line(tmp_path, capsys):
+    not_a_dir = tmp_path / "taken"
+    not_a_dir.write_text("")
+    assert cli.main(["solve", "zero_rhs", "--out-dir", str(not_a_dir)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("io error:") and str(not_a_dir) in err[0]
 
 
 def test_cli_bad_override_is_a_config_error(tmp_path, capsys):

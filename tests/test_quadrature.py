@@ -1,8 +1,9 @@
-"""The in-package quadrature and root finder against scipy as the oracle.
+"""The in-package quadrature and the Bihari inverse against scipy as the oracle.
 
-`fracasym._quadrature` ports QUADPACK's qags and Brent's method, so on the
-integrands and equations the bounds hand it, it should agree with scipy's
-`quad` and `brentq` to well within their tolerances.
+`fracasym._quadrature` ports QUADPACK's qags, so on the integrands the
+bounds hand it, it should agree with scipy's `quad` at the same tolerance
+to well within it.  `bounds.bihari_inverse` solves E(xi) = y by Newton
+steps, so it should agree with scipy's `brentq` on the same transform.
 """
 
 import math
@@ -14,9 +15,10 @@ import scipy.optimize
 
 from fracasym import _quadrature, bounds
 from fracasym.asymptotics import make_integrand
+from fracasym.bounds import ComparisonFunction
 from fracasym.catalog import make_phi
 
-OPTS = bounds._QUAD_OPTS
+OPTS = dict(epsabs=_quadrature._EPSABS, epsrel=_quadrature._EPSREL, limit=_quadrature._LIMIT)
 
 
 def _scipy_quad(f, a, b):
@@ -26,7 +28,7 @@ def _scipy_quad(f, a, b):
 @pytest.mark.parametrize("p", [-0.5, -0.9, -0.99, 0.5])
 def test_power_with_an_endpoint_singularity(p):
     # bisection without the epsilon algorithm is 23 % short at p = -0.99
-    value, error = _quadrature.quad(lambda s: s ** p, 0.0, 1.0, **OPTS)
+    value, error = _quadrature.quad(lambda s: s ** p, 0.0, 1.0)
     assert value == pytest.approx(1.0 / (p + 1.0), rel=1e-11)
     assert error < 1e-11 * value
 
@@ -43,7 +45,7 @@ def test_bihari_integrand_in_log_coordinates(name, params):
         return s / phi(s)
 
     a, b = math.log(1e-8), math.log(1e6)
-    value, _ = _quadrature.quad(integrand, a, b, **OPTS)
+    value, _ = _quadrature.quad(integrand, a, b)
     assert value == pytest.approx(_scipy_quad(integrand, a, b), rel=1e-11, abs=0)
     assert bounds.bihari_transform(phi, 1e6) == value
 
@@ -65,55 +67,73 @@ def test_dyadic_pieces_of_tail_integrands(name, params, weight_power, lo):
         lo = hi
 
 
-@pytest.mark.parametrize("f, a", [(lambda s: math.exp(-s), 0.0),
-                                  (lambda s: 1.0 / (1.0 + s * s), 0.0),
-                                  (lambda s: s ** -0.5 * math.exp(-s), 0.0),
-                                  (lambda s: s ** -1.01, 1.0),
-                                  (lambda s: s ** 2 * math.exp(-0.5 * s), 3.0)])
-def test_infinite_upper_limit(f, a):
-    value, _ = _quadrature.quad(f, a, math.inf, **OPTS)
-    assert value == pytest.approx(_scipy_quad(f, a, math.inf), rel=1e-11, abs=0)
-
-
-@pytest.mark.parametrize("name, params, y", [("power", {"exponent": 0.5}, 3.0),
-                                             ("power", {"exponent": 0.5}, 800.0),
-                                             ("power_plus_one", {"exponent": 0.8}, 12.0),
-                                             ("identity", {}, 40.0)])
-def test_brentq_against_scipy_on_the_transform(name, params, y):
-    phi = make_phi(name, params)
-
+def _brent_root(phi, y):
     def f(xi):
         return bounds.bihari_transform(phi, xi) - y
 
     lo, hi = phi.xi0, 1.0
     while f(hi) < 0:
         lo, hi = hi, 8.0 * hi
-    tols = dict(xtol=1e-300, rtol=1e-13, maxiter=300)
-    root = _quadrature.brentq(f, lo, hi, **tols)
-    assert root == pytest.approx(scipy.optimize.brentq(f, lo, hi, **tols), rel=1e-13)
+    return scipy.optimize.brentq(f, lo, hi, xtol=1e-300, rtol=1e-13, maxiter=300)
+
+
+# scipy's brentq on the same transform is the oracle of the Newton inverse
+@pytest.mark.parametrize("name, params, y", [("power", {"exponent": 0.5}, 3.0),
+                                             ("power", {"exponent": 0.5}, 800.0),
+                                             ("power_plus_one", {"exponent": 0.8}, 12.0),
+                                             ("identity", {}, 40.0)])
+def test_brentq_against_scipy_on_the_transform(name, params, y):
+    phi = make_phi(name, params)
+    root = _brent_root(phi, y)
     assert bounds.bihari_inverse(phi, y) == pytest.approx(root, rel=1e-13)
+    # a start above the root
+    assert bounds.bihari_inverse(phi, y, lo_hint=10.0 * root) == pytest.approx(root, rel=1e-13)
 
 
-def test_brentq_needs_a_sign_change():
-    with pytest.raises(ValueError, match="different signs"):
-        _quadrature.brentq(lambda x: x * x + 1.0, -1.0, 1.0, xtol=1e-12, rtol=1e-13,
-                           maxiter=100)
+def test_inverse_of_a_transform_that_is_not_concave_takes_bracket_midpoints(monkeypatch):
+    # a dip of phi around s = 3 makes E convex there: the first step from
+    # xi0 overshoots to about 10, and the step back leaves the bracket below xi0
+    phi = ComparisonFunction(lambda s: 1.0 / (1.0 + 50.0 * math.exp(-(s - 3.0) ** 2)),
+                             xi0=1e-8, name="dip")
+    y = 10.0
+    root = _brent_root(phi, y)
+    seen = []
+    transform = bounds.bihari_transform
+
+    def recording(phi_, xi):
+        e = transform(phi_, xi)
+        seen.append((xi, e))
+        return e
+
+    monkeypatch.setattr(bounds, "bihari_transform", recording)
+    assert bounds.bihari_inverse(phi, y) == pytest.approx(root, rel=1e-13)
+    lo, hi, midpoints = phi.xi0, math.inf, 0
+    for (xi, e), (nxt, _) in zip(seen, seen[1:]):
+        if e <= y:
+            lo = xi
+        else:
+            hi = xi
+        midpoints += nxt == math.sqrt(lo * hi)
+    assert midpoints >= 1
 
 
-@pytest.mark.parametrize("b", [800.0, math.inf])
+@pytest.mark.parametrize("b", [800.0])
 def test_an_integrand_overflow_propagates_from_the_integrand(b):
     def integrand(u):
         return math.exp(u)
 
     with pytest.raises(OverflowError) as info:
-        _quadrature.quad(integrand, 0.0, b, **OPTS)
+        _quadrature.quad(integrand, 0.0, b)
     assert info.traceback[-1].name == "integrand"
 
 
 def test_the_panel_limit_warns_and_returns_the_estimate():
+    def f(s):
+        return math.sin(1.0 / s)
+
     with pytest.warns(RuntimeWarning, match="panel limit"):
-        value, error = _quadrature.quad(lambda s: math.sin(1.0 / s), 1e-3, 1.0,
-                                        epsabs=1e-14, epsrel=1e-11, limit=5)
+        value, error = _quadrature.quad(f, 1e-4, 1.0)
     assert math.isfinite(value) and error > 1e-11 * abs(value)
-    assert value == pytest.approx(_scipy_quad(lambda s: math.sin(1.0 / s), 1e-3, 1.0),
-                                  abs=error)
+    with pytest.warns(scipy.integrate.IntegrationWarning):
+        oracle = _scipy_quad(f, 1e-4, 1.0)
+    assert value == pytest.approx(oracle, abs=error)

@@ -1,7 +1,8 @@
 """No part of the package imports scipy.
 
-The adaptive quadrature and the root finder of the bound checks are the
-package's own (`fracasym._quadrature`); scipy is only a test oracle, and
+The adaptive quadrature of the bound checks is the package's own
+(`fracasym._quadrature`), and the Bihari inverse takes Newton steps on the
+transform instead of calling a root finder; scipy is only a test oracle, and
 this file imports none of it, so that it runs where scipy is not installed.
 perfbench counts the quadratures of the bound and improper-tail checks
 by wrapping `bounds.quad`, so every adaptive quadrature of a check must
