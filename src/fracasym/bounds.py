@@ -10,7 +10,8 @@ Conventions used throughout:
 
 * "bound is +infinity" is a first-class result (math.inf), not an error:
   a nonlinear bound legitimately blows up in finite time when the
-  transform has finite range.
+  transform has finite range.  The growth envelope, whose transform must
+  diverge, raises DomainError for a constant that overflows a float.
 * Divergence/integrability hypotheses are checked numerically and raise
   HypothesisViolation when they fail; a violated hypothesis means the
   construction is inapplicable, not that the code failed.
@@ -144,17 +145,14 @@ def _ensure_valid(obj: ComparisonFunction | LipschitzClassFunction) -> bool:
 
 
 def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
-    """E(xi) = integral of 1/phi from xi0 to xi (adaptive quadrature).
+    """E(xi) = integral of 1/phi from xi0 to a finite xi (adaptive quadrature).
 
     Integrated in log coordinates (s = e^u), which keeps the integrand's
     dynamic range flat for the power-law comparison functions even when
-    xi0 is many decades below xi.  E(inf), which the growth envelope asks
-    for once its first branch has blown up, is integrated over t in (0, 1]
-    with u = log xi0 + (1 - t)/t; an s = e^u past the float range raises
-    OverflowError.
+    xi0 is many decades below xi.
     """
-    if xi < phi.xi0:
-        raise DomainError(f"xi={xi} below transform base xi0={phi.xi0}")
+    if not phi.xi0 <= xi < math.inf:
+        raise DomainError(f"xi={xi} outside the transform's domain [xi0={phi.xi0}, inf)")
     if xi == phi.xi0:
         return 0.0
 
@@ -170,11 +168,7 @@ def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
             return 0.0
         return s / v
 
-    a = math.log(phi.xi0)
-    if math.isinf(xi):
-        val, _ = quad(lambda t: integrand(a + (1.0 - t) / t) / t / t, 0.0, 1.0)
-    else:
-        val, _ = quad(integrand, a, math.log(xi))
+    val, _ = quad(integrand, math.log(phi.xi0), math.log(xi))
     return float(val)
 
 
@@ -229,6 +223,18 @@ def _check_nonnegative(g: GridFunction, what: str) -> None:
         raise DomainError(f"{what} must be non-negative on the grid")
 
 
+def _first_branch(phi: ComparisonFunction, base: float, e_base: float,
+                  w01: float) -> tuple[float, float, float, float]:
+    """(K, C1, A, E(A)) of a two-branch Bihari envelope, given e_base = E(base)
+    and w01, the integral of c3 g over [0, 1]: C1 = Einv(K) with
+    K = e_base + w01 bounds the times below 1, and the tau^gamma branch
+    starts from A = base + phi(C1) w01.  A is inf when C1 is, E(A) when A is."""
+    k = e_base + w01
+    c1 = bihari_inverse(phi, k)
+    a = base + phi(c1) * w01 if math.isfinite(c1) else math.inf
+    return k, c1, a, (_transform_clamped(phi, a) if math.isfinite(a) else math.inf)
+
+
 def bihari_bound(c1: float, c2: float, c3: float, gamma: float,
                  g: GridFunction, phi: ComparisonFunction, tau: float) -> float:
     """Two-branch nonlinear integral-inequality bound.
@@ -264,19 +270,10 @@ def bihari_bound_curve(c1: float, c2: float, c3: float, gamma: float,
     c3a = abs(c3)
     e_base0 = _transform_clamped(phi, base0)
 
-    need_upper = bool(taus.size) and taus[-1] >= 1.0
-    if need_upper:
+    if taus.size and taus[-1] >= 1.0:
         if g.t_end < 1.0:
             raise DomainError("grid must cover [0, 1] for times >= 1")
-        i01 = g.integral_to(1.0)
-        cap_c = e_base0 + c3a * i01
-        cinv = bihari_inverse(phi, cap_c)
-        if math.isinf(cinv):
-            a_const = math.inf
-            e_a = math.inf
-        else:
-            a_const = base0 + c3a * phi(cinv) * i01
-            e_a = _transform_clamped(phi, a_const)
+        *_, e_a = _first_branch(phi, base0, e_base0, c3a * g.integral_to(1.0))
         wg = g.with_values(g.taus ** gamma * g.values)
         w1 = wg.integral_to(1.0)
 
@@ -288,10 +285,7 @@ def bihari_bound_curve(c1: float, c2: float, c3: float, gamma: float,
             val = bihari_inverse(phi, arg, lo_hint=hint)
             hint = val if math.isfinite(val) else hint
             out[i] = val
-        else:
-            if math.isinf(e_a):
-                out[i] = math.inf
-                continue
+        else:  # e_a = inf makes the argument inf, whose inverse is inf
             arg = e_a + c3a * (wg.integral_to(float(t)) - w1)
             val = bihari_inverse(phi, arg)
             out[i] = t ** gamma * val if math.isfinite(val) else math.inf
@@ -354,24 +348,26 @@ def convolution_holder_constant(upsilon: float, lam: float, r: float) -> float:
 
 
 def _composite_power_nonlinearity(phi1: ComparisonFunction, phi2: ComparisonFunction,
-                                  q: float, xi0: float) -> ComparisonFunction:
-    """phi1^q(s^(1/q)) * phi2^q(s^(1/q)) as a comparison function."""
+                                  q: float) -> ComparisonFunction:
+    """phi1^q(s^(1/q)) * phi2^q(s^(1/q)) as a comparison function, with the
+    smaller of the two transform bases."""
     def fn(s: float) -> float:
         root = s ** (1.0 / q)
         return phi1(root) ** q * phi2(root) ** q
 
-    return ComparisonFunction(fn, xi0=xi0, name=f"({phi1.name}*{phi2.name})^{q}")
+    return ComparisonFunction(fn, xi0=min(phi1.xi0, phi2.xi0),
+                              name=f"({phi1.name}*{phi2.name})^{q}")
 
 
 def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
                     phi1: ComparisonFunction, phi2: ComparisonFunction,
-                    tau: float, variant: str = "corrected",
-                    xi0: float = 1e-8) -> float:
+                    tau: float, variant: str = "corrected") -> float:
     """L^q-type nonlinear bound.
 
     For z <= k1 + k2 (int_0^tau h^q phi1^q(z) phi2^q(z) ds)^(1/q) the bound
     is [Einv(E(2^(q-1) K) + 2^(q-1) k2 int_0^tau h^q ds)]^(1/q) where the
-    transform is built from phi1^q(s^(1/q)) phi2^q(s^(1/q)).
+    transform is built from phi1^q(s^(1/q)) phi2^q(s^(1/q)), based at the
+    smaller of phi1.xi0 and phi2.xi0.
 
     variant selects the power of k1 inside the transform: 'literal' keeps
     K = k1 (the raw additive constant), 'corrected' uses K = k1^q as the
@@ -389,7 +385,7 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
     _ensure_valid(phi2)
     _check_nonnegative(h, "h")
 
-    comp = _composite_power_nonlinearity(phi1, phi2, q, xi0)
+    comp = _composite_power_nonlinearity(phi1, phi2, q)
     base = 2.0 ** (q - 1.0) * (k1 ** q if variant == "corrected" else k1)
     hq = h.with_values(h.values ** q)
     arg = _transform_clamped(comp, base) + 2.0 ** (q - 1.0) * k2 * hq.integral_to(tau)
@@ -441,14 +437,14 @@ def _require_divergent_transform(phi: ComparisonFunction) -> None:
 
 def growth_envelope_constants(b1: float, b2: float, alpha: float,
                               P: GridFunction, phi: ComparisonFunction,
-                              tail_integral: float | None = None) -> BoundReport:
+                              tail_integral: float) -> BoundReport:
     """Two-branch growth envelope |x(tau)| <= C1 (tau<1), C2 tau^alpha (tau>=1)
     for the sequential problem whose source is weight-bounded by
     |f| <= P(tau) phi(|x|).
 
-    tail_integral should be the full improper integral of s^alpha P(s) over
-    [1, inf); when omitted, the grid quadrature over [1, T] is used instead
-    (adequate when P decays fast inside the grid horizon).
+    tail_integral is the full improper integral of s^alpha P(s) over
+    [1, inf).  A constant C1, A or C2 that overflows a float (the transform's
+    inverse climbing past 1e280 counts) raises DomainError naming it.
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
@@ -457,21 +453,18 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
     if P.t_end < 1.0:
         raise DomainError("P must be sampled on a grid covering [0, 1]")
     _require_divergent_transform(phi)
-
-    ga1 = gamma_fn(alpha + 1.0)
-    base = abs(b1) + abs(b2) / ga1
-    i01 = P.integral_to(1.0)
-    k_const = _transform_clamped(phi, base) + i01 / ga1
-    c1_const = bihari_inverse(phi, k_const)
-    a_const = base + phi(c1_const) * i01 / ga1
-
-    if tail_integral is None:
-        wp = P.with_values(P.taus ** alpha * P.values)
-        tail_integral = wp.integral_to(P.t_end) - wp.integral_to(1.0)
     if not math.isfinite(tail_integral):
         raise HypothesisViolation(
             "the weighted tail integral of P must be finite for the envelope")
-    c2_const = bihari_inverse(phi, _transform_clamped(phi, a_const) + tail_integral / ga1)
+
+    ga1 = gamma_fn(alpha + 1.0)
+    base = abs(b1) + abs(b2) / ga1
+    k_const, c1_const, a_const, e_a = _first_branch(
+        phi, base, _transform_clamped(phi, base), P.integral_to(1.0) / ga1)
+    c2_const = bihari_inverse(phi, e_a + tail_integral / ga1)
+    for name, value in (("C1", c1_const), ("A", a_const), ("C2", c2_const)):
+        if math.isinf(value):
+            raise DomainError(f"growth envelope constant {name} overflows a float")
 
     taus = P.taus
     curve = np.where(taus < 1.0, c1_const, c2_const * taus ** alpha)
@@ -590,7 +583,7 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     _ensure_valid(phi2)
     _check_nonnegative(h, "h")
     k1 = singular_convolution_constant(spec.alpha, spec.beta, q, tau0)
-    comp = _composite_power_nonlinearity(phi1, phi2, q, min(phi1.xi0, phi2.xi0))
+    comp = _composite_power_nonlinearity(phi1, phi2, q)
     _require_divergent_transform(comp)
 
     hq = h.with_values(h.values ** q)
@@ -599,8 +592,7 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
         c = abs(spec.b1)
     else:
         k2 = k1 ** q if variant == "corrected" else k1
-        c = lq_bihari_bound(abs(spec.b1), k2, q, h, phi1, phi2, h.t_end,
-                            variant=variant, xi0=comp.xi0)
+        c = lq_bihari_bound(abs(spec.b1), k2, q, h, phi1, phi2, h.t_end, variant=variant)
     curve = (GridFunction(h.t_end, np.full(h.values.size, c))
              if math.isfinite(c) else None)
     return BoundReport(

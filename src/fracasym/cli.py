@@ -74,7 +74,7 @@ def _load(args) -> harness.ExperimentConfig:
 def _innermost(exc: BaseException) -> str:
     """module.function of the innermost fracasym frame exc passed through; a
     nested function is named by the __qualname__ of the function that runs
-    the frame's code, as in bounds.bihari_transform.<locals>.integrand."""
+    the frame's code, as in bounds.linear_class_bound.<locals>.<lambda>."""
     frame, tb = None, exc.__traceback__
     while tb is not None:
         if tb.tb_frame.f_globals.get("__name__", "").startswith("fracasym."):

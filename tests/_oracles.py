@@ -13,13 +13,14 @@ windowed corrector must reproduce it to rounding.
 The integral inequalities have extremal solutions that solve them as
 equalities; Picard sweeps on a fine grid converge to those equalities, and
 the library's closed-form bounds must dominate them pointwise.
+
+scipy is imported inside the three oracles that use it, so a test file that
+calls none of them runs where only numpy is installed.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from fracasym import kernels
 from fracasym.fracops import rectangle_coefficients, trapezoid_coefficients
@@ -95,6 +96,8 @@ def singular_convolution_lhs(g_callable, upsilon: float, lam: float, tau: float,
     ds = -(1/upsilon) u^(1/upsilon - 1) du.  Known kink locations of g can be
     passed as breakpoints so the quadrature sees piecewise-smooth panels.
     """
+    from scipy.integrate import quad
+
     def integrand(u):
         s = tau - u ** (1.0 / upsilon)
         s = min(max(s, 0.0), tau)
@@ -111,6 +114,8 @@ def singular_convolution_lhs(g_callable, upsilon: float, lam: float, tau: float,
 
 def lq_norm(g_callable, r: float, tau: float) -> float:
     """(int_0^tau g^r ds)^(1/r) by adaptive quadrature."""
+    from scipy.integrate import quad
+
     val, _ = quad(lambda s: g_callable(s) ** r, 0.0, tau, limit=400,
                   epsabs=1e-13, epsrel=1e-11)
     return float(val) ** (1.0 / r)
@@ -146,6 +151,8 @@ def _scalar_corrector(f, tau, base_x, coef_x, base_v, coef_v, phi, tol=1e-15, ca
         phi = phi_new
         if delta <= tol * (1.0 + abs(x_cur)):
             return phi
+
+    from scipy.optimize import brentq
 
     def g(p):
         return p - float(f(tau, base_x + coef_x * p, base_v + coef_v * p))

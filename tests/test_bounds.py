@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import numpy as np
@@ -46,6 +47,13 @@ def test_transform_rejects_below_base():
     phi = ComparisonFunction(lambda s: s, xi0=1.0)
     with pytest.raises(DomainError):
         bihari_transform(phi, 0.5)
+
+
+@pytest.mark.parametrize("xi", [math.inf, math.nan])
+def test_transform_takes_finite_arguments_only(xi):
+    phi = ComparisonFunction(lambda s: s, xi0=1.0)
+    with pytest.raises(DomainError, match="outside the transform's domain"):
+        bihari_transform(phi, xi)
 
 
 def test_inverse_identity():
@@ -188,6 +196,22 @@ def test_bihari_monotone_in_coefficients():
     assert bihari_bound(1.0, 0.3, 0.5, 0.5, g_bigger, phi, 1.5) >= base
 
 
+# one grid for each guard; the last grid ends a rounding short of 1, so
+# tau = 1 is on it but the integral over [0, 1] is not
+@pytest.mark.parametrize("gamma, taus, t_end, message", [
+    (-0.5, None, 2.0, "gamma must be >= 0"),
+    (0.5, [0.5, 0.2], 2.0, "evaluation times must be ascending"),
+    (0.5, [0.5, 4.0], 2.0, "evaluation times extend past the grid"),
+    (0.5, [0.5, 1.0], 1.0 - 1e-13, "grid must cover [0, 1] for times >= 1"),
+])
+def test_bihari_curve_guards(gamma, taus, t_end, message):
+    phi = make_phi("identity")
+    g = const_grid(1.0, t_end=t_end)
+    with pytest.raises(DomainError, match=re.escape(message)):
+        bihari_bound_curve(1.0, 0.0, 1.0, gamma, g, phi,
+                           taus=None if taus is None else np.array(taus))
+
+
 def test_bihari_rejects_negative_g():
     phi = make_phi("identity")
     g = GridFunction(1.0, [-1.0, 0.0, 1.0])
@@ -276,10 +300,9 @@ def test_lq_zero_integral_literal():
 
 
 def test_lq_constant_phi_closed_form():
-    one = make_phi("constant", {"value": 1.0})
+    one = ComparisonFunction(lambda s: 1.0, xi0=1e-10, name="const 1")
     h = GridFunction.from_callable(lambda t: np.exp(-t), 10.0, 512)
-    got = lq_bihari_bound(1.5, 2.0, 2.0, h, one, one, 10.0, variant="literal",
-                          xi0=1e-10)
+    got = lq_bihari_bound(1.5, 2.0, 2.0, h, one, one, 10.0, variant="literal")
     ihq = GridFunction(10.0, h.values ** 2).integral_to(10.0)
     assert got == pytest.approx(math.sqrt(2 * 1.5 + 2 * 2.0 * ihq), rel=1e-8)
 
@@ -308,7 +331,7 @@ def test_lq_rejects_bad_variant():
 def test_growth_envelope_zero_weight():
     P = const_grid(0.0, t_end=5.0)
     phi = make_phi("power", {"exponent": 0.5})
-    rep = growth_envelope_constants(1.0, 1.0, 0.5, P, phi)
+    rep = growth_envelope_constants(1.0, 1.0, 0.5, P, phi, tail_integral=0.0)
     base = 1.0 + INV_GAMMA_1_5
     assert rep.constants["C1"] == pytest.approx(base, rel=1e-9)
     assert rep.constants["C2"] == pytest.approx(base, rel=1e-9)
@@ -337,7 +360,25 @@ def test_growth_envelope_requires_unit_interval():
     P = const_grid(0.0, t_end=0.5)
     phi = make_phi("identity")
     with pytest.raises(DomainError):
-        growth_envelope_constants(1.0, 1.0, 0.5, P, phi)
+        growth_envelope_constants(1.0, 1.0, 0.5, P, phi, tail_integral=0.0)
+
+
+def test_growth_envelope_names_an_overflowing_first_branch():
+    # b2 = 1e300 puts E(base) past the transform's float range: C1 = inf
+    P = const_grid(1.0, t_end=5.0)
+    phi = make_phi("power", {"exponent": 0.5})
+    with pytest.raises(DomainError, match="^growth envelope constant C1 overflows a float$"):
+        growth_envelope_constants(1.0, 1e300, 0.5, P, phi, tail_integral=0.0)
+
+
+def test_growth_envelope_names_an_overflowing_second_branch():
+    # phi = identity: C1 = base e^600 and A = base + 600 C1 are finite, but
+    # C2 = A e^(tail/Gamma(1.5)) with tail = 100 is not
+    ga1 = gamma_fn(1.5)
+    P = const_grid(600.0 * ga1, t_end=2.0)
+    phi = make_phi("identity")
+    with pytest.raises(DomainError, match="^growth envelope constant C2 overflows a float$"):
+        growth_envelope_constants(1.0, 1.0, 0.5, P, phi, tail_integral=100.0)
 
 
 def test_growth_envelope_divergent_tail_is_hypothesis_violation():

@@ -6,10 +6,16 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from fracasym import (BoundReport, ComparisonFunction, ConfigError, RightHandSide,
-                      StepFailure, solve_direct, solve_sequential)
+from fracasym import (BoundReport, ComparisonFunction, ConfigError, GridFunction,
+                      RightHandSide, StepFailure, solve_direct, solve_sequential)
 from fracasym import bounds, catalog, cli, harness
 from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
+
+
+def _builtin_json(ident):
+    """The parsed document of a builtin config."""
+    return json.loads(resources.files("fracasym.configs").joinpath(f"{ident}.json")
+                      .read_text())
 
 
 def make_config(**overrides):
@@ -198,6 +204,45 @@ def test_cli_reports_malformed_config_as_config_error(text, tmp_path, capsys, mo
     err = captured.err.splitlines()
     assert captured.out == ""
     assert len(err) == 1 and err[0].startswith("config error:")
+
+
+def _rhs_params(**params):
+    return lambda doc: doc["problem"]["rhs"]["params"].update(params)
+
+
+def _envelope_phi(name, **params):
+    return lambda doc: doc["checks"][2].update(phi={"name": name, "params": params})
+
+
+# each guard of a catalog factory, and the zero-data guard of the manufactured
+# exact solution, which the closed_form check asks for at load
+@pytest.mark.parametrize("ident, edit, message", [
+    ("example46", _rhs_params(rate=0.0), "exp_decay_power needs rate > 0, got 0.0"),
+    ("example46", _rhs_params(exponent=1.5),
+     "exp_decay_power needs exponent in (0, 1], got 1.5"),
+    ("example63", _rhs_params(rate=-1.0), "damped_singular_product needs rate > 0, got -1.0"),
+    ("manufactured_tau2", _rhs_params(mu=0.4), "manufactured power needs mu > alpha, got mu=0.4"),
+    ("manufactured_tau2_seq", _rhs_params(mu=1.2),
+     "sequential manufactured power needs mu >= alpha + 1, got mu=1.2"),
+    ("example46", _envelope_phi("power", exponent=2.0),
+     "power comparison function needs exponent in (0,1], got 2.0"),
+    ("example46", _envelope_phi("constant", value=0.0),
+     "constant comparison function needs value > 0, got 0.0"),
+    ("manufactured_tau2", lambda doc: doc["problem"].update(b1=1.0),
+     "manufactured problems need zero initial data"),
+])
+def test_a_catalog_guard_is_one_config_error_line(ident, edit, message, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    doc = _builtin_json(ident)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ConfigError) as info:
+        harness.load_config(path)
+    assert str(info.value) == message
+    command = "study" if ident.startswith("manufactured") else "solve"
+    assert cli.main([command, str(path), "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", f"config error: {message}\n")
 
 
 @pytest.mark.parametrize("grid", [
@@ -447,8 +492,7 @@ def test_regression_roundtrip(tmp_path):
 
 
 def test_regression_of_a_value_whose_check_failed_its_hypothesis_is_not_measured():
-    doc = json.loads(resources.files("fracasym.configs")
-                     .joinpath("hypothesis_violation.json").read_text())
+    doc = _builtin_json("hypothesis_violation")
     doc["output"] = {}
     doc["checks"].append({"name": "regression", "key": "sup_x", "tolerance": 1e-6})
     report = harness.run(harness.load_config(doc), expectations={"sup_x": 1.0})
@@ -528,8 +572,7 @@ def test_order_check_needs_two_refinement_levels(tmp_path, monkeypatch, capsys):
 def test_a_manufactured_power_of_high_degree_loads():
     # Gamma(mu + 1) / Gamma(mu + 1 - alpha) is finite for every mu up to about
     # 170.6; the rhs constant is built at load
-    doc = json.loads(resources.files("fracasym.configs")
-                     .joinpath("manufactured_tau2.json").read_text())
+    doc = _builtin_json("manufactured_tau2")
     doc["problem"]["rhs"]["params"]["mu"] = 150.0
     config = harness.load_config(doc)
     rhs = catalog.build_problem_spec(config.problem).rhs
@@ -542,8 +585,7 @@ def test_cli_rejects_a_manufactured_rhs_param_the_problem_sets(key, value, tmp_p
                                                                monkeypatch):
     # the source is built for the problem's alpha and kind; a param of the
     # same name would build another problem's source
-    doc = json.loads(resources.files("fracasym.configs")
-                     .joinpath("manufactured_tau2.json").read_text())
+    doc = _builtin_json("manufactured_tau2")
     doc["problem"]["rhs"]["params"][key] = value
     path = tmp_path / "shadow.json"
     path.write_text(json.dumps(doc))
@@ -739,15 +781,15 @@ def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, c
     ("manufactured_tau2_seq", ("grid", "t_end"), "study", "error:"),  # corrector weights
     ("example46", ("problem", "b1"), "solve",
      "error: OverflowError in asymptotics.power_slope: "),  # slope check
-    ("example46", ("problem", "b2"), "solve", "error:"),  # Bihari transform
+    ("example46", ("problem", "b2"), "solve",
+     "error: growth envelope constant C1 overflows a float"),  # the envelope's first branch
     ("example63", ("problem", "b1"), "solve", "error:"),  # L^q Bihari bound
     ("example63", ("checks", 1, "q"), "solve",
      "error: OverflowError in bounds.uniform_bound_constant: "),  # uniform bound constant
 ])
 def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
         ident, path, command, err, tmp_path, capsys):
-    doc = json.loads(resources.files("fracasym.configs").joinpath(f"{ident}.json")
-                     .read_text())
+    doc = _builtin_json(ident)
     leaf = doc
     for key in path[:-1]:
         leaf = leaf[key]
@@ -764,8 +806,7 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
 def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, capsys):
     # phi1^q phi2^q of the boundedness check overflows on the first piece of
     # its reciprocal-integral verdict
-    doc = json.loads(resources.files("fracasym.configs").joinpath("example63_forced.json")
-                     .read_text())
+    doc = _builtin_json("example63_forced")
     doc["checks"][0]["q"] = 1024
     config = tmp_path / "huge_q.json"
     config.write_text(json.dumps(doc))
@@ -775,27 +816,27 @@ def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, c
     assert captured.err == "error: tail integrand overflows a float on the piece [1, 2]\n"
 
 
-def test_cli_names_the_function_that_encloses_an_overflowing_closure(tmp_path, capsys):
-    # the Bihari transform's integrand is a closure of bounds.bihari_transform,
+def test_cli_names_the_function_that_encloses_an_overflowing_closure():
+    # the weighted majorant integrand is a lambda of bounds.linear_class_bound,
     # named from the enclosing frame that holds its code object
-    doc = json.loads(resources.files("fracasym.configs").joinpath("example46.json")
-                     .read_text())
-    doc["problem"]["b2"] = 1e300
-    config = tmp_path / "huge.json"
-    config.write_text(json.dumps(doc))
-    assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == ("error: OverflowError in "
-                            "bounds.bihari_transform.<locals>.integrand: math range error\n")
+    zero = bounds.LipschitzClassFunction(lambda tau, s: 0.0, lambda tau: 0.0)
+    h = GridFunction(2.0, np.zeros(17))
+    with pytest.raises(OverflowError) as info:
+        bounds.linear_class_bound(1.0, 1.0, 1.0, 1.0, 1e300, zero, zero, h, 2.0)
+    assert cli._innermost(info.value) == "bounds.linear_class_bound.<locals>.<lambda>"
+
+
+def test_cli_names_itself_when_no_package_frame_was_passed():
+    with pytest.raises(OverflowError) as info:
+        math.exp(1000.0)
+    assert cli._innermost(info.value) == "cli.main"
 
 
 def test_cli_names_a_closure_called_after_its_maker_returned():
     # no frame of the maker is left in the traceback; the closure's own
     # function object carries the enclosing name
     phi = bounds._composite_power_nonlinearity(
-        catalog.make_phi("constant", {"value": 1e200}), catalog.make_phi("identity"),
-        2.0, 1e-8)
+        catalog.make_phi("constant", {"value": 1e200}), catalog.make_phi("identity"), 2.0)
     with pytest.raises(OverflowError) as info:
         phi(4.0)
     assert cli._innermost(info.value) == "bounds._composite_power_nonlinearity.<locals>.fn"
@@ -811,8 +852,7 @@ def test_cli_names_a_closure_called_after_its_maker_returned():
 ])
 def test_cli_a_weight_with_a_pole_fails_its_hypothesis(ident, index, exponent, reason,
                                                         tmp_path, capsys):
-    doc = json.loads(resources.files("fracasym.configs").joinpath(f"{ident}.json")
-                     .read_text())
+    doc = _builtin_json(ident)
     check = dict(doc["checks"][index], weight={"name": "power",
                                                "params": {"exponent": exponent}})
     doc.update(checks=[check], output={})

@@ -137,3 +137,20 @@ def test_the_panel_limit_warns_and_returns_the_estimate():
     with pytest.warns(scipy.integrate.IntegrationWarning):
         oracle = _scipy_quad(f, 1e-4, 1.0)
     assert value == pytest.approx(oracle, abs=error)
+
+
+@pytest.mark.parametrize("f, trouble", [
+    # sign(s - 1/2)/|s - 1/2|, 0 at s = 1/2: the first 21-point panel's error
+    # estimate is below its own roundoff level, so qags stops there
+    (lambda s: 0.0 if s == 0.5 else 1.0 / (s - 0.5),
+     "roundoff error prevents the requested tolerance"),
+    # s^-1.5: the extrapolated value, -2, is not within a factor 100 of the
+    # sum of the panels
+    (lambda s: s ** -1.5, "the integral is probably divergent"),
+])
+def test_a_trouble_exit_warns_and_returns_scipys_estimate(f, trouble):
+    with pytest.warns(RuntimeWarning, match=trouble):
+        value, _ = _quadrature.quad(f, 0.0, 1.0)
+    with pytest.warns(scipy.integrate.IntegrationWarning):
+        oracle = _scipy_quad(f, 0.0, 1.0)
+    assert value == oracle

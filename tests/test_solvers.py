@@ -8,6 +8,7 @@ from scipy.special import zeta
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
 from fracasym.catalog import build_problem_spec, make_rhs, signed_power
+from fracasym.errors import RhsEvaluationError
 from fracasym import harness, solvers
 from fracasym.history import BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
@@ -295,6 +296,16 @@ def test_nonfinite_rhs_reports_location():
     with pytest.raises(StepFailure) as excinfo:
         solve_direct(spec, 1.0, 64)
     assert excinfo.value.node == 33
+
+
+def test_nonfinite_rhs_at_the_lead_node_names_node_0():
+    # a regular rhs is evaluated at tau = 0 before the first block
+    bad = RightHandSide(lambda t, u, v: np.where(t == 0.0, np.nan, 0.0))
+    spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0, bad)
+    with pytest.raises(RhsEvaluationError) as excinfo:
+        solve_direct(spec, 1.0, 64)
+    assert excinfo.value.node == 0
+    assert str(excinfo.value) == "step 0 (tau=0): rhs returned non-finite value nan"
 
 
 def test_signed_power():
