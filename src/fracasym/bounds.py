@@ -373,7 +373,8 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
     K = k1 (the raw additive constant), 'corrected' uses K = k1^q as the
     q-th-power substitution derivation requires.  Under the corrected
     reading the caller must also pass the q-th power of the inequality's
-    integral coefficient as k2 for the bound to be valid.
+    integral coefficient as k2 for the bound to be valid.  A constant
+    2^(q-1) K that overflows a float raises DomainError.
     """
     if q <= 1:
         raise DomainError(f"q must exceed 1, got {q}")
@@ -386,7 +387,12 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
     _check_nonnegative(h, "h")
 
     comp = _composite_power_nonlinearity(phi1, phi2, q)
-    base = 2.0 ** (q - 1.0) * (k1 ** q if variant == "corrected" else k1)
+    try:
+        base = 2.0 ** (q - 1.0) * (k1 ** q if variant == "corrected" else k1)
+    except OverflowError:  # a float power that overflows raises, a product is inf
+        base = math.inf
+    if math.isinf(base):
+        raise DomainError("L^q bound constant 2^(q-1) K overflows a float")
     hq = h.with_values(h.values ** q)
     arg = _transform_clamped(comp, base) + 2.0 ** (q - 1.0) * k2 * hq.integral_to(tau)
     inv = bihari_inverse(comp, arg)

@@ -11,11 +11,13 @@ Summed directly that is O(N^2) over a run.  BlockedHistory splits the index
 pairs (j, i), j < i, by the highest bit in which j and i differ (Hairer,
 Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
 
-* pairs that agree in every bit above the low nine lie in one aligned
-  block of BLOCK = 512 unknowns, which the solver solves for block by
+* pairs that agree in every bit above the low ten lie in one aligned
+  block of BLOCK = 1024 unknowns, which the solver solves for block by
   block, so it sums these pairs itself, with `inblock`: one real FFT
   of the block's values against each weight row, for one array of values
-  or for a stack of them at once;
+  or for a stack of them at once.  For values that are all one constant
+  c the sums are c * `prefix`, the prefix sums of the weight heads, kept
+  for the solve, with no FFT;
 * every other pair lies in exactly one dyadic square: source block
   [s, s+p) and target block [s+p, s+2p), p >= BLOCK a power of two and s a
   multiple of 2p.  Once g[s+p-1] exists, the whole square, or the part of
@@ -24,11 +26,12 @@ Lubich & Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985):
   rows, and a level's weight spectra are kept while the level has blocks
   left.
 
-A grid of 2^k steps thus fills whole blocks.  `block(start)` returns the
-accumulated out-of-block sums of the unknowns of one aligned block.  The
-split is exact in exact arithmetic and costs O(N log^2 N) in total.  The
-FFT rounding error of a square, or of an in-block sum, is about machine
-epsilon times the size of its own terms.
+A grid of 2^k steps thus fills whole blocks, and one of at most 1024 steps
+is one block with no square.  `block(start)` returns the accumulated
+out-of-block sums of the unknowns of one aligned block.  The split is exact
+in exact arithmetic and costs O(N log^2 N) in total.  The FFT rounding
+error of a square, or of an in-block sum, is about machine epsilon times
+the size of its own terms; the prefix sums are exact to about an ulp.
 
 The strictly lower Toeplitz matrix of the weights is kept dense only for
 LOWER = 128 unknowns, as `lower`, built on first use: the Jacobian of a
@@ -43,7 +46,7 @@ from functools import cached_property
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-BLOCK = 512  # a power of two
+BLOCK = 1024  # a power of two
 LOWER = 128  # unknowns of the dense Toeplitz block `lower`
 
 
@@ -63,6 +66,18 @@ class BlockedHistory:
         self._spectra: dict[int, np.ndarray] = {}
         self._inblock_spectra: dict[int, np.ndarray] = {}
         self._next_block = BLOCK
+
+    @cached_property
+    def prefix(self) -> np.ndarray:
+        """The in-block sums of a constant 1 at the first BLOCK unknowns:
+        prefix[r, i] = sum_{k=1..i} rows[r][k], so prefix[r, 0] = 0.  A plain
+        cumulative sum, which for the solver's trapezoid rows lies within an
+        ulp of the correctly rounded sums."""
+        size = min(BLOCK, self._n)
+        prefix = np.zeros((len(self._rows), size))
+        for r, w in enumerate(self._rows):
+            np.cumsum(w[1:size], out=prefix[r, 1:])
+        return prefix
 
     @cached_property
     def lower(self) -> np.ndarray:

@@ -18,14 +18,18 @@ sequential problem (first derivative of the order-alpha Caputo derivative,
 
 Both reduce to the same marching recurrence: x and Dbeta x at a node are
 affine in the f-values up to that node, with weight k on the node's own
-f-value.  So the unknown f-values phi of one aligned block of BLOCK = 512
-unknowns (nodes 1..512, 513..1024, ...; a grid of 2^k steps fills whole
-blocks) solve a lower-triangular system
+f-value.  So the unknown f-values phi of one aligned block of BLOCK = 1024
+unknowns (nodes 1..1024, 1025..2048, ...; a grid of 2^k steps fills whole
+blocks, and a grid of at most 1024 steps is one block) solve a
+lower-triangular system
 
     phi = f(tau, x(phi), v(phi)),   x(phi) = base_x + w_x L_x phi + k_x phi
 
 (L_x strictly lower Toeplitz in the weights; the same for v).  A diagonal
-sweep applies L_x by one real FFT, `BlockedHistory.inblock`.
+sweep applies L_x by one real FFT, `BlockedHistory.inblock`, except the
+first sweep of a window: every node then holds its start phi0, so L_x phi
+is phi0 times `BlockedHistory.prefix`, the prefix sums of the weights,
+with no FFT.
 `_sweep` solves a window of it by vectorized sweeps of diagonal Newton, as
 Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
 2018):
@@ -52,11 +56,14 @@ more, in-block sums included:
 The window commits its longest converged prefix and starts again at the
 first node that had not.  The sweep that checks this coupled rule sums the
 last changes and the block's f-values with the new iterates in one stacked
-`inblock` call, so a window attempt makes one in-block transform per sweep
-and one more for the check and the commit together.  A diagonal attempt
-whose window is its whole block and whose last sweep moved no node (as for
-a source that does not depend on the state) makes no such call: its changes
-are 0, and the block's in-block sums are that sweep's own transform.
+`inblock` call, so a diagonal window attempt makes one in-block transform
+per sweep after the first and one more for the check and the commit
+together.  A diagonal attempt whose window is its whole block and whose
+last sweep moved no node (as for a source that does not depend on the
+state) makes no such call: its changes are 0, and the block's in-block
+sums are that sweep's own.  Such a block costs two sweeps and one one-row
+in-block transform, or, when the source equals the start (zero_rhs), one
+sweep and no transform.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
@@ -290,7 +297,9 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
         base + w * history.inblock(phi) + k * phi
 
     (in a Newton attempt with history.lower[:, :size, :size] @ phi, the
-    dense causal sums its Jacobian is built from, for the FFT), one row of
+    dense causal sums its Jacobian is built from, for the FFT; in the first
+    diagonal sweep, where every node is at phi0, with the closed form
+    phi0 * history.prefix[:, :size]), one row of
     base, w and k, and of the weights of history, per quantity (x, then
     Dbeta x unless it is x); w and k are columns, the same at every node.
     values holds the f-values of the window's block, 0 from the window on,
@@ -301,7 +310,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     nodes from the first one whose iterate is not finite are cut.  The sums
     come from the stacked transform that checks the stop rule's reach, or,
     where a diagonal sweep moved no node of a window that is its whole block
-    (offset 0, every node converged), from that sweep's own transform.  They
+    (offset 0, every node converged), from that sweep's own sums.  They
     are None where the last sweep did not yield them: no node converged, or
     the stop rule's reach cut the converged prefix."""
     scale = abs(k[0, 0]) + abs(k[-1, 0])
@@ -313,7 +322,12 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
             size = phi.size
-            inner = history.lower[:, :size, :size] @ phi if newton else history.inblock(phi)
+            if newton:
+                inner = history.lower[:, :size, :size] @ phi
+            elif sweep == 1:  # every node at phi0: the in-block sums in closed form
+                inner = phi0 * history.prefix[:, :size]
+            else:
+                inner = history.inblock(phi)
             z = base[:, :size] + w * inner + k * phi
             x, v = z[0], z[-1]
             t = tau[:size]
@@ -438,13 +452,16 @@ def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
     if spec.kind is not ProblemKind.SEQUENTIAL:
         raise DomainError("solve_sequential requires a sequential ProblemSpec")
     alpha, beta, b1, b2 = spec.alpha, spec.beta, spec.b1, spec.b2
-    ga1 = gamma_fn(alpha + 1.0)
-    gab1 = gamma_fn(alpha - beta + 1.0)
+    cx = b2 / gamma_fn(alpha + 1.0)
+    cv = b2 / gamma_fn(alpha - beta + 1.0)
+    for name, coef in (("b2 / Gamma(alpha+1)", cx), ("b2 / Gamma(alpha-beta+1)", cv)):
+        if not math.isfinite(coef):  # inf * 0^alpha would be NaN at tau = 0
+            raise DomainError(f"initial-value coefficient {name} overflows a float")
     x, v, fhist, iters = _march(
         spec, t_end, n_steps,
         mu_x=alpha + 1.0, mu_v=alpha - beta + 1.0,
-        x_inhom=lambda t: b1 + b2 / ga1 * t ** alpha,
-        v_inhom=lambda t: b2 / gab1 * t ** (alpha - beta),
+        x_inhom=lambda t: b1 + cx * t ** alpha,
+        v_inhom=lambda t: cv * t ** (alpha - beta),
     )
     dalpha = b2 + GridFunction(t_end, fhist).cumulative_integral()
     return _solution(spec, t_end, x, v, dalpha, fhist, iters)

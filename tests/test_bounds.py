@@ -318,6 +318,15 @@ def test_lq_corrected_uses_k1_power():
     assert cor == pytest.approx((2.0 ** (q - 1) * 2.0 ** q) ** (1 / q), rel=1e-6)
 
 
+@pytest.mark.parametrize("variant, k1", [("literal", 1e308), ("corrected", 1e300)])
+def test_lq_names_an_overflowing_constant(variant, k1):
+    # 2^(q-1) k1 is inf in the literal variant; k1^q raises in the corrected
+    p1 = make_phi("power", {"exponent": 0.4})
+    h = const_grid(0.0)
+    with pytest.raises(DomainError, match=re.escape("L^q bound constant 2^(q-1) K overflows")):
+        lq_bihari_bound(k1, 1.0, 4.0, h, p1, p1, 1.0, variant=variant)
+
+
 def test_lq_rejects_bad_variant():
     p1 = make_phi("power", {"exponent": 0.4})
     h = const_grid(0.0)

@@ -803,6 +803,30 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
     assert len(lines) == 1 and lines[0].startswith(err), lines
 
 
+# a finite number that loads but makes a constant of the run overflow, and
+# the one line that names that constant
+@pytest.mark.parametrize("ident, edits, err", [
+    ("example46", {("problem", "b2"): 1.7e308},
+     "error: initial-value coefficient b2 / Gamma(alpha+1) overflows a float"),
+    ("example63", {("problem", "b1"): 1e308, ("checks", 1, "variant"): "literal"},
+     "error: L^q bound constant 2^(q-1) K overflows a float"),
+])
+def test_cli_names_an_overflowing_constant_in_one_error_line(ident, edits, err, tmp_path,
+                                                             capsys):
+    doc = _builtin_json(ident)
+    for path, value in edits.items():
+        leaf = doc
+        for key in path[:-1]:
+            leaf = leaf[key]
+        leaf[path[-1]] = value
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == err + "\n"
+
+
 def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, capsys):
     # phi1^q phi2^q of the boundedness check overflows on the first piece of
     # its reciprocal-integral verdict

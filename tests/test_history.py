@@ -20,11 +20,13 @@ from fracasym.history import BLOCK, LOWER, BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, solve_direct, solve_sequential
 
 
-# 129: a grid inside the first block; BLOCK +- 1: one block less a node, and
-# one block and a node; 1000 = 512 + 488, a last block cut by the grid's
-# end; 1024: whole blocks; 1025 = 2^10 + 1: the square of 512 is cut to one
-# target by the grid's end; 1030 = 2^10 + 6: that square is cut to 6 targets
-@pytest.mark.parametrize("n", [129, BLOCK - 1, BLOCK + 1, 1000, 1024, 1025, 1030, 3001])
+# 129, 511, 513 and 1000: grids inside the first block; BLOCK - 1: one
+# block less a node; BLOCK: a whole block; BLOCK + 1 = 2^10 + 1: the square
+# of 1024 is cut to one target by the grid's end; 1030 = 2^10 + 6: that
+# square is cut to 6 targets; 2000 = 1024 + 976, a last block cut by the
+# grid's end; 3001: the square of 2048 cut to 953 targets
+@pytest.mark.parametrize("n", [129, 511, 513, 1000, BLOCK - 1, BLOCK, BLOCK + 1, 1030, 2000,
+                               3001])
 @pytest.mark.parametrize("trapezoid", [0, 1])
 @pytest.mark.parametrize("with_v", [True, False])
 def test_blocked_history_matches_direct_sums_at_every_step(n, trapezoid, with_v):
@@ -75,6 +77,17 @@ def test_a_single_node_has_no_in_block_sums():
     blocked = BlockedHistory((np.ones(BLOCK + 1), np.ones(BLOCK + 1)), np.zeros(BLOCK + 1))
     assert np.array_equal(blocked.inblock(np.array([3.0])), np.zeros((2, 1)))
     assert np.array_equal(blocked.inblock(np.array([[3.0], [4.0]])), np.zeros((2, 2, 1)))
+
+
+@pytest.mark.parametrize("mu", [0.3, 1.6, 1.95])
+def test_prefix_sums_of_the_weight_heads_are_correctly_rounded(mu):
+    a = trapezoid_coefficients(mu, BLOCK)[0]
+    blocked = BlockedHistory((a, 2.0 * a), np.zeros(BLOCK))
+    want = np.array([math.fsum(a[1:i + 1]) for i in range(BLOCK)])
+    assert blocked.prefix.shape == (2, BLOCK)
+    assert np.all(np.abs(blocked.prefix - [want, 2.0 * want]) <= 1e-15 * want)
+    # a grid shorter than a block needs (and has) the heads up to its end
+    assert BlockedHistory((a[:101],), np.zeros(100)).prefix.shape == (1, 100)
 
 
 def _conv_lower_direct(b, g, scale):
@@ -135,8 +148,8 @@ _RHS = {
 }
 
 
-# N < BLOCK; a window cut by the grid's end (1000 = 512 + 488); 4099 =
-# 2^12 + 3, a last block of 4 nodes
+# N < BLOCK; a block cut by the grid's end (1000 of BLOCK = 1024); 4099 =
+# 2^12 + 3, a last block of 3 nodes
 @pytest.mark.parametrize("n", [100, 1000, 4099])
 @pytest.mark.parametrize("rhs", sorted(_RHS))
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
@@ -173,13 +186,13 @@ def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
     # converge raises StepFailure
     assert not (iters == solvers._FIXED_POINT_CAP).any()
     # example46 never stalls, so its sweeps are those of diagonal Newton
-    assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 11264
+    assert _builtin_solution("example46", 4096).corrector_iterations.sum() == 14336
 
 
-@pytest.mark.parametrize("n", [512, 1024, 2048])
+@pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 4 * BLOCK])
 def test_a_grid_of_2k_steps_fills_whole_blocks(monkeypatch, n):
     # the history is indexed by the unknowns f[1..n], so n = 2^k of them fill
-    # n / 512 blocks: one window per block, and a square for every block but
+    # n / BLOCK blocks: one window per block, and a square for every block but
     # the first
     sweep, add_block = solvers._sweep, BlockedHistory._add_block
     windows, squares = [], []
@@ -204,12 +217,13 @@ def _count_inblock(monkeypatch):
 def test_a_state_independent_block_ends_at_its_fixed_point(monkeypatch, ident, sweeps, n):
     # the source does not depend on the state, so the first sweep moves each
     # iterate onto its f-value (zero_rhs starts on it) and the next one moves
-    # no node: that sweep ends the block, and its own transform, one 1-d
-    # in-block call, gives the block's sums without a stacked check
+    # no node: that sweep ends the block, and its own in-block sums give the
+    # block's sums without a stacked check.  The first sweep takes them from
+    # the prefix sums, so only a second sweep makes a (1-d) in-block call
     calls = _count_inblock(monkeypatch)
     iters = _builtin_solution(ident, n).corrector_iterations
     assert np.all(iters[1:] == sweeps)
-    assert calls == [1] * (sweeps * -(-n // BLOCK))
+    assert calls == [1] * ((sweeps - 1) * -(-n // BLOCK))
 
 
 def test_newton_and_partial_windows_keep_the_stacked_check(monkeypatch):
@@ -225,13 +239,14 @@ def test_newton_and_partial_windows_keep_the_stacked_check(monkeypatch):
     newton, offsets = zip(*windows)  # the newton and offset arguments
     assert any(newton) and any(offsets)
     assert 2 in calls
-    assert iters.sum() == 7048
+    assert iters.sum() == 9096
 
 
 def test_a_whole_block_fixed_point_commits_its_own_in_block_sums(monkeypatch):
     # f depends on tau alone and lies within a factor 2 of the start, so the
-    # first sweep lands on it exactly and the second moves no node: the block
-    # ends there and returns that sweep's own transform as its sums
+    # first sweep (by the prefix sums) lands on it exactly and the second
+    # moves no node: the block ends there and returns that sweep's own
+    # transform, the one in-block call, as its sums
     rows = tuple(trapezoid_coefficients(mu, BLOCK)[0] for mu in (1.6, 0.3))
     history = BlockedHistory(rows, np.zeros(BLOCK))
     tau = np.linspace(0.0, 1.0, BLOCK + 1)[1:]
@@ -240,7 +255,7 @@ def test_a_whole_block_fixed_point_commits_its_own_in_block_sums(monkeypatch):
     calls = _count_inblock(monkeypatch)
     done, sweeps, phi, sums = solvers._sweep(f, tau, np.zeros((2, BLOCK)), w, history, w,
                                              1.0, False, np.zeros(BLOCK), 0)
-    assert (done, sweeps, calls) == (BLOCK, 2, [1, 1])
+    assert (done, sweeps, calls) == (BLOCK, 2, [1])
     assert np.array_equal(phi, f.fn(tau, 0.0, 0.0))
     for a, got in zip(rows, sums):
         # the direct sums over the pairs j < i, correctly rounded, against the
@@ -248,6 +263,31 @@ def test_a_whole_block_fixed_point_commits_its_own_in_block_sums(monkeypatch):
         want = np.array([math.fsum(a[i:0:-1] * phi[:i]) for i in range(BLOCK)])
         terms = np.convolve(np.abs(a[1:BLOCK]), np.abs(phi))[:BLOCK - 1].max()
         assert np.all(np.abs(got - want) <= 1e-15 * terms)
+
+
+def test_the_first_sweep_of_a_whole_block_makes_no_in_block_call(monkeypatch):
+    # every node starts at phi0, so the first sweep's in-block sums are
+    # phi0 * prefix; the sweeps after it sum their iterates by FFT.  f records
+    # how many in-block calls came before each of its calls (one a sweep)
+    rows = tuple(trapezoid_coefficients(mu, BLOCK)[0] for mu in (1.6, 0.3))
+    history = BlockedHistory(rows, np.zeros(BLOCK))
+    tau = np.linspace(0.0, 1.0, BLOCK + 1)[1:]
+    w = np.array([[1e-3], [2e-3]])
+    calls, before, firsts = _count_inblock(monkeypatch), [], []
+
+    def fn(t, u, v):
+        before.append(len(calls))
+        firsts.append(u.copy())
+        return 1.0 + 0.1 * np.sin(u) * np.cos(v)
+
+    base = np.ones((2, BLOCK))
+    sweeps = solvers._sweep(solvers.RightHandSide(fn), tau, base, w, history, w, 1.0, False,
+                            np.zeros(BLOCK), 0)[1]
+    assert sweeps > 2
+    assert before[:2] == [0, 1]
+    # the x the first sweep hands f: the direct sums of the constant start
+    want = np.array([1.0 + 1e-3 * math.fsum(rows[0][1:i + 1]) + 1e-3 for i in range(BLOCK)])
+    assert np.all(np.abs(firsts[0] - want) <= 1e-15 * want)
 
 
 def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):

@@ -71,6 +71,20 @@ def test_sequential_zero_rhs_power():
     assert np.allclose(sol.dalpha_x.values, 1.0, rtol=0, atol=1e-15)
 
 
+# Gamma(1.5) ~ 0.886 < Gamma(1.25) ~ 0.906, so b2 = 1.7e308 overflows both
+# coefficients; Gamma(1.9) ~ 0.962 > Gamma(1.45) ~ 0.886, so 1.65e308 with
+# alpha 0.9, beta 0.45 overflows the Dbeta x one alone
+@pytest.mark.parametrize("alpha, beta, b2, name", [
+    (0.5, 0.25, 1.7e308, "b2 / Gamma(alpha+1)"),
+    (0.9, 0.45, 1.65e308, "b2 / Gamma(alpha-beta+1)"),
+])
+def test_an_overflowing_initial_value_coefficient_is_named(alpha, beta, b2, name):
+    spec = sequential_spec(make_rhs("zero", None, alpha, "sequential"), alpha, beta, b2=b2)
+    with pytest.raises(DomainError) as excinfo:
+        solve_sequential(spec, 1.0, 16)
+    assert str(excinfo.value) == f"initial-value coefficient {name} overflows a float"
+
+
 def test_sequential_zero_rhs_flat():
     spec = sequential_spec(make_rhs("zero", None, 0.5, "sequential"), b1=5.0)
     sol = solve_sequential(spec, 2.0, 64)
