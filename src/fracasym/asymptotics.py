@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
 from typing import Callable, NamedTuple
 
 import numpy as np
 
+from . import bounds
 from .bounds import BoundReport, dyadic_pieces
 from .errors import DomainError
 from .fracops import rl_integral
@@ -134,16 +135,22 @@ class TailIntegrand:
     """An integrand with a declared analytic tail class, so that improper
     integrals can be given honest convergence verdicts.
 
-    tail_exponent is the power p of the integrand's factor s^p: it rules the
-    integrand at 0 for both tagged classes and at infinity for a power tail.
-    The catalog's fn are numpy-elementwise, so that a check samples its
-    weight on a whole grid in one call.
+    The integrand is fn(s) = s^p factor(s) with p = tail_exponent and a
+    factor that is smooth and nonzero at 0, so p rules the integrand at 0,
+    and at infinity too for a power tail.  The catalog's factors are
+    numpy-elementwise, so that a check samples its weight on a whole grid
+    in one call.
     """
 
     ident: str
-    fn: Callable[[float], float]
+    factor: Callable[[float], float]
     tail_class: str  # "exponential" | "power" | "unknown"
     tail_exponent: float = 0.0
+
+    def fn(self, s):
+        if self.tail_exponent == 0.0:
+            return self.factor(s)
+        return s ** self.tail_exponent * self.factor(s)
 
 
 def _exp_decay(rate: float = 1.0) -> TailIntegrand:
@@ -153,14 +160,15 @@ def _exp_decay(rate: float = 1.0) -> TailIntegrand:
 
 
 def _power(exponent: float) -> TailIntegrand:
-    return TailIntegrand("power", lambda s: s ** exponent, "power", tail_exponent=exponent)
+    # s^0 is 1 of the argument's shape, so that a weight grid of exponent 0 is an array
+    return TailIntegrand("power", lambda s: s ** 0.0, "power", tail_exponent=exponent)
 
 
 def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
     if rate <= 0:
         raise DomainError(f"power_exp needs rate > 0, got {rate}")
-    return TailIntegrand("power_exp", lambda s: s ** exponent * np.exp(-rate * s),
-                         "exponential", tail_exponent=exponent)
+    return TailIntegrand("power_exp", lambda s: np.exp(-rate * s), "exponential",
+                         tail_exponent=exponent)
 
 
 INTEGRANDS: dict[str, Callable[..., TailIntegrand]] = {
@@ -191,7 +199,8 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     p-integral rule, a tagged integrand from split = 0 follows the same
     rule at 0, and untagged integrands are never certified convergent
     unless their dyadic increments both shrink below tolerance and decay
-    geometrically.  An integrand that overflows a float raises DomainError.
+    geometrically.  An integrand that overflows a float, or a piece whose
+    upper end does, raises DomainError.
     """
     if split < 0:
         raise DomainError(f"split must be >= 0, got {split}")
@@ -205,9 +214,18 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     if integrand.tail_class != "unknown" and split == 0.0 and p_total <= -1.0:  # at 0
         return TailEstimate(math.inf, "diverges")
 
+    if split == 0.0 and p_total > -1.0:
+        # s = v^(1/q) with q = 1 + p_total takes the power out of the piece [0, 1]:
+        # int_0^1 s^p_total factor(s) ds = (1/q) int_0^1 factor(v^(1/q)) dv.  No
+        # float lies near enough to 0 for the plain rule when p_total < -0.96.
+        # bounds.quad is looked up on each call, so a wrapper set on it sees this one
+        q = 1.0 + p_total
+        head = bounds.quad(lambda v: integrand.factor(v ** (1.0 / q)), 0.0, 1.0) / q
+        pieces = chain([(1.0, head)], dyadic_pieces(f, 1.0))
+    else:
+        pieces = dyadic_pieces(f, split)
     total = 0.0
     increments = []
-    pieces = dyadic_pieces(f, split)
     for hi, piece in islice(pieces, 64):
         total += piece
         increments.append(abs(piece))

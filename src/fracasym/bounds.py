@@ -145,7 +145,7 @@ def _ensure_valid(obj: ComparisonFunction | LipschitzClassFunction) -> bool:
 
 
 def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
-    """E(xi) = integral of 1/phi from xi0 to a finite xi (adaptive quadrature).
+    """E(xi) = integral of 1/phi from xi0 to a finite xi (by `quad`).
 
     Integrated in log coordinates (s = e^u), which keeps the integrand's
     dynamic range flat for the power-law comparison functions even when
@@ -168,8 +168,7 @@ def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
             return 0.0
         return s / v
 
-    val, _ = quad(integrand, math.log(phi.xi0), math.log(xi))
-    return float(val)
+    return float(quad(integrand, math.log(phi.xi0), math.log(xi)))
 
 
 def _transform_clamped(phi: ComparisonFunction, x: float) -> float:
@@ -313,10 +312,10 @@ def linear_class_bound(c1: float, c2: float, c3: float, c4: float, gamma: float,
     if tau == 0.0:
         return 0.0 if gamma > 0 else c1
 
-    i_f, _ = quad(lambda s: F1(s, c3) + F2(s, c4), 0.0, tau)
+    i_f = quad(lambda s: F1(s, c3) + F2(s, c4), 0.0, tau)
     i_h = h.integral_to(tau)
-    i_n, _ = quad(lambda s: s ** gamma * (F1.majorant_at(s) + F2.majorant_at(s)),
-                  0.0, tau)
+    i_n = quad(lambda s: s ** gamma * (F1.majorant_at(s) + F2.majorant_at(s)),
+               0.0, tau)
     return tau ** gamma * (c1 + c2 * (i_f + i_h)) * math.exp(c2 * i_n)
 
 
@@ -401,12 +400,15 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
 
 def dyadic_pieces(f: Callable[[float], float], lo: float) -> Iterator[tuple[float, float]]:
     """Yield (hi, int_lo^hi f) by quad for hi = max(1, 2 lo), then for each
-    next piece [hi, 2 hi], without end; an overflow of f is a DomainError
-    naming the piece."""
+    next piece [hi, 2 hi], without end; an overflow of f, or a piece whose
+    upper end overflows a float, is a DomainError naming the piece."""
     hi = max(1.0, 2.0 * lo)
     while True:
+        if math.isinf(hi):
+            raise DomainError(f"the piece [{lo:g}, {hi:g}] of a tail integral has no "
+                              f"finite upper end")
         try:
-            val, _ = quad(f, lo, hi)
+            val = quad(f, lo, hi)
         except OverflowError:
             raise DomainError(f"tail integrand overflows a float on the piece "
                               f"[{lo:g}, {hi:g}]") from None

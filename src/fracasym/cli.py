@@ -6,9 +6,10 @@
     fracasym catalog
 
 CONFIG is either a path to a JSON experiment file or a builtin config id
-(see `fracasym catalog`).  Exit codes: 0 when every check passes, 2 when a
-bound hypothesis is violated, 1 for solver/config/IO failures or plain
-check failures.
+(see `fracasym catalog`).  Exit codes: 0 when every check passes or is
+skipped (a regression check off its pinned grid), 2 when a bound
+hypothesis is violated, 1 for solver/config/IO failures or plain check
+failures.
 """
 
 from __future__ import annotations

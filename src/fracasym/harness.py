@@ -6,8 +6,10 @@ errors; silent typo tolerance is how wrong experiments get published.
 
 Checks report one verdict line each.  A failed integrability/divergence
 hypothesis marks the check FAILED-HYPOTHESIS and the run continues; a
-solver failure aborts the run.  Exit-code contract (used by the CLI):
-0 all checks pass, 2 any hypothesis violation, 1 anything else.
+solver failure aborts the run.  A regression check on a grid other than
+the one its pin was taken on reports SKIP, which is no verdict.
+Exit-code contract (used by the CLI): 0 all checks pass or are skipped,
+2 any hypothesis violation, 1 anything else.
 """
 
 from __future__ import annotations
@@ -73,7 +75,7 @@ class ExperimentConfig:
 @dataclass(frozen=True)
 class CheckResult:
     name: str
-    status: str  # PASS | FAIL | FAILED-HYPOTHESIS
+    status: str  # PASS | FAIL | FAILED-HYPOTHESIS | SKIP <reason>, which is no verdict
     measured: object
     expected: object
     tolerance: object
@@ -81,6 +83,10 @@ class CheckResult:
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
+
+    @property
+    def skipped(self) -> bool:
+        return self.status.startswith("SKIP")
 
     def line(self) -> str:
         return (f"CHECK {self.name}: {self.status} measured={_fmt(self.measured)} "
@@ -105,7 +111,7 @@ class RunReport:
 
     @property
     def overall_pass(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(c.passed or c.skipped for c in self.checks)
 
     @property
     def exit_code(self) -> int:
@@ -328,6 +334,11 @@ def _regression(check, ctx):
     val, pinned = ctx.measured.get(key), ctx.expectations.get(key)
     if val is None:
         return CheckResult(f"regression_{key}", "FAIL", "not-measured", pinned, tol), ()
+    # a pin holds for the grid it was taken on; the measured values move with h
+    grid = ctx.expectations.get("grid")
+    if grid not in (None, {"n_steps": ctx.config.n_steps, "t_end": ctx.config.t_end}):
+        status = f"SKIP pinned at t_end={grid['t_end']:g} n_steps={grid['n_steps']}"
+        return CheckResult(f"regression_{key}", status, val, pinned, tol), ()
     if pinned is None:
         return CheckResult(f"regression_{key}", "FAIL", val, "missing-pin", tol), ()
     ok = abs(val - pinned) <= tol * max(abs(pinned), 1e-300)
@@ -477,8 +488,9 @@ def load_builtin_config(ident: str) -> ExperimentConfig:
     return load_config(json.loads(text))
 
 
-def load_expectations(ident: str) -> dict[str, float]:
-    """Pinned regression values for a config id; empty when none exist."""
+def load_expectations(ident: str) -> dict:
+    """Pinned regression values for a config id, with the grid they were
+    pinned on under "grid"; empty when none exist."""
     ref = resources.files("fracasym.expectations").joinpath(f"{ident}.json")
     return json.loads(ref.read_text()) if ref.is_file() else {}
 
@@ -616,7 +628,8 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
 
 def pin(config: ExperimentConfig, expectations_dir: Path, out_dir=None) -> Path:
     """Run the experiment skipping regression checks and write the measured
-    values as the pinned expectations for this config id.
+    values as the pinned expectations for this config id, with the grid
+    (t_end, n_steps) they hold for.
 
     Pins are meant to be generated once, reviewed and committed; rerunning
     pin on purpose is how expectations get refreshed.
@@ -627,6 +640,7 @@ def pin(config: ExperimentConfig, expectations_dir: Path, out_dir=None) -> Path:
     path = _resolve_out(f"{config.ident}.json", expectations_dir)
     payload = {k: v for k, v in sorted(report.measured.items())
                if isinstance(v, float) and math.isfinite(v)}
+    payload["grid"] = {"n_steps": config.n_steps, "t_end": config.t_end}
     path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     return path
 

@@ -141,6 +141,11 @@ def test_tail_overflowing_integrand_names_the_piece():
         improper_tail(make_integrand("exp_decay"), weight_power=400.0)
 
 
+def test_tail_piece_past_the_float_range_is_a_domain_error():
+    with pytest.raises(DomainError, match=r"piece \[1e\+308, inf\] .* no finite upper end"):
+        improper_tail(make_integrand("exp_decay"), split=1e308)
+
+
 def test_tail_unknown_class_shrinking():
     unk = TailIntegrand("custom", lambda s: math.exp(-s), "unknown")
     est = improper_tail(unk, split=0.0)

@@ -379,11 +379,13 @@ def test_csv_writer_bytes_do_not_depend_on_the_chunk_size(tmp_path, monkeypatch)
 
 def test_cli_csv_fields_round_trip_through_percent_format(tmp_path, capsys):
     # 32768 steps put about 12 % of the values, in dalpha_x, below 1e-6,
-    # outside the range where 10**q is a double.  The run exits 1: the
-    # sup_x pin holds at the config's 2048 steps, not at 32768.
+    # outside the range where 10**q is a double.  The sup_x pin holds at the
+    # config's 2048 steps, so its check is skipped and the run exits 0.
     assert cli.main(["solve", "example63_forced", "--n-steps", "32768",
-                     "--out-dir", str(tmp_path)]) == 1
-    assert "CHECK boundedness: PASS" in capsys.readouterr().out
+                     "--out-dir", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    assert "CHECK boundedness: PASS" in out
+    assert "CHECK regression_sup_x: SKIP pinned at t_end=50 n_steps=2048" in out
     lines = (tmp_path / "example63_forced.csv").read_text().splitlines()
     assert lines[0] == harness.CSV_HEADER and len(lines) == 32770
     fields = ",".join(lines[1:]).split(",")
@@ -489,6 +491,39 @@ def test_regression_roundtrip(tmp_path):
     assert "integral_defect" in pinned
     report = harness.run(config, expectations=pinned)
     assert report.overall_pass
+
+
+def test_a_pin_applies_to_the_grid_it_was_taken_on(tmp_path):
+    doc = make_config(output={})
+    doc["checks"] = [
+        {"name": "residual", "tolerance": 1e-9},
+        {"name": "regression", "key": "integral_defect", "tolerance": 1e-9},
+    ]
+    path = harness.pin(harness.load_config(doc), tmp_path)
+    pinned = json.loads(path.read_text())
+    assert pinned["grid"] == {"n_steps": 64, "t_end": 20.0}
+    # on the pinned grid the check keeps its verdict and exit code
+    wrong = dict(pinned, integral_defect=2.0 * pinned["integral_defect"] + 1.0)
+    report = harness.run(harness.load_config(doc), expectations=wrong)
+    assert [c.status for c in report.checks] == ["PASS", "FAIL"]
+    assert report.exit_code == 1
+    # off it, a changed n_steps or t_end alike, the check gives no verdict
+    for grid in ({"t_end": 20.0, "n_steps": 128}, {"t_end": 10.0, "n_steps": 64}):
+        report = harness.run(harness.load_config(dict(doc, grid=grid)), expectations=wrong)
+        assert report.checks[1].status == "SKIP pinned at t_end=20 n_steps=64"
+        assert report.overall_pass and report.exit_code == 0
+        assert report.render().splitlines()[-1] == "OVERALL: PASS"
+
+
+def test_cli_run_off_the_pinned_grid_skips_the_regression_checks(tmp_path, capsys):
+    code = cli.main(["solve", "example46", "--n-steps", "8192", "--out-dir", str(tmp_path)])
+    lines = capsys.readouterr().out.splitlines()
+    skipped = [line for line in lines if line.startswith("CHECK regression_")]
+    assert len(skipped) == 3
+    assert all(": SKIP pinned at t_end=400 n_steps=4096 measured=" in line
+               for line in skipped)
+    assert lines[-1] == "OVERALL: PASS"
+    assert code == 0
 
 
 def test_regression_of_a_value_whose_check_failed_its_hypothesis_is_not_measured():
@@ -715,8 +750,10 @@ def test_cli_pin_writes_the_measured_values(tmp_path, capsys):
     assert capsys.readouterr().out == f"pinned expectations written to {path}\n"
     report = harness.run(harness.load_builtin_config("example63_forced"), out_dir=tmp_path,
                          expectations={})
-    assert json.loads(path.read_text()) == report.measured
-    assert set(report.measured) == set(harness.load_expectations("example63_forced"))
+    assert json.loads(path.read_text()) == dict(report.measured,
+                                                grid={"n_steps": 2048, "t_end": 50.0})
+    assert set(report.measured) | {"grid"} == set(
+        harness.load_expectations("example63_forced"))
 
 
 def test_cli_reports_a_solver_failure_as_one_line(tmp_path, capsys, monkeypatch):
@@ -825,6 +862,20 @@ def test_cli_names_an_overflowing_constant_in_one_error_line(ident, edits, err, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == err + "\n"
+
+
+def test_cli_reports_a_doubling_piece_past_the_float_range_as_one_error_line(tmp_path,
+                                                                            capsys):
+    doc = _builtin_json("example46")
+    doc["checks"] = [{"name": "hypothesis", "integrand": {"name": "exp_decay"},
+                      "split": 1e308, "expect": "converges"}]
+    config = tmp_path / "huge_split.json"
+    config.write_text(json.dumps(doc))
+    assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("error: the piece [1e+308, inf] of a tail integral has no "
+                            "finite upper end\n")
 
 
 def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, capsys):

@@ -1,9 +1,10 @@
 """The in-package quadrature and the Bihari inverse against scipy as the oracle.
 
-`fracasym._quadrature` ports QUADPACK's qags, so on the integrands the
-bounds hand it, it should agree with scipy's `quad` at the same tolerance
-to well within it.  `bounds.bihari_inverse` solves E(xi) = y by Newton
-steps, so it should agree with scipy's `brentq` on the same transform.
+On the integrands the bounds hand it, `fracasym._quadrature.quad` should
+agree with scipy's `quad` asked for 1e-13 relative accuracy to well within
+the package's tolerance.  `bounds.bihari_inverse` solves E(xi) = y by Newton
+steps, so it should agree with scipy's `brentq` on the same transform.  The
+tests of the rule that need no scipy are in test_tanh_sinh.py.
 """
 
 import math
@@ -18,19 +19,10 @@ from fracasym.asymptotics import make_integrand
 from fracasym.bounds import ComparisonFunction
 from fracasym.catalog import make_phi
 
-OPTS = dict(epsabs=_quadrature._EPSABS, epsrel=_quadrature._EPSREL, limit=_quadrature._LIMIT)
-
 
 def _scipy_quad(f, a, b):
-    return scipy.integrate.quad(f, a, b, **OPTS)[0]
-
-
-@pytest.mark.parametrize("p", [-0.5, -0.9, -0.99, 0.5])
-def test_power_with_an_endpoint_singularity(p):
-    # bisection without the epsilon algorithm is 23 % short at p = -0.99
-    value, error = _quadrature.quad(lambda s: s ** p, 0.0, 1.0)
-    assert value == pytest.approx(1.0 / (p + 1.0), rel=1e-11)
-    assert error < 1e-11 * value
+    # no absolute floor: the tail pieces are as small as 1e-56
+    return scipy.integrate.quad(f, a, b, epsabs=0.0, epsrel=1e-13, limit=200)[0]
 
 
 @pytest.mark.parametrize("name, params", [("power", {"exponent": 0.5}),
@@ -45,7 +37,7 @@ def test_bihari_integrand_in_log_coordinates(name, params):
         return s / phi(s)
 
     a, b = math.log(1e-8), math.log(1e6)
-    value, _ = _quadrature.quad(integrand, a, b)
+    value = _quadrature.quad(integrand, a, b)
     assert value == pytest.approx(_scipy_quad(integrand, a, b), rel=1e-11, abs=0)
     assert bounds.bihari_transform(phi, 1e6) == value
 
@@ -125,32 +117,3 @@ def test_an_integrand_overflow_propagates_from_the_integrand(b):
     with pytest.raises(OverflowError) as info:
         _quadrature.quad(integrand, 0.0, b)
     assert info.traceback[-1].name == "integrand"
-
-
-def test_the_panel_limit_warns_and_returns_the_estimate():
-    def f(s):
-        return math.sin(1.0 / s)
-
-    with pytest.warns(RuntimeWarning, match="panel limit"):
-        value, error = _quadrature.quad(f, 1e-4, 1.0)
-    assert math.isfinite(value) and error > 1e-11 * abs(value)
-    with pytest.warns(scipy.integrate.IntegrationWarning):
-        oracle = _scipy_quad(f, 1e-4, 1.0)
-    assert value == pytest.approx(oracle, abs=error)
-
-
-@pytest.mark.parametrize("f, trouble", [
-    # sign(s - 1/2)/|s - 1/2|, 0 at s = 1/2: the first 21-point panel's error
-    # estimate is below its own roundoff level, so qags stops there
-    (lambda s: 0.0 if s == 0.5 else 1.0 / (s - 0.5),
-     "roundoff error prevents the requested tolerance"),
-    # s^-1.5: the extrapolated value, -2, is not within a factor 100 of the
-    # sum of the panels
-    (lambda s: s ** -1.5, "the integral is probably divergent"),
-])
-def test_a_trouble_exit_warns_and_returns_scipys_estimate(f, trouble):
-    with pytest.warns(RuntimeWarning, match=trouble):
-        value, _ = _quadrature.quad(f, 0.0, 1.0)
-    with pytest.warns(scipy.integrate.IntegrationWarning):
-        oracle = _scipy_quad(f, 0.0, 1.0)
-    assert value == oracle

@@ -1,12 +1,9 @@
 """No part of the package imports scipy.
 
-The adaptive quadrature of the bound checks is the package's own
+The quadrature of the bound checks is the package's own
 (`fracasym._quadrature`), and the Bihari inverse takes Newton steps on the
 transform instead of calling a root finder; scipy is only a test oracle, and
 this file imports none of it, so that it runs where scipy is not installed.
-perfbench counts the quadratures of the bound and improper-tail checks
-by wrapping `bounds.quad`, so every adaptive quadrature of a check must
-go through that module attribute.
 """
 
 import json
@@ -14,10 +11,6 @@ import os
 import subprocess
 import sys
 from pathlib import Path
-
-import fracasym._quadrature as quadrature
-import fracasym.bounds as bounds
-from fracasym import harness
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -73,42 +66,3 @@ def test_no_run_imports_scipy():
     assert proc.stderr == ""
     assert result["refused"] == []
     assert result["loaded"] == []
-
-
-def _builtin_check(ident, check_name):
-    return next(c for c in harness.load_builtin_config(ident).checks
-                if c["name"] == check_name)
-
-
-def _run_one_check(ident, check):
-    config = harness.load_builtin_config(ident)
-    doc = {"id": ident, "problem": config.problem,
-           "grid": dict(config.grid, n_steps=256), "checks": [check]}
-    return harness.run(harness.load_config(doc), expectations={})
-
-
-def _recording(calls, fn):
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return fn(*args, **kwargs)
-    return recording
-
-
-def test_bound_checks_integrate_through_the_module_name(monkeypatch):
-    # every quad call runs _qags once, looked up on each call, so the second
-    # wrapper sees every adaptive quadrature, whichever module asked for it
-    calls, core_calls = [], []
-    monkeypatch.setattr(bounds, "quad", _recording(calls, bounds.quad))
-    monkeypatch.setattr(quadrature, "_qags", _recording(core_calls, quadrature._qags))
-    cases = (("example46", _builtin_check("example46", "bound_envelope")),
-             ("example63_forced", _builtin_check("example63_forced", "boundedness")),
-             ("example46", {"name": "hypothesis", "integrand": {"name": "exp_decay"},
-                            "expect": "converges"}))
-    for ident, check in cases:
-        calls.clear()
-        core_calls.clear()
-        report = _run_one_check(ident, check)
-        assert [c.name for c in report.checks] == [check["name"]]
-        assert report.checks[0].status == "PASS"
-        assert calls, f"{check['name']} made no call through bounds.quad"
-        assert len(core_calls) == len(calls), check["name"]
