@@ -32,8 +32,6 @@ __all__ = [
     "lhopital_residual",
     "lhopital_lemma_term",
     "TailIntegrand",
-    "INTEGRANDS",
-    "make_integrand",
     "TailEstimate",
     "improper_tail",
     "integrable_limit_check",
@@ -151,38 +149,6 @@ class TailIntegrand:
         if self.tail_exponent == 0.0:
             return self.factor(s)
         return s ** self.tail_exponent * self.factor(s)
-
-
-def _exp_decay(rate: float = 1.0) -> TailIntegrand:
-    if rate <= 0:
-        raise DomainError(f"exp_decay needs rate > 0, got {rate}")
-    return TailIntegrand("exp_decay", lambda s: np.exp(-rate * s), "exponential")
-
-
-def _power(exponent: float) -> TailIntegrand:
-    # s^0 is 1 of the argument's shape, so that a weight grid of exponent 0 is an array
-    return TailIntegrand("power", lambda s: s ** 0.0, "power", tail_exponent=exponent)
-
-
-def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
-    if rate <= 0:
-        raise DomainError(f"power_exp needs rate > 0, got {rate}")
-    return TailIntegrand("power_exp", lambda s: np.exp(-rate * s), "exponential",
-                         tail_exponent=exponent)
-
-
-INTEGRANDS: dict[str, Callable[..., TailIntegrand]] = {
-    "exp_decay": _exp_decay,
-    "power": _power,
-    "power_exp": _power_exp,
-}
-
-
-def make_integrand(name: str, params: dict | None = None) -> TailIntegrand:
-    """Look up a catalog integrand by id."""
-    if name not in INTEGRANDS:
-        raise DomainError(f"unknown integrand {name!r}; known: {sorted(INTEGRANDS)}")
-    return INTEGRANDS[name](**(params or {}))
 
 
 class TailEstimate(NamedTuple):

@@ -1,11 +1,11 @@
 """Named building blocks referenced by experiment configurations.
 
-An experiment JSON refers by name to right-hand sides and comparison
-functions, whose tables live here, and to weight functions, which are the
-integrands of `asymptotics.INTEGRANDS` (with their analytic tail tags).
-The exact solutions of the manufactured problems live here too.  Keeping
-the registry data-driven is what makes configs pure data and runs
-reproducible.
+An experiment JSON refers by name to right-hand sides, comparison
+functions and weight or tail integrands (with their analytic tail tags).
+Each name space is one table here, `name -> (factory, listing text)`, read
+by one lookup.  The exact solutions of the manufactured problems live here
+too.  Keeping the registry data-driven is what makes configs pure data and
+runs reproducible.
 """
 
 from __future__ import annotations
@@ -14,6 +14,7 @@ from typing import Callable
 
 import numpy as np
 
+from .asymptotics import TailIntegrand
 from .bounds import ComparisonFunction
 from .errors import ConfigError, DomainError
 from .gamma import gamma_fn
@@ -23,9 +24,11 @@ __all__ = [
     "signed_power",
     "make_rhs",
     "make_phi",
+    "make_integrand",
     "exact_solution",
     "RHS",
     "PHI",
+    "INTEGRANDS",
     "builtin_config_ids",
     "BUILTIN_CONFIGS",
 ]
@@ -180,15 +183,48 @@ def _phi_power_plus_one(exponent: float) -> ComparisonFunction:
 
 # name -> (factory, text `fracasym catalog` lists)
 PHI: dict[str, tuple[Callable[..., ComparisonFunction], str]] = {
-    "constant": (_phi_constant, "constant [value]"),
-    "identity": (_phi_identity, "identity"),
-    "power": (_phi_power, "power [exponent]"),
-    "power_plus_one": (_phi_power_plus_one, "power_plus_one [exponent]"),
+    "constant": (_phi_constant, "phi(s) = value > 0  [params: value]"),
+    "identity": (_phi_identity, "phi(s) = s"),
+    "power": (_phi_power, "phi(s) = s^exponent, exponent in (0, 1]  [params: exponent]"),
+    "power_plus_one": (_phi_power_plus_one, "phi(s) = s^exponent + 1  [params: exponent]"),
 }
 
 
 def make_phi(name: str, params: dict | None = None) -> ComparisonFunction:
     return _build(PHI, "comparison function", name, dict(params or {}))
+
+
+# --------------------------------------------------------------------------
+# weights and tail integrands
+
+def _exp_decay(rate: float = 1.0) -> TailIntegrand:
+    if rate <= 0:
+        raise ConfigError(f"exp_decay needs rate > 0, got {rate}")
+    return TailIntegrand("exp_decay", lambda s: np.exp(-rate * s), "exponential")
+
+
+def _power(exponent: float) -> TailIntegrand:
+    # s^0 is 1 of the argument's shape, so that a weight grid of exponent 0 is an array
+    return TailIntegrand("power", lambda s: s ** 0.0, "power", tail_exponent=exponent)
+
+
+def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:
+    if rate <= 0:
+        raise ConfigError(f"power_exp needs rate > 0, got {rate}")
+    return TailIntegrand("power_exp", lambda s: np.exp(-rate * s), "exponential",
+                         tail_exponent=exponent)
+
+
+# name -> (factory, text `fracasym catalog` lists)
+INTEGRANDS: dict[str, tuple[Callable[..., TailIntegrand], str]] = {
+    "exp_decay": (_exp_decay, "exp(-rate*s)  [params: rate]"),
+    "power": (_power, "s^exponent  [params: exponent]"),
+    "power_exp": (_power_exp, "s^exponent exp(-rate*s)  [params: exponent, rate]"),
+}
+
+
+def make_integrand(name: str, params: dict | None = None) -> TailIntegrand:
+    return _build(INTEGRANDS, "integrand", name, dict(params or {}))
 
 
 # --------------------------------------------------------------------------

@@ -8,8 +8,8 @@
 CONFIG is either a path to a JSON experiment file or a builtin config id
 (see `fracasym catalog`).  Exit codes: 0 when every check passes or is
 skipped (a regression check off its pinned grid), 2 when a bound
-hypothesis is violated, 1 for solver/config/IO failures or plain check
-failures.
+hypothesis is violated, 1 for usage/solver/config/IO failures or plain
+check failures.
 """
 
 from __future__ import annotations
@@ -90,7 +90,10 @@ def _innermost(exc: BaseException) -> str:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse's usage error exits 2, a hypothesis code
+        return 0 if exc.code == 0 else 1
     try:
         if args.command == "catalog":
             sys.stdout.write(harness.list_catalog())

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import sys
 import time
 from dataclasses import dataclass, field
 from importlib import resources
@@ -26,9 +27,8 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, catalog
-from .asymptotics import (INTEGRANDS, boundedness_verdict, improper_tail,
-                          lhopital_lemma_term, lhopital_residual, make_integrand,
-                          power_slope, slope_window_start)
+from .asymptotics import (boundedness_verdict, improper_tail, lhopital_lemma_term,
+                          lhopital_residual, power_slope, slope_window_start)
 from .bounds import growth_envelope_constants, uniform_bound_constant
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .grid import GridFunction
@@ -154,16 +154,13 @@ def _object(d, where: str, required=(), optional=()) -> dict:
 
 
 def _number(value, where: str, kind=float):
-    """value as a finite float, or with kind=int as an int; an int must also
-    be integral, so that 512.9 is not cut to 512.  A boolean is no number."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        number = float(value)
-    except (TypeError, ValueError, OverflowError):
-        raise ConfigError(f"{where} must be a number, got {value!r}") from None
-    if not math.isfinite(number):
+    """value, a JSON number and no boolean, as a finite float, or with kind=int
+    as an int; an int must also be integral, so that 512.9 is not cut to 512."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where} must be a number, got {value!r}")
+    if not abs(value) <= sys.float_info.max:  # NaN, the infinities, an int past a float
         raise ConfigError(f"{where} must be finite, got {value!r}")
+    number = float(value)
     if kind is float:
         return number
     if not number.is_integer():
@@ -206,7 +203,7 @@ _RANGES = {
 _WORDS = {"tau0": ("step",), "variant": ("corrected", "literal"),
           "expect": ("converges", "diverges", "inconclusive")}
 _REFS = {"phi": catalog.make_phi, "phi1": catalog.make_phi, "phi2": catalog.make_phi,
-         "weight": make_integrand, "integrand": make_integrand}
+         "weight": catalog.make_integrand, "integrand": catalog.make_integrand}
 
 
 def _value(key: str, value, where: str):
@@ -650,13 +647,11 @@ def list_catalog() -> str:
     lines = ["builtin experiment configs:"]
     for ident in catalog.builtin_config_ids():
         lines.append(f"  {ident}: {catalog.BUILTIN_CONFIGS[ident]}")
-    lines.append("right-hand sides (problem.rhs.name):")
-    for ident, (_, text) in sorted(catalog.RHS.items()):
-        lines.append(f"  {ident}: {text}")
-    lines.append("comparison functions (phi.name):")
-    lines.append("  " + ", ".join(text for _, (_, text) in sorted(catalog.PHI.items())))
-    lines.append("weight/tail integrands (weight.name, integrand.name):")
-    for ident in sorted(INTEGRANDS):
-        lines.append(f"  {ident}")
+    for header, table in (("right-hand sides (problem.rhs.name):", catalog.RHS),
+                          ("comparison functions (phi.name):", catalog.PHI),
+                          ("weight/tail integrands (weight.name, integrand.name):",
+                           catalog.INTEGRANDS)):
+        lines.append(header)
+        lines.extend(f"  {ident}: {text}" for ident, (_, text) in sorted(table.items()))
     lines.append("checks: " + ", ".join(sorted(_CHECKS)))
     return "\n".join(lines) + "\n"

@@ -28,10 +28,9 @@ from fracasym import (GridFunction, bihari_bound, boundedness_verdict,
                       residual_check, rl_integral, semigroup_residual,
                       solve_direct, solve_sequential, uniform_bound_constant)
 from fracasym import cli, harness
-from fracasym.asymptotics import make_integrand
 from fracasym.bounds import bihari_bound_curve, linear_class_bound
 from fracasym.bounds import ComparisonFunction, LipschitzClassFunction
-from fracasym.catalog import make_phi, make_rhs
+from fracasym.catalog import make_integrand, make_phi, make_rhs
 from fracasym.solvers import ProblemKind, ProblemSpec
 
 from _oracles import (linear_class_equality, lq_equality, lq_norm,

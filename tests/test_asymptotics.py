@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from fracasym import (BoundReport, DomainError, GridFunction, boundedness_verdict,
-                      gamma_fn, improper_tail, integrable_limit_check,
-                      lhopital_residual, power_slope, solve_direct,
-                      solve_sequential)
-from fracasym.asymptotics import TailIntegrand, make_integrand
-from fracasym.catalog import make_rhs
+from fracasym import (BoundReport, ConfigError, DomainError, GridFunction,
+                      boundedness_verdict, gamma_fn, improper_tail,
+                      integrable_limit_check, lhopital_residual, power_slope,
+                      solve_direct, solve_sequential)
+from fracasym.asymptotics import TailIntegrand
+from fracasym.catalog import make_integrand, make_rhs
 from fracasym.solvers import ProblemKind, ProblemSpec, Solution
 
 GAMMA_1_5 = 0.8862269254527580
@@ -160,7 +160,7 @@ def test_tail_unknown_class_nonshrinking_is_inconclusive():
 
 
 def test_tail_unknown_integrand_name():
-    with pytest.raises(DomainError):
+    with pytest.raises(ConfigError, match="unknown integrand 'mystery'"):
         make_integrand("mystery")
 
 

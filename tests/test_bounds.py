@@ -11,6 +11,7 @@ from fracasym import (ClassViolation, DomainError, GridFunction,
                       growth_envelope_constants, linear_class_bound,
                       lipschitz_growth_constant, lq_bihari_bound,
                       singular_convolution_constant, uniform_bound_constant)
+from fracasym import bounds
 from fracasym.bounds import (ComparisonFunction, LipschitzClassFunction,
                              bihari_bound_curve, reciprocal_tail_verdict)
 from fracasym.catalog import make_phi, make_rhs
@@ -506,6 +507,24 @@ def test_reciprocal_tail_verdicts():
     assert reciprocal_tail_verdict(lambda s: s ** (14.0 / 15.0)) == "diverges"
     assert reciprocal_tail_verdict(lambda s: s) == "diverges"
     assert reciprocal_tail_verdict(lambda s: s ** 2) == "converges"
-    # 1/fn = e^s overflows a float from s = 710 on
-    with pytest.raises(DomainError, match=r"piece \[512, 1024\]"):
+    # 1/fn = e^s overflows a float from s = 710 on, so on the verdict's first piece
+    with pytest.raises(DomainError, match=r"piece \[3\.43597e\+10, 6\.87195e\+10\]$"):
         reciprocal_tail_verdict(lambda s: 1.0 / math.exp(s))
+
+
+def test_reciprocal_tail_verdict_integrates_only_the_pieces_it_reads(monkeypatch):
+    pieces = []
+    quad = bounds.quad
+    monkeypatch.setattr(bounds, "quad", lambda f, a, b: pieces.append((a, b)) or quad(f, a, b))
+    assert reciprocal_tail_verdict(lambda s: s) == "diverges"
+    assert pieces == [(2.0 ** k, 2.0 ** (k + 1)) for k in range(35, 44)]
+
+
+def test_reciprocal_tail_verdict_between_its_thresholds_is_inconclusive():
+    # the piece of 1/(s log s) on [2^k, 2^(k+1)] is log((k+1)/k), so the
+    # ratios of the pieces from 2^35 on lie between 0.95 and 0.999
+    assert reciprocal_tail_verdict(lambda s: s * math.log(s)) == "inconclusive"
+
+
+def test_reciprocal_tail_verdict_of_a_vanishing_reciprocal_converges():
+    assert reciprocal_tail_verdict(lambda s: math.inf) == "converges"

@@ -3,8 +3,9 @@
 Each example takes one builtin config and deletes one key at any depth,
 replaces one leaf with a value of the wrong type, or truncates the JSON text,
 then runs `fracasym solve` on it at 32 steps.  A document that does not load
-must be reported as exactly one `config error:` line.  A second, exhaustive
-test sets every number of every builtin config to NaN and to each infinity.
+must be reported as exactly one `config error:` line.  Two exhaustive tests
+set every number of every builtin config to NaN and to each infinity, and
+write it as its JSON string.
 """
 
 import contextlib
@@ -92,25 +93,49 @@ def _numeric_leaves():
                 yield ident, path
 
 
+def _not_one_config_error(ident, doc, tmp_path) -> str:
+    """Run the builtin's command on doc at 32 steps: '' when it ends in exit 1,
+    an empty stdout and exactly one `config error:` line, else what it ended in."""
+    command = "study" if ident.startswith("manufactured_tau2") else "solve"
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity literals
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main([command, str(config), "--n-steps", "32",
+                         "--out-dir", str(tmp_path / "out")])
+    lines = err.getvalue().splitlines()
+    if (code == 1 and out.getvalue() == "" and len(lines) == 1
+            and lines[0].startswith("config error:")):
+        return ""
+    return f"exit {code}, stderr {lines}"
+
+
 def test_every_non_finite_number_is_a_config_error(tmp_path):
     failures = []
     documents = 0
     for ident, path in _numeric_leaves():
-        command = "study" if ident.startswith("manufactured_tau2") else "solve"
         for bad in (math.nan, math.inf, -math.inf):
             doc = json.loads(BUILTIN_TEXTS[ident])
             _container(doc, path)[path[-1]] = bad
-            config = tmp_path / "config.json"
-            config.write_text(json.dumps(doc))  # NaN, Infinity and -Infinity literals
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = cli.main([command, str(config), "--n-steps", "32",
-                                 "--out-dir", str(tmp_path / "out")])
-            lines = err.getvalue().splitlines()
             documents += 1
-            if not (code == 1 and out.getvalue() == "" and len(lines) == 1
-                    and lines[0].startswith("config error:")):
-                failures.append(f"{ident} {'.'.join(map(str, path))}={bad}: "
-                                f"exit {code}, stderr {lines}")
+            outcome = _not_one_config_error(ident, doc, tmp_path)
+            if outcome:
+                failures.append(f"{ident} {'.'.join(map(str, path))}={bad}: {outcome}")
     assert documents == 285
+    assert not failures, f"{len(failures)} documents:\n" + "\n".join(failures)
+
+
+def test_every_number_written_as_a_string_is_a_config_error(tmp_path):
+    # a config number is a JSON number: "512" is no n_steps, "1_0" no tolerance
+    failures = []
+    documents = 0
+    for ident, path in _numeric_leaves():
+        doc = json.loads(BUILTIN_TEXTS[ident])
+        container = _container(doc, path)
+        container[path[-1]] = json.dumps(container[path[-1]])
+        documents += 1
+        outcome = _not_one_config_error(ident, doc, tmp_path)
+        if outcome:
+            failures.append(f"{ident} {'.'.join(map(str, path))}: {outcome}")
+    assert documents == 95
     assert not failures, f"{len(failures)} documents:\n" + "\n".join(failures)

@@ -9,7 +9,7 @@ import pytest
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, GridFunction,
                       RightHandSide, StepFailure, solve_direct, solve_sequential)
 from fracasym import bounds, catalog, cli, harness
-from fracasym.asymptotics import INTEGRANDS, TailIntegrand, make_integrand
+from fracasym.asymptotics import TailIntegrand
 
 
 def _builtin_json(ident):
@@ -143,6 +143,12 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
                  id="fractional_n_steps"),
     pytest.param(_edited(lambda d: d["grid"].update(refinement_levels=0.5))
                  .replace("0.5}", "1e400}"), id="huge_refinement_levels"),
+    pytest.param(_edited(lambda d: d["grid"].update(n_steps=10 ** 400)),
+                 id="huge_integer_n_steps"),
+    pytest.param(_edited(lambda d: d["checks"][0].update(tolerance=10 ** 400)),
+                 id="huge_integer_tolerance"),
+    pytest.param(_edited(lambda d: d["checks"][0].update(tolerance="1_0")),
+                 id="string_tolerance"),
     pytest.param(_edited(lambda d: d.update(seed=-float("inf"))), id="infinite_seed"),
     pytest.param(_edited(lambda d: d["checks"][0].update(tolerance=float("inf"))),
                  id="infinite_tolerance"),
@@ -214,6 +220,10 @@ def _envelope_phi(name, **params):
     return lambda doc: doc["checks"][2].update(phi={"name": name, "params": params})
 
 
+def _ref(check, key, **ref):
+    return lambda doc: doc["checks"][check][key].update(ref)
+
+
 # each guard of a catalog factory, and the zero-data guard of the manufactured
 # exact solution, which the closed_form check asks for at load
 @pytest.mark.parametrize("ident, edit, message", [
@@ -230,6 +240,18 @@ def _envelope_phi(name, **params):
      "constant comparison function needs value > 0, got 0.0"),
     ("manufactured_tau2", lambda doc: doc["problem"].update(b1=1.0),
      "manufactured problems need zero initial data"),
+    ("example46", _ref(2, "weight", params={"rate": -1}), "exp_decay needs rate > 0, got -1.0"),
+    ("example63", _ref(1, "weight", name="power_exp", params={"exponent": 0.5, "rate": 0}),
+     "power_exp needs rate > 0, got 0.0"),
+    # a weight or tail integrand is looked up like an rhs or a phi, with the same errors
+    ("example46", _ref(2, "weight", name="exp_decayy"),
+     "unknown integrand 'exp_decayy'; known: ['exp_decay', 'power', 'power_exp']"),
+    ("example63", _ref(0, "integrand", name="powr"),
+     "unknown integrand 'powr'; known: ['exp_decay', 'power', 'power_exp']"),
+    ("example46", _ref(2, "weight", params={"rat": 1.0}), "bad parameters for integrand "
+     "'exp_decay': _exp_decay() got an unexpected keyword argument 'rat'"),
+    ("example63", _ref(0, "integrand", params={"exponent": -0.9, "rate": 1.0}),
+     "bad parameters for integrand 'power': _power() got an unexpected keyword argument 'rate'"),
 ])
 def test_a_catalog_guard_is_one_config_error_line(ident, edit, message, tmp_path, capsys):
     path = tmp_path / "bad.json"
@@ -300,11 +322,14 @@ def test_check_defaults_are_filled_in_at_load():
 
 
 def test_config_numbers_are_converted_at_load():
-    doc = make_config(seed="7")
-    doc["grid"].update(t_end="20", n_steps=64.0)
-    doc["problem"]["alpha"] = "0.5"
+    # an integer JSON number of a float key loads as a float, an integral one
+    # of an integer key as an int
+    doc = make_config(seed=7.0)
+    doc["grid"].update(t_end=20, n_steps=64.0)
+    doc["problem"]["alpha"] = 0.5
     config = harness.load_config(doc)
     assert (config.t_end, config.n_steps, config.seed) == (20.0, 64, 7)
+    assert (type(config.t_end), type(config.n_steps), type(config.seed)) == (float, int, int)
     assert config.problem["alpha"] == 0.5
     assert config.checks[0]["tolerance"] == 1e-10
 
@@ -684,21 +709,18 @@ def test_catalog_listing_and_lookups_read_one_table_per_name_space():
     integrand_lines = _listed_names(
         text, "weight/tail integrands (weight.name, integrand.name):")
 
-    rhs_names = [line.split(":", 1)[0] for line in rhs_lines]
-    assert rhs_lines == [f"{n}: {catalog.RHS[n][1]}" for n in sorted(catalog.RHS)]
-    phi_names = [entry.split(" ", 1)[0] for entry in phi_lines[0].split(", ")]
-    assert len(phi_lines) == 1
-    assert sorted(phi_names) == sorted(catalog.PHI)
-    assert sorted(integrand_lines) == sorted(INTEGRANDS)
+    for lines, table in ((rhs_lines, catalog.RHS), (phi_lines, catalog.PHI),
+                         (integrand_lines, catalog.INTEGRANDS)):
+        assert lines == [f"{n}: {table[n][1]}" for n in sorted(table)]
 
-    for name in rhs_names:
+    for name in catalog.RHS:
         rhs = catalog.make_rhs(name, _CATALOG_SAMPLES["rhs"][name], 0.5, "direct")
         assert isinstance(rhs, RightHandSide)
-    for name in phi_names:
+    for name in catalog.PHI:
         phi = catalog.make_phi(name, _CATALOG_SAMPLES["phi"][name])
         assert isinstance(phi, ComparisonFunction) and phi(2.0) > 0
-    for name in integrand_lines:
-        weight = make_integrand(name, _CATALOG_SAMPLES["integrand"][name])
+    for name in catalog.INTEGRANDS:
+        weight = catalog.make_integrand(name, _CATALOG_SAMPLES["integrand"][name])
         assert isinstance(weight, TailIntegrand) and weight.ident == name
 
 
@@ -718,6 +740,26 @@ def test_phi_with_missing_or_unknown_parameters_is_a_config_error(name, params):
 def test_cli_catalog(capsys):
     assert cli.main(["catalog"]) == 0
     assert "example46" in capsys.readouterr().out
+
+
+# exit 2 is kept for a violated hypothesis, so argparse's usage errors exit 1
+@pytest.mark.parametrize("argv", [
+    ["solve"],
+    ["solve", "zero_rhs", "--n-steps", "abc"],
+    ["solve", "zero_rhs", "--bogus", "1"],
+    ["frobnicate"],
+])
+def test_a_cli_usage_error_exits_1_with_the_usage_on_stderr(argv, capsys):
+    assert cli.main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: fracasym")
+    assert "error:" in captured.err
+
+
+def test_cli_help_exits_0(capsys):
+    assert cli.main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: fracasym")
 
 
 def test_cli_solve_builtin(tmp_path, capsys):
@@ -888,7 +930,8 @@ def test_cli_reports_an_overflowing_doubling_piece_as_one_error_line(tmp_path, c
     assert cli.main(["solve", str(config), "--n-steps", "32", "--out-dir", str(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: tail integrand overflows a float on the piece [1, 2]\n"
+    assert captured.err == ("error: tail integrand overflows a float on the piece "
+                            "[3.43597e+10, 6.87195e+10]\n")
 
 
 def test_cli_names_the_function_that_encloses_an_overflowing_closure():

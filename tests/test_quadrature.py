@@ -15,9 +15,8 @@ import scipy.integrate
 import scipy.optimize
 
 from fracasym import _quadrature, bounds
-from fracasym.asymptotics import make_integrand
 from fracasym.bounds import ComparisonFunction
-from fracasym.catalog import make_phi
+from fracasym.catalog import make_integrand, make_phi
 
 
 def _scipy_quad(f, a, b):

@@ -13,7 +13,8 @@ import warnings
 import pytest
 
 from fracasym import _quadrature, bounds, harness
-from fracasym.asymptotics import improper_tail, make_integrand
+from fracasym.asymptotics import improper_tail
+from fracasym.catalog import make_integrand
 
 
 @pytest.mark.parametrize("p", [-0.95, -0.9, -0.5, 0.5])
