@@ -172,6 +172,8 @@ def _fn_ref(d, where: str, factory=None) -> dict:
     """A catalog reference {"name", "params"}; every parameter is a number.
     With a factory, the reference must also build."""
     ref = _object(d, where, ("name",), ("params",))
+    if not isinstance(ref["name"], str):  # a list would reach the catalog's dict lookup
+        raise ConfigError(f"{where}.name must be a string, got {ref['name']!r}")
     params = ref.get("params")
     if params is not None:
         if not isinstance(params, dict):
@@ -209,6 +211,8 @@ _REFS = {"phi": catalog.make_phi, "phi1": catalog.make_phi, "phi2": catalog.make
 def _value(key: str, value, where: str):
     if key in _REFS:
         return _fn_ref(value, where, _REFS[key])
+    if key == "key" and not isinstance(value, str):
+        raise ConfigError(f"{where} must be a string, got {value!r}")
     if value in _WORDS.get(key, ()) or key == "key":  # a regression key: see _load_config
         return value
     if key not in _RANGES:

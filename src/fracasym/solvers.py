@@ -88,18 +88,24 @@ sweeps reached the cap.
 
 The history from before the block comes from `history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
-exists, so a solve costs O(N log^2 N).  The committed prefix of the block
-enters through the in-block sums of the block's f-values that each commit's
-transform yields at every node of the block; `_march` carries them to the
-next attempt, and the first attempt of a block starts from zero sums.  Once
-the block is done, the same sums give x and Dbeta x at all its nodes.
+exists, so a solve costs O(N log^2 N).  `_march` is one loop over the
+blocks, and in each block one loop over window attempts, each from the
+first node not yet committed.  It keeps, for the nodes of the block, what
+their quantities hold besides their inhomogeneous terms and their own
+f-values: the out-of-block sums, f at the lead node times its weight c, and
+the in-block sums of the committed f-values (none before the block's first
+commit), which it forms anew after each commit from the transform that
+commit yields at every node of the block.  Once the block is done, w
+times the sum of these and the block's f-values is added in place to the
+inhomogeneous terms, which become x and Dbeta x at all its nodes.
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
 flagged singular_at_zero, which is never evaluated at tau = 0.  Node 1 is
-then solved alone, as a one-node window whose weight k = w (1 + c_1) holds
-the open rule's weight, started from f(tau_1, x_inhom, v_inhom).  Every
-later window knows f at the lead node.
+then solved alone, by the first window attempt of the first block: a
+one-node window whose weight k = w (1 + c_1) holds the open rule's weight,
+started from f(tau_1, x_inhom, v_inhom).  Every later window knows f at the
+lead node.
 """
 
 from __future__ import annotations
@@ -200,12 +206,6 @@ class Solution:
     corrector_iterations: np.ndarray = field(repr=False)
 
 
-def _weights(mu: float, n: int, h: float):
-    """Corrector weights of the order-mu integral: (a, c, scale)."""
-    a, c = trapezoid_coefficients(mu, n)
-    return a, c, h ** mu / gamma_fn(mu + 2.0)
-
-
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
@@ -225,64 +225,55 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
 
     # one row per unknown quantity: x, then Dbeta x unless it is x itself
     mus, inhoms = ((mu_x,), (x_inhom,)) if mu_v is None else ((mu_x, mu_v), (x_inhom, v_inhom))
-    a, c, w = zip(*(_weights(mu, n, h) for mu in mus))
+    a, c = zip(*(trapezoid_coefficients(mu, n) for mu in mus))
     c = np.array(c)
-    w = np.array(w)[:, None]  # weight of the unknown f[m] in the quantities at node m
-    z0 = np.array([inhom(taus) for inhom in inhoms])
-
-    z = np.empty((len(mus), n + 1))
+    # the weight of the unknown f[m] in the quantities at node m
+    w = np.array([[h ** mu / gamma_fn(mu + 2.0)] for mu in mus])
+    # the quantities: their inhomogeneous terms, to which each block adds its sums once done
+    z = np.array([inhom(taus) for inhom in inhoms])
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
-    z[:, 0] = z0[:, 0]
     history = BlockedHistory(a, fhist[1:])
-
     stalled = False  # the last window attempt reached the sweep cap and committed part
-
-    def commit(m, stop, base, k, phi0):
-        """Commit the leading nodes of the window m..stop-1 (its first LOWER
-        nodes in a Newton attempt) and carry the in-block sums of the block's
-        f-values forward; returns how many."""
-        nonlocal stalled
-        newton = stalled and f.partials is not None
-        if newton:
-            stop = min(stop, m + LOWER)
-        values = fhist[start:end]  # 0 from node m on
-        done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
-                                         values, m - start)
-        stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
-        if not done:  # the window's first node
-            if not phi.size:
-                raise RhsEvaluationError(m, taus[m], "rhs value or corrector step not finite")
-            raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
-        fhist[m:m + done] = phi[:done]
-        iters[m:m + done] = sweeps
-        # the in-block sums of the block's f-values, unless the last sweep's
-        # transform already gave them
-        carried[:] = history.inblock(values) if sums is None else sums
-        return done
-
-    def known(m):
-        """Everything in the quantities at the nodes m..end-1 of the block but
-        their own f-values; f[lead] enters through c."""
-        i = m - start
-        return outside[:, i:] + c[:, m:end] * fhist[lead] + carried[:, i:]
 
     if lead == 0:
         fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
 
     for start in range(1, n + 1, BLOCK):  # the blocks of unknowns f[1..n]
-        outside = history.block(start - 1)
         end = min(start + BLOCK, n + 1)
-        # in-block sums of the block's committed f-values at its nodes
-        carried = np.zeros((len(mus), end - start))
+        values = fhist[start:end]  # the block's f-values, 0 from the first uncommitted node on
+        outside = history.block(start - 1)
+        # everything in the block's quantities but their inhomogeneous terms and
+        # their own f-values: the out-of-block sums, f[lead] through c and the
+        # in-block sums of the committed f-values (none yet)
+        known = outside + c[:, start:end] * fhist[lead]
         m = start
-        if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
-            m += commit(1, 2, z0[:, 1:2], w * (1.0 + c[:, 1:2]),
-                        _eval_rhs(f, 1, taus[1], z0[0, 1], z0[-1, 1]))
-        while m < end:
-            m += commit(m, end, z0[:, m:end] + w * known(m), w, fhist[m - 1])
+        while m < end:  # one window attempt, from the first node not committed
+            if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
+                stop, base, k = 2, z[:, 1:2], w * (1.0 + c[:, 1:2])
+                phi0 = _eval_rhs(f, 1, taus[1], z[0, 1], z[-1, 1])
+            else:
+                stop, base, k, phi0 = end, z[:, m:end] + w * known[:, m - start:], w, fhist[m - 1]
+            newton = stalled and f.partials is not None
+            if newton:  # a window of at most LOWER nodes
+                stop = min(stop, m + LOWER)
+            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
+                                             values, m - start)
+            stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
+            if not done:  # the window's first node
+                if not phi.size:
+                    raise RhsEvaluationError(m, taus[m], "rhs value or corrector step not finite")
+                raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
+            fhist[m:m + done] = phi[:done]
+            iters[m:m + done] = sweeps
+            m += done
+            # the in-block sums of the block's f-values, unless the last sweep's
+            # transform already gave them
+            if sums is None:
+                sums = history.inblock(values)
+            known = outside + c[:, start:end] * fhist[lead] + sums
         # the block's quantities, from the in-block sums of all its f-values
-        z[:, start:end] = z0[:, start:end] + w * (known(start) + fhist[start:end])
+        z[:, start:end] += w * (known + values)
 
     return z[0], z[-1], fhist, iters
 

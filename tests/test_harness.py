@@ -252,6 +252,15 @@ def _ref(check, key, **ref):
      "'exp_decay': _exp_decay() got an unexpected keyword argument 'rat'"),
     ("example63", _ref(0, "integrand", params={"exponent": -0.9, "rate": 1.0}),
      "bad parameters for integrand 'power': _power() got an unexpected keyword argument 'rate'"),
+    # a name or regression key that is not a string never reaches a lookup
+    ("example46", lambda doc: doc["problem"]["rhs"].update(name=["zero"]),
+     "problem.rhs.name must be a string, got ['zero']"),
+    ("example46", _ref(2, "phi", name=["power"]), "checks[2].phi.name must be a string, "
+     "got ['power']"),
+    ("example63", _ref(1, "weight", name={"exp_decay": 1}),
+     "checks[1].weight.name must be a string, got {'exp_decay': 1}"),
+    ("example46", lambda doc: doc["checks"][3].update(key=["a"]),
+     "checks[3].key must be a string, got ['a']"),
 ])
 def test_a_catalog_guard_is_one_config_error_line(ident, edit, message, tmp_path, capsys):
     path = tmp_path / "bad.json"

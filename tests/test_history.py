@@ -148,9 +148,10 @@ _RHS = {
 }
 
 
-# N < BLOCK; a block cut by the grid's end (1000 of BLOCK = 1024); 4099 =
-# 2^12 + 3, a last block of 3 nodes
-@pytest.mark.parametrize("n", [100, 1000, 4099])
+# N < BLOCK; a block cut by the grid's end (1000 of BLOCK = 1024); 1025, a
+# last block of one node, whose square is cut to one target; 4099 = 2^12 + 3,
+# a last block of 3 nodes
+@pytest.mark.parametrize("n", [100, 1000, 1025, 4099])
 @pytest.mark.parametrize("rhs", sorted(_RHS))
 @pytest.mark.parametrize("shape", sorted(_SHAPES))
 def test_windowed_solution_matches_scalar_reference(shape, rhs, n):

@@ -131,11 +131,14 @@ def test_beta_zero_feeds_state_back():
 
     def fn(tau, u, v):
         seen.append((u, v))
-        return np.exp(-tau) * u * 0.0 + gamma_fn(3.0) / gamma_fn(2.5) * tau ** 1.5
+        source = gamma_fn(3.0) / gamma_fn(2.5) * tau ** 1.5  # alone, x = 1 + tau^2
+        return np.exp(-tau) * np.sqrt(np.abs(u)) * np.cos(v) + source
 
     rhs = RightHandSide(fn)
-    spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.0, 0.0, rhs)
-    sol = solve_direct(spec, 1.0, 128)
+    spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.0, 1.0, rhs)  # sqrt(|u|) is smooth near 1
+    # 4099 = 4 * 1024 + 3: four whole blocks, their squares and a last block of 3 nodes
+    sol = solve_direct(spec, 1.0, 4099)
+    assert np.max(np.abs(sol.x.values - 1.0 - sol.x.taus ** 2)) > 0.1  # the state fed back
     assert np.array_equal(sol.dbeta_x.values, sol.x.values)
     assert all(np.all(u == v) for u, v in seen)  # the solver calls f on arrays of nodes
 
