@@ -16,7 +16,8 @@ Conventions used throughout:
   HypothesisViolation when they fail; a violated hypothesis means the
   construction is inapplicable, not that the code failed.
 * Class memberships (comparison functions, Lipschitz-majorant pairs) are
-  falsified on sampling lattices, never proven.
+  falsified on sampling lattices, never proven, by each public bound once
+  per call: no check is cached, so a class argument need not be hashable.
 * Every improper integral, here and in asymptotics, is cut into the
   doubling pieces of `dyadic_pieces`, [lo, max(1, 2 lo)] and then [hi, 2 hi];
   an integrand that overflows a float on a piece raises DomainError naming
@@ -27,7 +28,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import islice
 from typing import Callable, Iterator
 
@@ -63,6 +63,12 @@ class ComparisonFunction:
     """A nondecreasing positive nonlinearity phi on (0, inf) with the
     sub-homogeneity (1/v) phi(w) <= phi(w/v) for v >= 1.
 
+    Sub-homogeneity holds exactly when phi(s)/s is nonincreasing (put
+    s = w/v), so `validate` samples phi once on a 512-point geometric
+    lattice of [1e-6, 100] (step 1e8^(1/511) ~ 1.037) and checks that phi is
+    positive, nondecreasing, and that phi(s)/s never rises above its running
+    minimum, which compares every pair of samples.
+
     xi0 is the lower limit of the reciprocal-integral transform; the
     transform is only ever evaluated at arguments >= xi0 (smaller arguments
     are clamped up, which can only raise the resulting bounds).
@@ -81,19 +87,18 @@ class ComparisonFunction:
 
     def validate(self) -> None:
         """Sampled class check; raises ClassViolation on the first failure."""
-        ws = np.geomspace(1e-6, 100.0, 64)
-        vals = np.array([self(w) for w in ws])
+        ss = np.geomspace(1e-6, 100.0, 512)
+        vals = np.array([self(s) for s in ss])
         if np.any(vals <= 0):
             raise ClassViolation(f"{self.name}: not positive on sampled range")
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
             raise ClassViolation(f"{self.name}: not nondecreasing on sampled range")
-        vgrid = np.geomspace(1.0, 50.0, 64)
-        for w in ws[::4]:
-            phiw = self(w)
-            for v in vgrid:
-                if phiw / v > self(w / v) * (1.0 + 1e-12):
-                    raise ClassViolation(
-                        f"{self.name}: sub-homogeneity fails at w={w:.3g}, v={v:.3g}")
+        ratio = vals / ss
+        rises = np.flatnonzero(ratio[1:] > np.minimum.accumulate(ratio)[:-1] * (1.0 + 1e-12))
+        if rises.size:  # w = ss[i] against the sample of least ratio before it
+            i = rises[0] + 1
+            raise ClassViolation(f"{self.name}: sub-homogeneity fails at w={ss[i]:.3g}, "
+                                 f"v={ss[i] / ss[np.argmin(ratio[:i])]:.3g}")
 
 
 @dataclass(frozen=True)
@@ -136,12 +141,6 @@ class BoundReport:
 
     constants: dict[str, float] = field(default_factory=dict)
     curve: GridFunction | None = None
-
-
-@lru_cache(maxsize=256)
-def _ensure_valid(obj: ComparisonFunction | LipschitzClassFunction) -> bool:
-    obj.validate()
-    return True
 
 
 def bihari_transform(phi: ComparisonFunction, xi: float) -> float:
@@ -255,7 +254,7 @@ def bihari_bound_curve(c1: float, c2: float, c3: float, gamma: float,
     """bihari_bound evaluated at many times in one pass (times ascending)."""
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    _ensure_valid(phi)
+    phi.validate()
     _check_nonnegative(g, "g")
     if taus is None:
         taus = g.taus
@@ -306,8 +305,8 @@ def linear_class_bound(c1: float, c2: float, c3: float, c4: float, gamma: float,
             raise DomainError(f"{name} must be positive, got {c}")
     if gamma < 0:
         raise DomainError(f"gamma must be >= 0, got {gamma}")
-    _ensure_valid(F1)
-    _ensure_valid(F2)
+    F1.validate()
+    F2.validate()
     _check_nonnegative(h, "h")
     if tau == 0.0:
         return 0.0 if gamma > 0 else c1
@@ -379,21 +378,25 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
         raise DomainError(f"q must exceed 1, got {q}")
     if k1 < 0 or k2 < 0:
         raise DomainError("k1 and k2 must be non-negative")
+    phi1.validate()
+    phi2.validate()
+    _check_nonnegative(h, "h")
+    return _lq_root(k1, k2, q, _composite_power_nonlinearity(phi1, phi2, q),
+                    h.with_values(h.values ** q).integral_to(tau), variant)
+
+
+def _lq_root(k1: float, k2: float, q: float, comp: ComparisonFunction,
+             hq_integral: float, variant: str) -> float:
+    """lq_bihari_bound from its composite comp and the integral of h^q to tau."""
     if variant not in ("corrected", "literal"):
         raise DomainError(f"variant must be 'corrected' or 'literal', got {variant!r}")
-    _ensure_valid(phi1)
-    _ensure_valid(phi2)
-    _check_nonnegative(h, "h")
-
-    comp = _composite_power_nonlinearity(phi1, phi2, q)
     try:
         base = 2.0 ** (q - 1.0) * (k1 ** q if variant == "corrected" else k1)
     except OverflowError:  # a float power that overflows raises, a product is inf
         base = math.inf
     if math.isinf(base):
         raise DomainError("L^q bound constant 2^(q-1) K overflows a float")
-    hq = h.with_values(h.values ** q)
-    arg = _transform_clamped(comp, base) + 2.0 ** (q - 1.0) * k2 * hq.integral_to(tau)
+    arg = _transform_clamped(comp, base) + 2.0 ** (q - 1.0) * k2 * hq_integral
     inv = bihari_inverse(comp, arg)
     return inv ** (1.0 / q) if math.isfinite(inv) else math.inf
 
@@ -455,7 +458,7 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
     """
     if not 0 < alpha < 1:
         raise DomainError(f"alpha must lie in (0, 1), got {alpha}")
-    _ensure_valid(phi)
+    phi.validate()
     _check_nonnegative(P, "P")
     if P.t_end < 1.0:
         raise DomainError("P must be sampled on a grid covering [0, 1]")
@@ -514,8 +517,8 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
     """
     if not 0 < beta < alpha < 1:
         raise DomainError(f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}")
-    _ensure_valid(F1)
-    _ensure_valid(F2)
+    F1.validate()
+    F2.validate()
     c3 = max(1.0 / gamma_fn(alpha + 1.0), 1.0 / gamma_fn(alpha - beta + 1.0))
     c2 = abs(b2) * c3
     ab = abs(b1)
@@ -586,23 +589,19 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     """
     if spec.kind is not ProblemKind.DIRECT:
         raise DomainError("uniform_bound_constant applies to direct problems")
-    _ensure_valid(phi1)
-    _ensure_valid(phi2)
+    phi1.validate()
+    phi2.validate()
     _check_nonnegative(h, "h")
     k1 = singular_convolution_constant(spec.alpha, spec.beta, q, tau0)
     comp = _composite_power_nonlinearity(phi1, phi2, q)
     _require_divergent_transform(comp)
 
-    hq = h.with_values(h.values ** q)
-    hq_total = hq.integral_to(h.t_end)
+    hq_total = h.with_values(h.values ** q).integral_to(h.t_end)
     if hq_total == 0.0:
         c = abs(spec.b1)
     else:
         k2 = k1 ** q if variant == "corrected" else k1
-        c = lq_bihari_bound(abs(spec.b1), k2, q, h, phi1, phi2, h.t_end, variant=variant)
-    curve = (GridFunction(h.t_end, np.full(h.values.size, c))
-             if math.isfinite(c) else None)
-    return BoundReport(
-        constants={"C": c, "K1": k1, "q": q, "tau0": tau0, "hq_integral": hq_total},
-        curve=curve,
-    )
+        c = _lq_root(abs(spec.b1), k2, q, comp, hq_total, variant)
+    curve = GridFunction(h.t_end, np.full(h.values.size, c)) if math.isfinite(c) else None
+    return BoundReport(constants={"C": c, "K1": k1, "q": q, "tau0": tau0,
+                                  "hq_integral": hq_total}, curve=curve)

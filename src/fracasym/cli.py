@@ -72,13 +72,19 @@ def _load(args) -> harness.ExperimentConfig:
         "checks": list(config.checks), "output": config.output, "seed": seed})
 
 
+# the code names of the comprehensions, which Python before 3.12 runs in frames of their own
+_COMPREHENSIONS = {"<listcomp>", "<dictcomp>", "<setcomp>", "<genexpr>"}
+
+
 def _innermost(exc: BaseException) -> str:
     """module.function of the innermost fracasym frame exc passed through; a
     nested function is named by the __qualname__ of the function that runs
-    the frame's code, as in bounds.linear_class_bound.<locals>.<lambda>."""
+    the frame's code, as in bounds.linear_class_bound.<locals>.<lambda>, and
+    a comprehension by the function around it."""
     frame, tb = None, exc.__traceback__
     while tb is not None:
-        if tb.tb_frame.f_globals.get("__name__", "").startswith("fracasym."):
+        if (tb.tb_frame.f_globals.get("__name__", "").startswith("fracasym.")
+                and tb.tb_frame.f_code.co_name not in _COMPREHENSIONS):
             frame = tb.tb_frame
         tb = tb.tb_next
     if frame is None:

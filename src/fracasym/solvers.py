@@ -206,6 +206,7 @@ class Solution:
     corrector_iterations: np.ndarray = field(repr=False)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # a quantity that is not finite is a StepFailure
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
@@ -274,6 +275,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
             known = outside + c[:, start:end] * fhist[lead] + sums
         # the block's quantities, from the in-block sums of all its f-values
         z[:, start:end] += w * (known + values)
+        if not np.isfinite(z[:, start:end]).all():  # the block's first bad node fails
+            node = start + int(np.isfinite(z[:, start:end]).all(axis=0).argmin())
+            raise StepFailure(node, taus[node], "x or Dbeta x is not finite")
 
     return z[0], z[-1], fhist, iters
 

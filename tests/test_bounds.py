@@ -14,7 +14,7 @@ from fracasym import (ClassViolation, DomainError, GridFunction,
 from fracasym import bounds
 from fracasym.bounds import (ComparisonFunction, LipschitzClassFunction,
                              bihari_bound_curve, reciprocal_tail_verdict)
-from fracasym.catalog import make_phi, make_rhs
+from fracasym.catalog import make_integrand, make_phi, make_rhs
 from fracasym.solvers import ProblemKind, ProblemSpec
 
 from _oracles import nonlinear_equality, random_piecewise_linear
@@ -108,6 +108,10 @@ def test_roundtrip_property():
 def test_class_validation_rejects_superlinear():
     with pytest.raises(ClassViolation):
         ComparisonFunction(lambda s: s ** 2, name="s^2").validate()
+    # phi(s)/s = 1 + s/K rises by 100/K over the lattice, past the 1e-12 slack
+    for k in (1e10, 1e12, 1e13):
+        with pytest.raises(ClassViolation, match="sub-homogeneity fails"):
+            ComparisonFunction(lambda s, k=k: s + s * s / k, name=f"s+s^2/{k:g}").validate()
 
 
 def test_class_validation_rejects_decreasing():
@@ -494,6 +498,19 @@ def test_uniform_bound_finite_for_damped_weight():
     assert rep.curve is not None
 
 
+def test_uniform_bound_is_the_lq_bound_of_its_constants():
+    # example63_forced's boundedness check on its weight grid
+    spec = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
+                       make_rhs("zero", None, 2 / 3, "direct"))
+    taus = np.linspace(0.0, 50.0, 2049)
+    h = GridFunction(50.0, make_integrand("exp_decay", {"rate": 1.0}).fn(taus))
+    p1 = make_phi("power_plus_one", {"exponent": 0.6})
+    p2 = make_phi("power_plus_one", {"exponent": 1 / 3})
+    rep = uniform_bound_constant(spec, h, p1, p2, tau0=h.step, q=4.0)
+    k2 = rep.constants["K1"] ** 4.0
+    assert rep.constants["C"] == lq_bihari_bound(1.0, k2, 4.0, h, p1, p2, h.t_end)
+
+
 def test_uniform_bound_divergence_hypothesis():
     spec = ProblemSpec(ProblemKind.DIRECT, 0.9, 0.2, 1.0,
                        make_rhs("zero", None, 0.9, "direct"))
@@ -528,3 +545,60 @@ def test_reciprocal_tail_verdict_between_its_thresholds_is_inconclusive():
 
 def test_reciprocal_tail_verdict_of_a_vanishing_reciprocal_converges():
     assert reciprocal_tail_verdict(lambda s: math.inf) == "converges"
+
+
+# --------------------------------------------------------------------------
+# class arguments that cannot be hashed
+
+class Unhashable:
+    """A callable that defines __eq__, and so has no __hash__."""
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    def __eq__(self, other):
+        return isinstance(other, Unhashable) and other.fn is self.fn
+
+    def __call__(self, *args):
+        return self.fn(*args)
+
+
+def _quarter_power(s):
+    return s ** 0.25
+
+
+def _decay(tau, s):
+    return math.exp(-tau) * s
+
+
+def _decay_majorant(tau):
+    return math.exp(-tau)
+
+
+_DIRECT = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
+                      make_rhs("zero", None, 2 / 3, "direct"))
+
+
+# each bound on a phi and an F, returning its constants
+@pytest.mark.parametrize("bound", [
+    lambda phi, F: bihari_bound(1.0, 0.5, 1.0, 0.5, const_grid(1.0), phi, 1.5),
+    lambda phi, F: growth_envelope_constants(1.0, 1.0, 0.5, const_grid(1.0), phi,
+                                             1.0).constants,
+    lambda phi, F: lq_bihari_bound(1.0, 1.0, 2.0, const_grid(1.0), phi, phi, 1.5),
+    lambda phi, F: uniform_bound_constant(
+        _DIRECT, GridFunction.from_callable(lambda t: np.exp(-t), 20.0, 256), phi, phi,
+        tau0=0.1, q=4.0).constants,
+    lambda phi, F: linear_class_bound(1.0, 1.0, 1.0, 1.0, 0.5, F, F, const_grid(1.0), 1.5),
+    lambda phi, F: lipschitz_growth_constant(1.0, 1.0, 0.6, 0.3, F, F).constants,
+], ids=["bihari_bound", "growth_envelope_constants", "lq_bihari_bound",
+        "uniform_bound_constant", "linear_class_bound", "lipschitz_growth_constant"])
+def test_bounds_take_unhashable_class_arguments(bound):
+    phi = ComparisonFunction(Unhashable(_quarter_power), name="s^(1/4)")
+    F = LipschitzClassFunction(Unhashable(_decay), Unhashable(_decay_majorant))
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(phi)
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(F)
+    plain_phi = ComparisonFunction(_quarter_power, name="s^(1/4)")
+    plain_F = LipschitzClassFunction(_decay, _decay_majorant)
+    assert bound(phi, F) == bound(plain_phi, plain_F)

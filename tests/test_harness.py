@@ -874,6 +874,8 @@ def test_cli_reports_an_overflowing_tail_integrand_as_one_error_line(tmp_path, c
     ("example63", ("problem", "b1"), "solve", "error:"),  # L^q Bihari bound
     ("example63", ("checks", 1, "q"), "solve",
      "error: OverflowError in bounds.uniform_bound_constant: "),  # uniform bound constant
+    # h^mu of the corrector weights, in a comprehension that names no function
+    ("example46", ("grid", "t_end"), "solve", "error: OverflowError in solvers._march: "),
 ])
 def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
         ident, path, command, err, tmp_path, capsys):
@@ -889,6 +891,17 @@ def test_cli_reports_an_overflow_of_a_huge_config_number_as_one_error_line(
     assert captured.out == ""
     lines = captured.err.splitlines()
     assert len(lines) == 1 and lines[0].startswith(err), lines
+
+
+@pytest.mark.parametrize("ident", ["manufactured_tau2", "manufactured_tau2_seq"])
+def test_cli_reports_an_overflowing_solution_as_one_solver_failure(ident, tmp_path, capsys):
+    # the corrector weights stay finite, but the solution overflows a float
+    args = ["study", ident, "--t-end", "1e200", "--n-steps", "32", "--out-dir", str(tmp_path)]
+    assert cli.main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("solver failure: "), lines
 
 
 # a finite number that loads but makes a constant of the run overflow, and
