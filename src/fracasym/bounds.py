@@ -36,7 +36,7 @@ import numpy as np
 from ._quadrature import quad
 from .errors import ClassViolation, DomainError, HypothesisViolation
 from .gamma import gamma_fn
-from .grid import GridFunction
+from .grid import GridFunction, as_values
 from .solvers import ProblemKind, ProblemSpec
 
 __all__ = [
@@ -61,13 +61,13 @@ __all__ = [
 @dataclass(frozen=True)
 class ComparisonFunction:
     """A nondecreasing positive nonlinearity phi on (0, inf) with the
-    sub-homogeneity (1/v) phi(w) <= phi(w/v) for v >= 1.
+    sub-homogeneity (1/v) phi(w) <= phi(w/v) for v >= 1; fn is elementwise.
 
     Sub-homogeneity holds exactly when phi(s)/s is nonincreasing (put
-    s = w/v), so `validate` samples phi once on a 512-point geometric
+    s = w/v), so `validate` samples phi in one call on a 512-point geometric
     lattice of [1e-6, 100] (step 1e8^(1/511) ~ 1.037) and checks that phi is
-    positive, nondecreasing, and that phi(s)/s never rises above its running
-    minimum, which compares every pair of samples.
+    positive (not NaN), nondecreasing, and that phi(s)/s never rises above
+    its running minimum, which compares every pair of samples.
 
     xi0 is the lower limit of the reciprocal-integral transform; the
     transform is only ever evaluated at arguments >= xi0 (smaller arguments
@@ -88,8 +88,8 @@ class ComparisonFunction:
     def validate(self) -> None:
         """Sampled class check; raises ClassViolation on the first failure."""
         ss = np.geomspace(1e-6, 100.0, 512)
-        vals = np.array([self(s) for s in ss])
-        if np.any(vals <= 0):
+        vals = as_values(self.fn(ss), ss.shape)
+        if not np.all(vals > 0):
             raise ClassViolation(f"{self.name}: not positive on sampled range")
         if np.any(np.diff(vals) < -1e-12 * np.abs(vals[:-1])):
             raise ClassViolation(f"{self.name}: not nondecreasing on sampled range")
@@ -104,7 +104,9 @@ class ComparisonFunction:
 @dataclass(frozen=True)
 class LipschitzClassFunction:
     """A two-argument F(tau, s) >= 0, nondecreasing in s with one-sided
-    Lipschitz majorant N(tau): 0 <= F(tau,s) - F(tau,r) <= N(tau)(s-r)."""
+    Lipschitz majorant N(tau): 0 <= F(tau,s) - F(tau,r) <= N(tau)(s-r);
+    fn and majorant are elementwise, and `validate` calls each once, checking
+    per time N >= 0, the two inequalities, then F >= 0 (NaN fails each)."""
 
     fn: Callable[[float, float], float]
     majorant: Callable[[float], float]
@@ -117,21 +119,21 @@ class LipschitzClassFunction:
         return float(self.majorant(tau))
 
     def validate(self) -> None:
-        taus = np.geomspace(1e-4, 50.0, 64)
+        taus = np.geomspace(1e-4, 50.0, 64)[::4]
         ss = np.linspace(0.0, 50.0, 64)
-        for tau in taus[::4]:
-            ntau = self.majorant_at(tau)
-            if ntau < 0:
-                raise ClassViolation(f"{self.name}: majorant negative at tau={tau:.3g}")
-            fvals = np.array([self(tau, s) for s in ss])
-            diffs = np.diff(fvals)
-            if np.any(diffs < -1e-10):
-                raise ClassViolation(
-                    f"{self.name}: not nondecreasing in second argument at tau={tau:.3g}")
-            steps = np.diff(ss)
-            if np.any(diffs > ntau * steps * (1.0 + 1e-9) + 1e-12):
-                raise ClassViolation(
-                    f"{self.name}: majorant bound fails at tau={tau:.3g}")
+        ntau = as_values(self.majorant(taus), taus.shape)
+        fvals = as_values(self.fn(taus[:, None], ss), (taus.size, ss.size))
+        diffs = np.diff(fvals, axis=1)
+        bound = ntau[:, None] * np.diff(ss) * (1.0 + 1e-9) + 1e-12
+        fails = np.array([~(ntau >= 0),
+                          np.any(diffs < -1e-10, axis=1),
+                          np.any(diffs > bound, axis=1),
+                          ~np.all(fvals >= 0, axis=1)])
+        if fails.any():  # the first time that fails, and its first check
+            i = fails.any(axis=0).argmax()
+            what = ("majorant negative or NaN", "not nondecreasing in second argument",
+                    "majorant bound fails", "negative or NaN")[fails[:, i].argmax()]
+            raise ClassViolation(f"{self.name}: {what} at tau={taus[i]:.3g}")
 
 
 @dataclass(frozen=True)
@@ -349,9 +351,9 @@ def _composite_power_nonlinearity(phi1: ComparisonFunction, phi2: ComparisonFunc
                                   q: float) -> ComparisonFunction:
     """phi1^q(s^(1/q)) * phi2^q(s^(1/q)) as a comparison function, with the
     smaller of the two transform bases."""
-    def fn(s: float) -> float:
+    def fn(s):
         root = s ** (1.0 / q)
-        return phi1(root) ** q * phi2(root) ** q
+        return phi1.fn(root) ** q * phi2.fn(root) ** q
 
     return ComparisonFunction(fn, xi0=min(phi1.xi0, phi2.xi0),
                               name=f"({phi1.name}*{phi2.name})^{q}")
@@ -378,6 +380,7 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
         raise DomainError(f"q must exceed 1, got {q}")
     if k1 < 0 or k2 < 0:
         raise DomainError("k1 and k2 must be non-negative")
+    _check_variant(variant)
     phi1.validate()
     phi2.validate()
     _check_nonnegative(h, "h")
@@ -385,11 +388,14 @@ def lq_bihari_bound(k1: float, k2: float, q: float, h: GridFunction,
                     h.with_values(h.values ** q).integral_to(tau), variant)
 
 
+def _check_variant(variant: str) -> None:
+    if variant not in ("corrected", "literal"):
+        raise DomainError(f"variant must be 'corrected' or 'literal', got {variant!r}")
+
+
 def _lq_root(k1: float, k2: float, q: float, comp: ComparisonFunction,
              hq_integral: float, variant: str) -> float:
     """lq_bihari_bound from its composite comp and the integral of h^q to tau."""
-    if variant not in ("corrected", "literal"):
-        raise DomainError(f"variant must be 'corrected' or 'literal', got {variant!r}")
     try:
         base = 2.0 ** (q - 1.0) * (k1 ** q if variant == "corrected" else k1)
     except OverflowError:  # a float power that overflows raises, a product is inf
@@ -589,6 +595,7 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     """
     if spec.kind is not ProblemKind.DIRECT:
         raise DomainError("uniform_bound_constant applies to direct problems")
+    _check_variant(variant)  # before the shortcut for a zero weight
     phi1.validate()
     phi2.validate()
     _check_nonnegative(h, "h")

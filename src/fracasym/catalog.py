@@ -204,8 +204,7 @@ def _exp_decay(rate: float = 1.0) -> TailIntegrand:
 
 
 def _power(exponent: float) -> TailIntegrand:
-    # s^0 is 1 of the argument's shape, so that a weight grid of exponent 0 is an array
-    return TailIntegrand("power", lambda s: s ** 0.0, "power", tail_exponent=exponent)
+    return TailIntegrand("power", lambda s: 1.0, "power", tail_exponent=exponent)
 
 
 def _power_exp(exponent: float, rate: float = 1.0) -> TailIntegrand:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 
-__all__ = ["GridFunction", "as_order"]
+__all__ = ["GridFunction", "as_order", "as_values"]
 
 
 @dataclass(frozen=True)
@@ -105,3 +105,9 @@ def as_order(alpha) -> float:
     if not 0.0 < mu <= 1.0:
         raise DomainError(f"fractional order must lie in (0, 1], got {mu}")
     return mu
+
+
+def as_values(out, shape) -> np.ndarray:
+    """A user callable's result as a float array of the given shape; a scalar is broadcast."""
+    out = np.asarray(out, dtype=float)
+    return out if out.shape == shape else np.broadcast_to(out, shape)

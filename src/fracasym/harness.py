@@ -31,7 +31,7 @@ from .asymptotics import (boundedness_verdict, improper_tail, lhopital_lemma_ter
                           lhopital_residual, power_slope, slope_window_start)
 from .bounds import growth_envelope_constants, uniform_bound_constant
 from .errors import ConfigError, DomainError, HypothesisViolation
-from .grid import GridFunction
+from .grid import GridFunction, as_values
 from .solvers import ProblemKind, residual_check, solve_direct, solve_sequential
 
 __all__ = [
@@ -278,7 +278,7 @@ def _weight_grid(weight, sol) -> GridFunction:
     """The check's weight on the solution's grid, which it must be finite on."""
     taus = sol.x.taus
     with np.errstate(all="ignore"):  # a pole at 0 is a verdict, not a warning
-        values = weight.fn(taus)
+        values = as_values(weight.fn(taus), taus.shape)
     bad = np.flatnonzero(~np.isfinite(values))
     if bad.size:
         raise HypothesisViolation(f"weight {weight.ident} must be finite on the grid, "

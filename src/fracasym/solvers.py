@@ -122,7 +122,7 @@ from .errors import DomainError, RhsEvaluationError, StepFailure
 from .fracops import rl_integral, trapezoid_coefficients
 from .fracops import rectangle_coefficients  # noqa: F401  perfbench/spans.py wraps it by name
 from .gamma import gamma_fn
-from .grid import GridFunction
+from .grid import GridFunction, as_values
 from .history import BLOCK, LOWER, BlockedHistory
 
 __all__ = [
@@ -327,14 +327,14 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             x, v = z[0], z[-1]
             t = tau[:size]
             if f.partials is None:  # the secant slope of F from the last sweep to this one
-                fx, slope = _values(f.fn(t, x, v), t.shape), 0.0
+                fx, slope = as_values(f.fn(t, x, v), t.shape), 0.0
                 if last is not None and not np.array_equal(fx, last[1][:size]):
                     dphi = phi - last[0][:size]
                     slope = np.where(dphi != 0.0, (fx - last[1][:size]) / dphi, 0.0)
                 last = phi, fx
             else:
                 fx, fu, fv = f.partials(t, x, v)
-                fx = _values(fx, t.shape)
+                fx = as_values(fx, t.shape)
                 # F_u k_x + F_v k_v, with v x itself when there is one row
                 slope = (fu + fv) * k[0] if len(k) == 1 else fu * k[0] + fv * k[1]
             delta = None
@@ -405,12 +405,6 @@ def _diagonal_step(phi, fx, slope):
     denom = 1.0 - slope
     picard = (denom == 1.0) | (denom == 0.0) | ~np.isfinite(denom)
     return np.where(picard, fx, phi - (phi - fx) / denom)
-
-
-def _values(out, shape) -> np.ndarray:
-    """A result of f as a float array of the given shape; a scalar is broadcast."""
-    out = np.asarray(out, dtype=float)
-    return out if out.shape == shape else np.broadcast_to(out, shape)
 
 
 def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> float:

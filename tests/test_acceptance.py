@@ -316,11 +316,11 @@ def test_acceptance_6b_linear_class_dominance():
         a1, a2 = rng.uniform(0.2, 1.0, size=2)
         b1, b2 = rng.uniform(0.5, 1.5, size=2)
         F1 = LipschitzClassFunction(
-            lambda t, s, a=a1, b=b1: a * math.exp(-b * t) * s,
-            lambda t, a=a1, b=b1: a * math.exp(-b * t), name="lin")
+            lambda t, s, a=a1, b=b1: a * np.exp(-b * t) * s,
+            lambda t, a=a1, b=b1: a * np.exp(-b * t), name="lin")
         F2 = LipschitzClassFunction(
-            lambda t, s, a=a2, b=b2: a * math.exp(-b * t) * (1.0 - math.exp(-s)),
-            lambda t, a=a2, b=b2: a * math.exp(-b * t), name="sat")
+            lambda t, s, a=a2, b=b2: a * np.exp(-b * t) * (1.0 - np.exp(-s)),
+            lambda t, a=a2, b=b2: a * np.exp(-b * t), name="sat")
         fn, _, _ = random_piecewise_linear(rng, 2.0, lo=0.0, hi=1.0)
         h = GridFunction.from_callable(lambda t: fn(t), 2.0, n)
         z = linear_class_equality(h.taus, F1, F2, h.values, c1, c2, c3, c4, gamma)

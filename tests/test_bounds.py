@@ -11,10 +11,11 @@ from fracasym import (ClassViolation, DomainError, GridFunction,
                       growth_envelope_constants, linear_class_bound,
                       lipschitz_growth_constant, lq_bihari_bound,
                       singular_convolution_constant, uniform_bound_constant)
-from fracasym import bounds
+from fracasym import bounds, catalog
 from fracasym.bounds import (ComparisonFunction, LipschitzClassFunction,
                              bihari_bound_curve, reciprocal_tail_verdict)
 from fracasym.catalog import make_integrand, make_phi, make_rhs
+from fracasym.grid import as_values
 from fracasym.solvers import ProblemKind, ProblemSpec
 
 from _oracles import nonlinear_equality, random_piecewise_linear
@@ -117,6 +118,28 @@ def test_class_validation_rejects_superlinear():
 def test_class_validation_rejects_decreasing():
     with pytest.raises(ClassViolation):
         ComparisonFunction(lambda s: 1.0 / (1.0 + s), name="dec").validate()
+
+
+def test_class_validation_rejects_nan():
+    # every comparison with NaN is false, so positivity is checked as vals > 0
+    with pytest.raises(ClassViolation, match="phi: not positive on sampled range"):
+        ComparisonFunction(lambda s: math.nan).validate()
+
+
+# the catalog's parameters for each comparison function; a new entry must add its own
+_PHI_PARAMS = {"constant": {}, "identity": {}, "power": {"exponent": 0.3},
+               "power_plus_one": {"exponent": 0.6}}
+
+
+@pytest.mark.parametrize("name", sorted(catalog.PHI))
+def test_catalog_phi_is_elementwise(name):
+    # one call on an array gives, after the shared broadcast, the scalar calls'
+    # values: numpy's power may differ from a float's by an ulp
+    phi = make_phi(name, _PHI_PARAMS[name])
+    ss = np.geomspace(1e-6, 100.0, 512)
+    vals = as_values(phi.fn(ss), ss.shape)
+    assert vals.shape == ss.shape
+    np.testing.assert_array_max_ulp(vals, [phi(float(s)) for s in ss], maxulp=4)
 
 
 def test_class_validation_accepts_catalog():
@@ -232,8 +255,8 @@ def zero_lip():
 
 
 def exp_lip():
-    return LipschitzClassFunction(lambda t, s: math.exp(-t) * s,
-                                  lambda t: math.exp(-t), name="e^-t s")
+    return LipschitzClassFunction(lambda t, s: np.exp(-t) * s,
+                                  lambda t: np.exp(-t), name="e^-t s")
 
 
 def test_linear_class_trivial():
@@ -261,6 +284,42 @@ def test_lipschitz_class_validation():
         # slope 2 exceeds the declared majorant 1
         LipschitzClassFunction(lambda t, s: 2.0 * s, lambda t: 1.0,
                                name="fast").validate()
+
+
+# per time, the majorant's sign, monotonicity, the majorant bound, then F's
+# sign; the first time that fails names its first failure, and NaN fails each
+@pytest.mark.parametrize("fn, majorant, message", [
+    (lambda t, s: math.nan, lambda t: 1.0, "negative or NaN at tau=0.0001"),
+    (lambda t, s: s, lambda t: math.nan, "majorant negative or NaN at tau=0.0001"),
+    (lambda t, s: -1.0, lambda t: 0.0, "negative or NaN at tau=0.0001"),
+    (lambda t, s: -s, lambda t: -1.0, "majorant negative or NaN at tau=0.0001"),
+    (lambda t, s: np.where(t < 1, 2 * s, -s), lambda t: 1.0,
+     "majorant bound fails at tau=0.0001"),
+    (lambda t, s: np.where(t < 1, s, -s), lambda t: np.where(t < 1, 1.0, -1.0),
+     "majorant negative or NaN at tau=2.2"),
+    (lambda t, s: np.where(t < 1, s, -s), lambda t: np.where(t < 0.01, 1.0, -1.0),
+     "majorant negative or NaN at tau=0.0148"),
+], ids=["nan_F", "nan_majorant", "negative_F", "negative_majorant", "bound_before_monotone",
+        "later_negative_majorant", "negative_majorant_before_monotone"])
+def test_lipschitz_class_validation_names_the_first_failure(fn, majorant, message):
+    with pytest.raises(ClassViolation, match=re.escape(f"F: {message}")):
+        LipschitzClassFunction(fn, majorant).validate()
+
+
+def test_validate_calls_each_function_once():
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+        return wrapper
+
+    ComparisonFunction(counted(_quarter_power)).validate()
+    assert calls == ["_quarter_power"]
+    calls.clear()
+    LipschitzClassFunction(counted(_decay), counted(_decay_majorant)).validate()
+    assert sorted(calls) == ["_decay", "_decay_majorant"]
 
 
 # --------------------------------------------------------------------------
@@ -486,6 +545,15 @@ def test_uniform_bound_zero_weight():
     assert rep.constants["C"] == 1.0
 
 
+def test_uniform_bound_rejects_bad_variant_for_a_zero_weight():
+    # a zero weight takes C = |b1| without the L^q bound, after the variant check
+    phi = make_phi("constant", {"value": 1.0})
+    for value in (0.0, 1.0):
+        with pytest.raises(DomainError, match="variant must be 'corrected' or 'literal'"):
+            uniform_bound_constant(_DIRECT, const_grid(value), phi, phi, tau0=1.0, q=8.0,
+                                   variant="loose")
+
+
 def test_uniform_bound_finite_for_damped_weight():
     spec = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
                        make_rhs("zero", None, 2 / 3, "direct"))
@@ -568,11 +636,11 @@ def _quarter_power(s):
 
 
 def _decay(tau, s):
-    return math.exp(-tau) * s
+    return np.exp(-tau) * s
 
 
 def _decay_majorant(tau):
-    return math.exp(-tau)
+    return np.exp(-tau)
 
 
 _DIRECT = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,

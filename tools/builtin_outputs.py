@@ -7,7 +7,8 @@ CLI of that tree
 
 * `fracasym solve ID` for each builtin without an `order` check, at its
   configured grid and at `--n-steps 32768`;
-* `fracasym study ID` for each builtin with one,
+* `fracasym study ID` for each builtin with one;
+* `fracasym catalog`, the listing of builtins and catalog entries,
 
 and writes, for each run, OUT/<command>_<ID>[_n32768]/ holding `exit_code`,
 `stdout`, `stderr` and the files the run wrote (CSV and report), with every
@@ -37,6 +38,7 @@ def _untimed(text: str) -> str:
 
 def _runs(configs: Path):
     """(output directory name, CLI arguments) of every run, in a fixed order."""
+    yield "catalog", ["catalog"]
     for path in sorted(configs.glob("*.json")):
         ident = path.stem
         checks = {check["name"] for check in json.loads(path.read_text())["checks"]}
@@ -58,8 +60,9 @@ def main(argv=None) -> int:
     for name, cli_args in _runs(src / "fracasym" / "configs"):
         dest = args.out / name
         with tempfile.TemporaryDirectory() as tmp:
+            out_dir = [] if cli_args == ["catalog"] else ["--out-dir", tmp]
             run = subprocess.run(
-                [sys.executable, "-m", "fracasym.cli", *cli_args, "--out-dir", tmp],
+                [sys.executable, "-m", "fracasym.cli", *cli_args, *out_dir],
                 cwd=tmp, env=env, capture_output=True, text=True)
             dest.mkdir()
             for path in sorted(Path(tmp).iterdir()):
