@@ -20,6 +20,8 @@ rest of the package uses as its testing oracle.
 
 from __future__ import annotations
 
+from typing import Callable
+
 import numpy as np
 
 from . import kernels
@@ -34,6 +36,7 @@ __all__ = [
     "semigroup_residual",
     "composition_residual",
     "trapezoid_coefficients",
+    "trapezoid_table",
     "rectangle_coefficients",
 ]
 
@@ -69,6 +72,24 @@ def trapezoid_coefficients(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.zeros(n + 1)
     c[1:] = p[:-2] - k[1:-1] ** mu * (k[1:-1] - mu - 1.0)
     return a, c
+
+
+def trapezoid_table(n_max: int) -> Callable[[float, int], tuple[np.ndarray, np.ndarray]]:
+    """trapezoid_coefficients as a function of (mu, n) for n <= n_max that
+    computes each order's weights once, at n_max, and returns the leading
+    n + 1 entries of them.  An entry depends on k and mu alone, and the
+    weights of a shorter grid equal those entries bit for bit, so every level
+    of a refinement study shares one table per order.  Nothing is kept
+    beyond the returned function."""
+    rows: dict[float, tuple[np.ndarray, np.ndarray]] = {}
+
+    def weights(mu: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+        if mu not in rows:
+            rows[mu] = trapezoid_coefficients(mu, n_max)
+        a, c = rows[mu]
+        return a[:n + 1], c[:n + 1]
+
+    return weights
 
 
 def rl_integral(g: GridFunction, alpha) -> GridFunction:

@@ -24,6 +24,7 @@ class GridFunction:
 
     t_end: float
     values: np.ndarray = field(repr=False)
+    _taus: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.t_end > 0 and np.isfinite(self.t_end)):
@@ -37,6 +38,20 @@ class GridFunction:
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)
 
+    @classmethod
+    def shared(cls, t_end: float, values: np.ndarray, taus: np.ndarray) -> "GridFunction":
+        """A GridFunction on the array values itself, with no copy and no
+        check, whose taus is the array taus, np.linspace(0.0, t_end,
+        values.size): a solver's own results, which share one time grid.
+        Both arrays are made read-only; the caller vouches that values are
+        finite."""
+        values.setflags(write=False)
+        taus.setflags(write=False)
+        grid = object.__new__(cls)
+        for name, value in (("t_end", t_end), ("values", values), ("_taus", taus)):
+            object.__setattr__(grid, name, value)
+        return grid
+
     @property
     def n_steps(self) -> int:
         return self.values.size - 1
@@ -47,6 +62,8 @@ class GridFunction:
 
     @property
     def taus(self) -> np.ndarray:
+        if self._taus is not None:
+            return self._taus
         return np.linspace(0.0, self.t_end, self.values.size)
 
     @classmethod

@@ -31,6 +31,7 @@ from .asymptotics import (boundedness_verdict, improper_tail, lhopital_lemma_ter
                           lhopital_residual, power_slope, slope_window_start)
 from .bounds import growth_envelope_constants, uniform_bound_constant
 from .errors import ConfigError, DomainError, HypothesisViolation
+from .fracops import trapezoid_table
 from .grid import GridFunction, as_values
 from .solvers import ProblemKind, residual_check, solve_direct, solve_sequential
 
@@ -235,6 +236,7 @@ class _Context:
     measured: dict
     expectations: dict
     orders: list | None = None  # a study's empirical orders
+    errors: list | None = None  # a study's max error at each level, finest last
     bound_curve: np.ndarray | None = None  # the CSV's bound_curve column
 
 
@@ -252,7 +254,10 @@ def _max_error(sol, exact) -> float:
 
 
 def _closed_form(check, ctx):
-    err = _max_error(ctx.sol, catalog.exact_solution(ctx.config.problem))
+    if ctx.errors:  # a study has measured the finest level's error already
+        err = ctx.errors[-1]
+    else:
+        err = _max_error(ctx.sol, catalog.exact_solution(ctx.config.problem))
     return _threshold_result(check, err), (err,)
 
 
@@ -527,7 +532,9 @@ def _solved(config: ExperimentConfig, command: str, levels: list[int]):
     # the solver names are looked up when called, so a wrapper set on this
     # module (as perfbench's tracer does) sees every solve
     solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
-    sols = [solve(spec, config.t_end, n) for n in levels]
+    # every level slices its weights from one table per order, built at the finest
+    weights = trapezoid_table(max(levels))
+    sols = [solve(spec, config.t_end, n, weights=weights) for n in levels]
     report.timings["solve"] = time.perf_counter() - t0
     report.timings["checks"] = early_s
     return report, sols, early
@@ -620,8 +627,8 @@ def convergence_study(config: ExperimentConfig, out_dir=None) -> RunReport:
         label = "exact" if math.isinf(orders[-1]) else f"{orders[-1]:.4f}"
         report.info_lines.append(f"order {levels[i]}->{levels[i + 1]}: {label}")
 
-    return _finish(report, _Context(config, sols[-1], report.measured, {}, orders), out_dir,
-                   early)
+    return _finish(report, _Context(config, sols[-1], report.measured, {}, orders, errors),
+                   out_dir, early)
 
 
 # --------------------------------------------------------------------------

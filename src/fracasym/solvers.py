@@ -198,6 +198,9 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class Solution:
+    """x, Dbeta x and Dalpha x are read-only views on the solver's own
+    arrays and share one time grid; rhs_history is read-only too."""
+
     x: GridFunction
     dbeta_x: GridFunction
     dalpha_x: GridFunction
@@ -210,11 +213,12 @@ class Solution:
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
-           v_inhom: Callable[[np.ndarray], np.ndarray]):
-    """Shared windowed corrector recurrence; returns (x, v, fhist, iters).
+           v_inhom: Callable[[np.ndarray], np.ndarray], weights):
+    """Shared windowed corrector recurrence; returns (taus, x, v, fhist, iters).
 
     mu_v None means v is x itself: the v quantities alias the x ones, and
-    v_inhom is not used.
+    v_inhom is not used.  weights(mu, n) gives trapezoid_coefficients(mu, n),
+    which it is when None.
     """
     n = int(n_steps)
     if n < 2:
@@ -226,7 +230,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
 
     # one row per unknown quantity: x, then Dbeta x unless it is x itself
     mus, inhoms = ((mu_x,), (x_inhom,)) if mu_v is None else ((mu_x, mu_v), (x_inhom, v_inhom))
-    a, c = zip(*(trapezoid_coefficients(mu, n) for mu in mus))
+    a, c = zip(*((weights or trapezoid_coefficients)(mu, n) for mu in mus))
     c = np.array(c)
     # the weight of the unknown f[m] in the quantities at node m
     w = np.array([[h ** mu / gamma_fn(mu + 2.0)] for mu in mus])
@@ -279,7 +283,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
             node = start + int(np.isfinite(z[:, start:end]).all(axis=0).argmin())
             raise StepFailure(node, taus[node], "x or Dbeta x is not finite")
 
-    return z[0], z[-1], fhist, iters
+    return taus, z[0], z[-1], fhist, iters
 
 
 def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: float,
@@ -414,29 +418,33 @@ def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> fl
     return float(val)
 
 
-def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
+def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int, *,
+                 weights=None) -> Solution:
     """Solve the order-alpha Caputo problem; returns x, Dbeta x, Dalpha x.
 
     Dalpha x equals the right-hand side along the trajectory, so it is the
-    stored f history (0 at node 0 for singular right-hand sides).
+    stored f history (0 at node 0 for singular right-hand sides).  weights,
+    a function (mu, n) -> trapezoid_coefficients(mu, n) such as
+    fracops.trapezoid_table gives, replaces the call of trapezoid_coefficients.
     """
     if spec.kind is not ProblemKind.DIRECT:
         raise DomainError("solve_direct requires a direct ProblemSpec")
     alpha, beta, b = spec.alpha, spec.beta, spec.b1
-    x, v, fhist, iters = _march(
+    taus, x, v, fhist, iters = _march(
         spec, t_end, n_steps,
         mu_x=alpha, mu_v=alpha - beta if beta > 0.0 else None,
         x_inhom=lambda t: np.full_like(t, b),
-        v_inhom=np.zeros_like,
+        v_inhom=np.zeros_like, weights=weights,
     )
-    return _solution(spec, t_end, x, v, fhist, fhist, iters)
+    return _solution(spec, t_end, taus, x, v, fhist, fhist, iters)
 
 
-def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
+def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int, *,
+                     weights=None) -> Solution:
     """Solve the sequential problem; returns x, Dbeta x, Dalpha x.
 
     Dalpha x is reconstructed from the running plain integral of the f
-    history: b2 + J^1 f.
+    history: b2 + J^1 f.  weights as for solve_direct.
     """
     if spec.kind is not ProblemKind.SEQUENTIAL:
         raise DomainError("solve_sequential requires a sequential ProblemSpec")
@@ -446,19 +454,25 @@ def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int) -> Solution:
     for name, coef in (("b2 / Gamma(alpha+1)", cx), ("b2 / Gamma(alpha-beta+1)", cv)):
         if not math.isfinite(coef):  # inf * 0^alpha would be NaN at tau = 0
             raise DomainError(f"initial-value coefficient {name} overflows a float")
-    x, v, fhist, iters = _march(
+    taus, x, v, fhist, iters = _march(
         spec, t_end, n_steps,
         mu_x=alpha + 1.0, mu_v=alpha - beta + 1.0,
         x_inhom=lambda t: b1 + cx * t ** alpha,
         v_inhom=lambda t: cv * t ** (alpha - beta),
+        weights=weights,
     )
-    dalpha = b2 + GridFunction(t_end, fhist).cumulative_integral()
-    return _solution(spec, t_end, x, v, dalpha, fhist, iters)
+    dalpha = b2 + GridFunction.shared(t_end, fhist, taus).cumulative_integral()
+    if not np.isfinite(dalpha).all():  # b2 near the float limit, plus J^1 f
+        raise DomainError("values must be finite")
+    return _solution(spec, t_end, taus, x, v, dalpha, fhist, iters)
 
 
-def _solution(spec: ProblemSpec, t_end: float, x, v, dalpha, fhist, iters) -> Solution:
-    return Solution(x=GridFunction(t_end, x), dbeta_x=GridFunction(t_end, v),
-                    dalpha_x=GridFunction(t_end, dalpha), spec=spec,
+def _solution(spec: ProblemSpec, t_end: float, taus, x, v, dalpha, fhist, iters) -> Solution:
+    """The solver's own arrays as read-only GridFunctions on the one grid
+    taus; _march has checked that x, v and fhist are finite."""
+    return Solution(x=GridFunction.shared(t_end, x, taus),
+                    dbeta_x=GridFunction.shared(t_end, v, taus),
+                    dalpha_x=GridFunction.shared(t_end, dalpha, taus), spec=spec,
                     rhs_history=fhist, corrector_iterations=iters)
 
 

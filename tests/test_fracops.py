@@ -6,7 +6,8 @@ import pytest
 from fracasym import (DomainError, GridFunction, caputo_derivative,
                       composition_residual, exact_power_rule, gamma_fn,
                       rl_integral, semigroup_residual)
-from fracasym.fracops import rectangle_coefficients, trapezoid_coefficients
+from fracasym.fracops import (rectangle_coefficients, trapezoid_coefficients,
+                              trapezoid_table)
 
 # frozen oracle constants (20+ digit values computed with mpmath)
 INV_GAMMA_1_5 = 1.1283791670955126
@@ -79,6 +80,20 @@ def test_trapezoid_weights_match_the_three_power_closed_form(mu, n):
         terms = ((k - 1.0) ** (mu + 1.0), k ** mu * abs(k - mu - 1.0))
         want = (k - 1.0) ** (mu + 1.0) - k ** mu * (k - mu - 1.0)
         assert abs(c[k] - want) <= 1e-15 * sum(terms), k
+
+
+@pytest.mark.parametrize("mu", np.random.default_rng(32).uniform(0.0, 2.0, 8).tolist())
+def test_trapezoid_weights_of_a_shorter_grid_are_leading_entries(mu):
+    # an entry depends on k and mu alone, so a study's coarser levels march
+    # on the leading entries of the finest level's weights; this must hold
+    # bit for bit, or the levels of a study differ from standalone solves
+    long_a, long_c = trapezoid_coefficients(mu, 2 ** 15)
+    table = trapezoid_table(2 ** 15)
+    for n in (2, 3, 1023, 1025, 8192):
+        a, c = trapezoid_coefficients(mu, n)
+        assert np.array_equal(a, long_a[:n + 1]) and np.array_equal(c, long_c[:n + 1]), n
+        sliced_a, sliced_c = table(mu, n)
+        assert np.array_equal(sliced_a, a) and np.array_equal(sliced_c, c), n
 
 
 def test_rectangle_weights_nonnegative():

@@ -595,6 +595,44 @@ def test_run_and_study_evaluate_closed_form_alike(tmp_path):
     assert solved.checks == study.checks[:1]
 
 
+@pytest.mark.parametrize("kind, beta", [("direct", 0.2), ("direct", 0.0),
+                                        ("sequential", 0.2)])
+def test_every_study_level_equals_its_standalone_solve(kind, beta, monkeypatch):
+    # the levels share one weight table per order, built at the finest grid
+    # (4096 steps, four 1024-node blocks), and one time grid per solve
+    problem = {"kind": kind, "alpha": 0.6, "beta": beta, "b1": 0.0,
+               "rhs": {"name": "manufactured_power_mu", "params": {"mu": 2.0}}}
+    if kind == "sequential":
+        problem["b2"] = 0.0
+    config = harness.load_config(make_config(
+        problem=problem, grid={"t_end": 1.0, "n_steps": 1024, "refinement_levels": 3},
+        checks=[{"name": "closed_form", "tolerance": 1e-3}]))
+    name = f"solve_{kind}"
+    solve, levels = getattr(harness, name), []
+
+    def recorded(*args, **kwargs):
+        levels.append(solve(*args, **kwargs))
+        return levels[-1]
+
+    monkeypatch.setattr(harness, name, recorded)
+    report = harness.convergence_study(config)
+    spec = catalog.build_problem_spec(config.problem)
+    assert [sol.x.n_steps for sol in levels] == [1024, 2048, 4096]
+    for sol in levels:
+        alone = solve(spec, 1.0, sol.x.n_steps)
+        for got, want in ((sol.x, alone.x), (sol.dbeta_x, alone.dbeta_x),
+                          (sol.dalpha_x, alone.dalpha_x)):
+            assert np.array_equal(got.values, want.values)
+            assert np.array_equal(got.taus, want.taus)
+        assert np.array_equal(sol.rhs_history, alone.rhs_history)
+        assert np.array_equal(sol.corrector_iterations, alone.corrector_iterations)
+    # the closed_form check reads the error the study measured at its finest level
+    finest = levels[-1]
+    error = float(np.max(np.abs(finest.x.values - finest.x.taus ** 2.0)))
+    assert report.measured["closed_form_error"] == error
+    assert report.info_lines[2] == f"level n_steps=4096 max_error={error:.9e}"
+
+
 def test_study_of_the_sequential_zero_problem_matches_its_closed_form(tmp_path):
     # x = b1 + b2 tau^alpha / Gamma(alpha + 1)
     doc = make_config(grid={"t_end": 20.0, "n_steps": 32, "refinement_levels": 2},
@@ -808,7 +846,7 @@ def test_cli_pin_writes_the_measured_values(tmp_path, capsys):
 
 
 def test_cli_reports_a_solver_failure_as_one_line(tmp_path, capsys, monkeypatch):
-    def failing(*args):
+    def failing(*args, **kwargs):
         raise StepFailure(7, 0.5, "corrector diverged")
 
     monkeypatch.setattr(harness, "solve_direct", failing)

@@ -91,6 +91,33 @@ def test_sequential_zero_rhs_flat():
     assert np.all(sol.x.values == 5.0)
 
 
+def test_an_overflowing_dalpha_history_is_rejected():
+    # x and Dbeta x stay finite, but b2 plus the running integral of f
+    # passes the largest float (and numpy warns of the overflow)
+    big = np.finfo(float).max
+    spec = sequential_spec(RightHandSide(lambda t, u, v: 0.2 * big + 0.0 * t),
+                           alpha=0.1, beta=0.05, b2=0.95 * big)
+    with pytest.warns(RuntimeWarning, match="overflow"), \
+            pytest.raises(DomainError, match="^values must be finite$"):
+        solve_sequential(spec, 0.3, 2)
+
+
+@pytest.mark.parametrize("kind, beta", [("direct", 0.25), ("direct", 0.0),
+                                        ("sequential", 0.25)])
+def test_solution_grids_are_read_only_views_on_one_time_grid(kind, beta):
+    spec = build_problem_spec({"kind": kind, "alpha": 0.5, "beta": beta, "b1": 0.0,
+                               "b2": 0.0, "rhs": {"name": "manufactured_power_mu",
+                                                  "params": {"mu": 2.0}}})
+    solve = solve_direct if kind == "direct" else solve_sequential
+    sol = solve(spec, 2.0, 64)
+    grids = (sol.x, sol.dbeta_x, sol.dalpha_x)
+    assert np.array_equal(sol.x.taus, np.linspace(0.0, 2.0, 65))
+    assert all(g.taus is sol.x.taus for g in grids)
+    for array in (*(g.values for g in grids), sol.x.taus, sol.rhs_history):
+        with pytest.raises(ValueError):
+            array[1] = 5.0
+
+
 # --------------------------------------------------------------------------
 # manufactured solutions
 

@@ -7,10 +7,13 @@ CLI of that tree
 
 * `fracasym solve ID` for each builtin without an `order` check, at its
   configured grid and at `--n-steps 32768`;
-* `fracasym study ID` for each builtin with one;
+* `fracasym study ID` for each builtin with one, at its configured grid and
+  at `--n-steps 8192`: with the builtins' three levels the finest grid is
+  then 32768 steps, 32 blocks of 1024 nodes whose history squares reach
+  16384 nodes;
 * `fracasym catalog`, the listing of builtins and catalog entries,
 
-and writes, for each run, OUT/<command>_<ID>[_n32768]/ holding `exit_code`,
+and writes, for each run, OUT/<command>_<ID>[_n<N>]/ holding `exit_code`,
 `stdout`, `stderr` and the files the run wrote (CSV and report), with every
 `timing` line dropped from stdout and the report.  Two trees give the same
 outputs when `diff -r` of their OUT directories is empty: run it on a change
@@ -28,7 +31,9 @@ import sys
 import tempfile
 from pathlib import Path
 
-N_STEPS = 32768  # the extra grid of every solve builtin
+# the extra grid of every solve builtin and the extra coarsest grid of
+# every study builtin
+N_STEPS = {"solve": 32768, "study": 8192}
 
 
 def _untimed(text: str) -> str:
@@ -42,11 +47,10 @@ def _runs(configs: Path):
     for path in sorted(configs.glob("*.json")):
         ident = path.stem
         checks = {check["name"] for check in json.loads(path.read_text())["checks"]}
-        if "order" in checks:  # an order check needs a refinement study
-            yield f"study_{ident}", ["study", ident]
-        else:
-            yield f"solve_{ident}", ["solve", ident]
-            yield f"solve_{ident}_n{N_STEPS}", ["solve", ident, "--n-steps", str(N_STEPS)]
+        command = "study" if "order" in checks else "solve"  # order needs a study
+        yield f"{command}_{ident}", [command, ident]
+        n = N_STEPS[command]
+        yield f"{command}_{ident}_n{n}", [command, ident, "--n-steps", str(n)]
 
 
 def main(argv=None) -> int:
