@@ -1,7 +1,8 @@
 """Exception hierarchy shared across the package.
 
 The CLI maps these onto exit codes: hypothesis violations are reported but
-do not abort a run (exit 2), solver failures abort it (exit 1).
+do not abort a run (exit 2), solver failures abort it (exit 1).  A solve
+that fails at a node raises one StepFailure, which names that node.
 """
 
 
@@ -28,13 +29,10 @@ class ClassViolation(HypothesisViolation):
 
 
 class StepFailure(FracasymError, RuntimeError):
-    """The time-marching corrector could not be solved at some node."""
+    """A solve failed at some node: a value of the right-hand side or of a
+    solved quantity was not finite there, or its corrector did not converge."""
 
     def __init__(self, node: int, tau: float, message: str):
         self.node = node
         self.tau = tau
         super().__init__(f"step {node} (tau={tau:.6g}): {message}")
-
-
-class RhsEvaluationError(StepFailure):
-    """The right-hand side returned a non-finite value during marching."""

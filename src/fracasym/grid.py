@@ -72,7 +72,7 @@ class GridFunction:
         if n_steps < 1:
             raise DomainError("n_steps must be >= 1")
         taus = np.linspace(0.0, t_end, n_steps + 1)
-        return cls(t_end, np.asarray(fn(taus), dtype=float))
+        return cls(t_end, as_values(fn(taus), taus.shape))
 
     def with_values(self, values: np.ndarray) -> "GridFunction":
         return GridFunction(self.t_end, values)

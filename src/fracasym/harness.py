@@ -424,10 +424,15 @@ def _load_config(source) -> ExperimentConfig:
     grid = _object(doc["grid"], "grid", ("t_end", "n_steps"), ("refinement_levels",))
     for key, value in grid.items():
         grid[key] = _value(key, value, f"grid.{key}")
+    shift = grid.get("refinement_levels", 1) - 1
     # a shift, since 2**(refinement_levels - 1) itself may not fit in memory
-    if grid["n_steps"] > _MAX_FINEST_STEPS >> (grid.get("refinement_levels", 1) - 1):
+    if grid["n_steps"] > _MAX_FINEST_STEPS >> shift:
         raise ConfigError(f"grid: the finest grid, n_steps * 2**(refinement_levels - 1), "
                           f"must have at most 2**24 = {_MAX_FINEST_STEPS} steps")
+    # a step below the smallest normal float rounds node 1 onto tau = 0
+    if grid["t_end"] / (grid["n_steps"] << shift) < sys.float_info.min:
+        raise ConfigError(f"grid: the finest step, t_end / (n_steps * 2**(refinement_levels "
+                          f"- 1)), must be at least {sys.float_info.min:g}")
 
     if not isinstance(doc["checks"], list):
         raise ConfigError("checks must be a list")

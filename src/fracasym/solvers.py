@@ -101,11 +101,15 @@ inhomogeneous terms, which become x and Dbeta x at all its nodes.
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
-flagged singular_at_zero, which is never evaluated at tau = 0.  Node 1 is
-then solved alone, by the first window attempt of the first block: a
-one-node window whose weight k = w (1 + c_1) holds the open rule's weight,
-started from f(tau_1, x_inhom, v_inhom).  Every later window knows f at the
-lead node.
+flagged singular_at_zero, which is never evaluated at tau = 0.  Before the
+first block `_march` evaluates f there from the inhomogeneous terms, by the
+same elementwise call on a one-node slice that every sweep makes: node 0's
+f-value, or node 1's start.  Node 1 is then solved alone, by the first
+window attempt of the first block: a one-node window whose weight
+k = w (1 + c_1) holds the open rule's weight.  Every later window knows f
+at the lead node.  The whole march runs under np.errstate(all="ignore"),
+so no numpy warning escapes a solve: a value that is not finite, of f or of
+a quantity, ends it in one StepFailure that names its node.
 """
 
 from __future__ import annotations
@@ -118,7 +122,7 @@ from typing import Callable
 import numpy as np
 
 from . import kernels  # noqa: F401  perfbench/spans.py wraps the kernels through this name
-from .errors import DomainError, RhsEvaluationError, StepFailure
+from .errors import DomainError, StepFailure
 from .fracops import rl_integral, trapezoid_coefficients
 from .fracops import rectangle_coefficients  # noqa: F401  perfbench/spans.py wraps it by name
 from .gamma import gamma_fn
@@ -149,9 +153,8 @@ class RightHandSide:
     """An evaluatable f(tau, u, v) plus the metadata the solver needs.
 
     fn must evaluate elementwise (numpy operations, np.where rather than a
-    Python conditional): the solver calls it on arrays of nodes, and on
-    scalars at the lead node.  A scalar result for array arguments is
-    broadcast.
+    Python conditional): the solver calls it on arrays of nodes only.  A
+    scalar result for array arguments is broadcast.
 
     singular_at_zero: f cannot be evaluated at tau = 0 (e.g. a negative
     power prefactor); the solver switches to open quadrature on the first
@@ -160,18 +163,14 @@ class RightHandSide:
     partials: an elementwise call that returns (f, df/du, df/dv) at once,
     sharing their common factors, with f equal to fn's value bit for bit
     (a scalar partial is broadcast).  Each Newton sweep of the corrector
-    makes one such call; fn serves the lead node.  Without partials the
-    sweeps call fn and take the secant slope of f between sweeps as the
-    diagonal of the Jacobian, and a stalled window gets no full Newton
-    steps.
+    makes one such call.  Without partials the sweeps call fn and take the
+    secant slope of f between sweeps as the diagonal of the Jacobian, and a
+    stalled window gets no full Newton steps.
     """
 
     fn: Callable[[float, float, float], float]
     singular_at_zero: bool = False
     partials: Callable[[float, float, float], tuple[float, float, float]] | None = None
-
-    def __call__(self, tau: float, u: float, v: float) -> float:
-        return self.fn(tau, u, v)
 
 
 @dataclass(frozen=True)
@@ -209,7 +208,7 @@ class Solution:
     corrector_iterations: np.ndarray = field(repr=False)
 
 
-@np.errstate(over="ignore", invalid="ignore")  # a quantity that is not finite is a StepFailure
+@np.errstate(all="ignore")  # a quantity that is not finite is a StepFailure
 def _march(spec: ProblemSpec, t_end: float, n_steps: int,
            mu_x: float, mu_v: float | None,
            x_inhom: Callable[[np.ndarray], np.ndarray],
@@ -241,8 +240,12 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     history = BlockedHistory(a, fhist[1:])
     stalled = False  # the last window attempt reached the sweep cap and committed part
 
-    if lead == 0:
-        fhist[0] = _eval_rhs(f, 0, taus[0], z[0, 0], z[-1, 0])
+    # f at the lead node from its inhomogeneous terms: node 0's value, or node 1's start
+    t = taus[lead:lead + 1]
+    f_lead = as_values(f.fn(t, z[0, lead:lead + 1], z[-1, lead:lead + 1]), t.shape)[0]
+    if not np.isfinite(f_lead):
+        raise StepFailure(lead, taus[lead], f"rhs returned non-finite value {f_lead}")
+    fhist[0] = f_lead if lead == 0 else 0.0
 
     for start in range(1, n + 1, BLOCK):  # the blocks of unknowns f[1..n]
         end = min(start + BLOCK, n + 1)
@@ -255,8 +258,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
         m = start
         while m < end:  # one window attempt, from the first node not committed
             if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
-                stop, base, k = 2, z[:, 1:2], w * (1.0 + c[:, 1:2])
-                phi0 = _eval_rhs(f, 1, taus[1], z[0, 1], z[-1, 1])
+                stop, base, k, phi0 = 2, z[:, 1:2], w * (1.0 + c[:, 1:2]), f_lead
             else:
                 stop, base, k, phi0 = end, z[:, m:end] + w * known[:, m - start:], w, fhist[m - 1]
             newton = stalled and f.partials is not None
@@ -267,7 +269,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
             stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
             if not done:  # the window's first node
                 if not phi.size:
-                    raise RhsEvaluationError(m, taus[m], "rhs value or corrector step not finite")
+                    raise StepFailure(m, taus[m], "rhs value or corrector step not finite")
                 raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
             fhist[m:m + done] = phi[:done]
             iters[m:m + done] = sweeps
@@ -411,13 +413,6 @@ def _diagonal_step(phi, fx, slope):
     return np.where(picard, fx, phi - (phi - fx) / denom)
 
 
-def _eval_rhs(f: RightHandSide, node: int, tau: float, u: float, v: float) -> float:
-    val = f(tau, u, v)
-    if not math.isfinite(val):
-        raise RhsEvaluationError(node, tau, f"rhs returned non-finite value {val}")
-    return float(val)
-
-
 def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int, *,
                  weights=None) -> Solution:
     """Solve the order-alpha Caputo problem; returns x, Dbeta x, Dalpha x.
@@ -461,9 +456,11 @@ def solve_sequential(spec: ProblemSpec, t_end: float, n_steps: int, *,
         v_inhom=lambda t: cv * t ** (alpha - beta),
         weights=weights,
     )
-    dalpha = b2 + GridFunction.shared(t_end, fhist, taus).cumulative_integral()
-    if not np.isfinite(dalpha).all():  # b2 near the float limit, plus J^1 f
-        raise DomainError("values must be finite")
+    with np.errstate(all="ignore"):  # b2 near the float limit, plus J^1 f
+        dalpha = b2 + GridFunction.shared(t_end, fhist, taus).cumulative_integral()
+    if not np.isfinite(dalpha).all():  # the first bad node fails
+        node = int(np.isfinite(dalpha).argmin())
+        raise StepFailure(node, taus[node], "Dalpha x is not finite")
     return _solution(spec, t_end, taus, x, v, dalpha, fhist, iters)
 
 

@@ -146,7 +146,7 @@ def _scalar_corrector(f, tau, base_x, coef_x, base_v, coef_v, phi, tol=1e-15, ca
     scale = abs(coef_x) + abs(coef_v)
     for _ in range(cap):
         x_cur = base_x + coef_x * phi
-        phi_new = float(f(tau, x_cur, base_v + coef_v * phi))
+        phi_new = float(f.fn(tau, x_cur, base_v + coef_v * phi))
         delta = scale * abs(phi_new - phi)
         phi = phi_new
         if delta <= tol * (1.0 + abs(x_cur)):
@@ -155,7 +155,7 @@ def _scalar_corrector(f, tau, base_x, coef_x, base_v, coef_v, phi, tol=1e-15, ca
     from scipy.optimize import brentq
 
     def g(p):
-        return p - float(f(tau, base_x + coef_x * p, base_v + coef_v * p))
+        return p - float(f.fn(tau, base_x + coef_x * p, base_v + coef_v * p))
 
     lo = hi = phi
     radius = max(abs(phi), 1.0) * 1e-3
@@ -200,7 +200,7 @@ def march_reference(spec, t_end: float, n: int):
     lead = 1 if f.singular_at_zero else 0
     x, v, fhist = x0.copy(), v0.copy(), np.zeros(n + 1)
     if lead == 0:
-        fhist[0] = float(f(0.0, x0[0], v0[0]))
+        fhist[0] = float(f.fn(0.0, x0[0], v0[0]))
     for m in range(1, n + 1):
         px, cxs, pv, cvs = kernels.pc_sums(bx, ax, *v_rows, fhist, m, 0)
         # the first subinterval weights f[lead], which is 0 until step lead is done
@@ -213,7 +213,7 @@ def march_reference(spec, t_end: float, n: int):
         kx = wxc * (1.0 + cx[m]) if m == lead else wxc
         kv = wvc * (1.0 + cv[m]) if m == lead else wvc
         phi = _scalar_corrector(f, taus[m], base_x, kx, base_v, kv,
-                                float(f(taus[m], x_pred, v_pred)))
+                                float(f.fn(taus[m], x_pred, v_pred)))
         fhist[m] = phi
         x[m] = base_x + kx * phi
         v[m] = base_v + kv * phi

@@ -36,6 +36,13 @@ def test_from_callable():
     assert np.allclose(g.values, [0.0, 0.25, 1.0, 2.25, 4.0])
 
 
+def test_from_callable_broadcasts_a_scalar_result():
+    # the broadcast rule of every user callable, grid.as_values
+    g = GridFunction.from_callable(lambda t: 2.0, 1.0, 8)
+    assert np.array_equal(g.values, np.full(9, 2.0))
+    assert not g.values.flags.writeable
+
+
 def test_cumulative_integral_exact_for_linear_data():
     g = GridFunction.from_callable(lambda t: 3.0 * t + 1.0, 2.0, 16)
     expected = 1.5 * g.taus ** 2 + g.taus

@@ -1,11 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fracasym
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, GridFunction,
                       RightHandSide, StepFailure, solve_direct, solve_sequential)
 from fracasym import bounds, catalog, cli, harness
@@ -141,6 +146,12 @@ _BOUNDEDNESS_WITHOUT_PHI1 = {
                  id="infinite_n_steps"),
     pytest.param(_edited(lambda d: d["grid"].update(n_steps=512.9)),
                  id="fractional_n_steps"),
+    # a step below the smallest normal float rounds node 1 onto tau = 0
+    pytest.param(_edited(lambda d: d["grid"].update(t_end=1e-320, n_steps=4099)),
+                 id="subnormal_step"),
+    pytest.param(_edited(lambda d: d["grid"].update(t_end=2e-301, n_steps=2 ** 16,
+                                                    refinement_levels=9)),
+                 id="subnormal_finest_step"),
     pytest.param(_edited(lambda d: d["grid"].update(refinement_levels=0.5))
                  .replace("0.5}", "1e400}"), id="huge_refinement_levels"),
     pytest.param(_edited(lambda d: d["grid"].update(n_steps=10 ** 400)),
@@ -1043,6 +1054,28 @@ def test_cli_a_weight_with_a_pole_fails_its_hypothesis(ident, index, exponent, r
     assert (code, captured.err) == (2, "")
     assert (f"CHECK {check['name']}: FAILED-HYPOTHESIS measured={reason} "
             f"expected=hypothesis holds tol=-") in captured.out.splitlines()
+
+
+@pytest.mark.parametrize("params, b1, line", [
+    pytest.param({"v_exponent": -0.5}, 1.0, "solver failure: step 1 (tau=3.125): "
+                 "rhs returned non-finite value nan", id="node_1_of_a_singular_rhs"),
+    pytest.param({"pre_exponent": 0.5, "u_exponent": -0.5}, 0.0, "solver failure: "
+                 "step 0 (tau=0): rhs returned non-finite value nan", id="node_0"),
+])
+def test_a_nonfinite_rhs_at_the_lead_node_is_one_stderr_line(params, b1, line, tmp_path):
+    # in a fresh interpreter with the default warning filters, so that a
+    # numpy warning would reach stderr as it does for a user
+    doc = _builtin_json("example63")
+    doc["problem"]["b1"] = b1
+    doc["problem"]["rhs"]["params"].update(params)
+    path = tmp_path / "lead.json"
+    path.write_text(json.dumps(doc))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = str(Path(fracasym.__file__).parents[1])
+    proc = subprocess.run([sys.executable, "-m", "fracasym.cli", "solve", str(path),
+                           "--n-steps", "64", "--out-dir", str(tmp_path)],
+                          env=env, capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", line + "\n")
 
 
 @pytest.mark.parametrize("ident", catalog.builtin_config_ids())

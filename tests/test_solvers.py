@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,6 @@ from scipy.special import zeta
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
 from fracasym.catalog import build_problem_spec, make_rhs, signed_power
-from fracasym.errors import RhsEvaluationError
 from fracasym import harness, solvers
 from fracasym.history import BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
@@ -93,13 +93,16 @@ def test_sequential_zero_rhs_flat():
 
 def test_an_overflowing_dalpha_history_is_rejected():
     # x and Dbeta x stay finite, but b2 plus the running integral of f
-    # passes the largest float (and numpy warns of the overflow)
+    # passes the largest float at node 2, with no numpy warning
     big = np.finfo(float).max
     spec = sequential_spec(RightHandSide(lambda t, u, v: 0.2 * big + 0.0 * t),
                            alpha=0.1, beta=0.05, b2=0.95 * big)
-    with pytest.warns(RuntimeWarning, match="overflow"), \
-            pytest.raises(DomainError, match="^values must be finite$"):
-        solve_sequential(spec, 0.3, 2)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StepFailure) as excinfo:
+            solve_sequential(spec, 0.3, 2)
+    assert (excinfo.value.node, excinfo.value.tau) == (2, 0.3)
+    assert str(excinfo.value) == "step 2 (tau=0.3): Dalpha x is not finite"
 
 
 @pytest.mark.parametrize("kind, beta", [("direct", 0.25), ("direct", 0.0),
@@ -194,7 +197,7 @@ def test_rhs_history_matches_rhs_of_state():
     rhs = make_rhs("exp_decay_power", {"rate": 1.0, "exponent": 0.5}, 0.5, "sequential")
     spec = sequential_spec(rhs, b1=1.0, b2=1.0)
     sol = solve_sequential(spec, 5.0, 512)
-    f = np.array([rhs(t, u, v) for t, u, v in
+    f = np.array([rhs.fn(t, u, v) for t, u, v in
                   zip(sol.x.taus, sol.x.values, sol.dbeta_x.values)])
     assert np.max(np.abs(f - sol.rhs_history)) < 1e-11
 
@@ -244,7 +247,7 @@ def test_singular_forced_branch_is_bounded():
     assert np.all(np.isfinite(sol.x.values))
     assert np.max(np.abs(sol.x.values)) < 10.0
     # the corrector equation holds at every interior node
-    f = np.array([spec.rhs(t, u, v) for t, u, v in
+    f = np.array([spec.rhs.fn(t, u, v) for t, u, v in
                   zip(sol.x.taus[1:], sol.x.values[1:], sol.dbeta_x.values[1:])])
     assert np.max(np.abs(f - sol.rhs_history[1:])) < 1e-9
 
@@ -292,7 +295,7 @@ def test_secant_sweeps_solve_a_stiff_rhs_without_partials():
     spec = ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff)
     sol = solve_direct(spec, 2.0, 128)
     assert sol.corrector_iterations.max() < solvers._FIXED_POINT_CAP
-    f = np.array([stiff(t, u, v) for t, u, v in
+    f = np.array([stiff.fn(t, u, v) for t, u, v in
                   zip(sol.x.taus[1:], sol.x.values[1:], sol.dbeta_x.values[1:])])
     assert np.max(np.abs(f - sol.rhs_history[1:])) < 1e-9
 
@@ -346,7 +349,7 @@ def test_nonfinite_rhs_at_the_lead_node_names_node_0():
     # a regular rhs is evaluated at tau = 0 before the first block
     bad = RightHandSide(lambda t, u, v: np.where(t == 0.0, np.nan, 0.0))
     spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0, bad)
-    with pytest.raises(RhsEvaluationError) as excinfo:
+    with pytest.raises(StepFailure) as excinfo:
         solve_direct(spec, 1.0, 64)
     assert excinfo.value.node == 0
     assert str(excinfo.value) == "step 0 (tau=0): rhs returned non-finite value nan"
