@@ -3,7 +3,8 @@
 The f-value at node 0 enters the corrector only through the first
 subinterval's weight, so the history is a causal convolution over the N
 unknowns g[i] = f[i + 1], i = 0..N-1: at unknown i (node m = i + 1) the
-marching solver needs, for each corrector weight row a of (ax[, av]),
+marching solver needs, for each corrector weight row a (one per distinct
+order of x and Dbeta x),
 
     S_a(i) = sum_{j<i} a[i-j] * g[j].
 

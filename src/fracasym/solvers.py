@@ -6,9 +6,11 @@ Diethelm, Ford & Freed, Nonlinear Dyn. 29, 2002).
 
 direct problem (order-alpha Caputo equation, 0 <= beta < alpha < 1):
     x(tau) = b + J^alpha f,        Dbeta x(tau) = J^(alpha-beta) f
-with beta = 0 meaning the third argument of f receives x itself: the solver
-then gives the Dbeta x quantities the x ones (v is x, from the same
-arithmetic) and sums the history once.
+with beta = 0 meaning the third argument of f receives x itself.  The
+march always carries x and Dbeta x as two rows, and its history keeps one
+weight row per distinct order: at beta = 0 Dbeta x has x's order and
+inhomogeneous term b, so the one history row, broadcast to both, gives
+Dbeta x = x by the same arithmetic.
 
 sequential problem (first derivative of the order-alpha Caputo derivative,
 0 < beta < alpha < 1):
@@ -209,15 +211,12 @@ class Solution:
 
 
 @np.errstate(all="ignore")  # a quantity that is not finite is a StepFailure
-def _march(spec: ProblemSpec, t_end: float, n_steps: int,
-           mu_x: float, mu_v: float | None,
+def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: float,
            x_inhom: Callable[[np.ndarray], np.ndarray],
            v_inhom: Callable[[np.ndarray], np.ndarray], weights):
     """Shared windowed corrector recurrence; returns (taus, x, v, fhist, iters).
 
-    mu_v None means v is x itself: the v quantities alias the x ones, and
-    v_inhom is not used.  weights(mu, n) gives trapezoid_coefficients(mu, n),
-    which it is when None.
+    weights(mu, n) gives trapezoid_coefficients(mu, n), which it is when None.
     """
     n = int(n_steps)
     if n < 2:
@@ -227,14 +226,18 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
     f = spec.rhs
     lead = 1 if f.singular_at_zero else 0  # the node of the first subinterval's f
 
-    # one row per unknown quantity: x, then Dbeta x unless it is x itself
-    mus, inhoms = ((mu_x,), (x_inhom,)) if mu_v is None else ((mu_x, mu_v), (x_inhom, v_inhom))
+    # one weight row per distinct order, which broadcasting carries to both
+    # quantities: at beta = 0 x and Dbeta x share alpha's row
+    mus = dict.fromkeys((mu_x, mu_v))
     a, c = zip(*((weights or trapezoid_coefficients)(mu, n) for mu in mus))
     c = np.array(c)
-    # the weight of the unknown f[m] in the quantities at node m
-    w = np.array([[h ** mu / gamma_fn(mu + 2.0)] for mu in mus])
-    # the quantities: their inhomogeneous terms, to which each block adds its sums once done
-    z = np.array([inhom(taus) for inhom in inhoms])
+    try:  # the weight of the unknown f[m] in the quantities at node m
+        w = np.array([[h ** mu_x / gamma_fn(mu_x + 2.0)], [h ** mu_v / gamma_fn(mu_v + 2.0)]])
+    except OverflowError:
+        raise DomainError("corrector weight h^mu / Gamma(mu+2) overflows a float") from None
+    # the quantities x and Dbeta x: their inhomogeneous terms, to which each
+    # block adds its sums once done
+    z = np.array([x_inhom(taus), v_inhom(taus)])
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
     history = BlockedHistory(a, fhist[1:])
@@ -242,7 +245,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
 
     # f at the lead node from its inhomogeneous terms: node 0's value, or node 1's start
     t = taus[lead:lead + 1]
-    f_lead = as_values(f.fn(t, z[0, lead:lead + 1], z[-1, lead:lead + 1]), t.shape)[0]
+    f_lead = as_values(f.fn(t, z[0, lead:lead + 1], z[1, lead:lead + 1]), t.shape)[0]
     if not np.isfinite(f_lead):
         raise StepFailure(lead, taus[lead], f"rhs returned non-finite value {f_lead}")
     fhist[0] = f_lead if lead == 0 else 0.0
@@ -285,12 +288,12 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int,
             node = start + int(np.isfinite(z[:, start:end]).all(axis=0).argmin())
             raise StepFailure(node, taus[node], "x or Dbeta x is not finite")
 
-    return taus, z[0], z[-1], fhist, iters
+    return taus, z[0], z[1], fhist, iters
 
 
 def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: float,
            newton: bool, values: np.ndarray, offset: int):
-    """Solve phi = f(tau, x(phi)[, Dbeta x(phi)]) by sweeps over the whole
+    """Solve phi = f(tau, x(phi), Dbeta x(phi)) by sweeps over the whole
     window, every node started from phi0: diagonal Newton, or with newton
     full Newton steps on the window's lower-triangular Jacobian (a window of
     at most LOWER nodes).  The quantities are
@@ -300,9 +303,10 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     (in a Newton attempt with history.lower[:, :size, :size] @ phi, the
     dense causal sums its Jacobian is built from, for the FFT; in the first
     diagonal sweep, where every node is at phi0, with the closed form
-    phi0 * history.prefix[:, :size]), one row of
-    base, w and k, and of the weights of history, per quantity (x, then
-    Dbeta x unless it is x); w and k are columns, the same at every node.
+    phi0 * history.prefix[:, :size]), with two rows of base, w and k (x,
+    then Dbeta x), against which the one or two weight rows of history (one
+    per distinct order) broadcast; w and k are columns, the same at every
+    node.
     values holds the f-values of the window's block, 0 from the window on,
     which starts at values[offset].  A node has converged once it passed the
     stop rule in two sweeps in a row, or in a sweep that moved no node.
@@ -314,11 +318,11 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     (offset 0, every node converged), from that sweep's own sums.  They
     are None where the last sweep did not yield them: no node converged, or
     the stop rule's reach cut the converged prefix."""
-    scale = abs(k[0, 0]) + abs(k[-1, 0])
+    scale = abs(k[0, 0]) + abs(k[1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
     sums = last = None
-    if newton:  # the strictly lower part of d(x[, Dbeta x])/d phi
+    if newton:  # the strictly lower part of d(x, Dbeta x)/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for sweep in range(1, _FIXED_POINT_CAP):
@@ -330,7 +334,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             else:
                 inner = history.inblock(phi)
             z = base[:, :size] + w * inner + k * phi
-            x, v = z[0], z[-1]
+            x, v = z
             t = tau[:size]
             if f.partials is None:  # the secant slope of F from the last sweep to this one
                 fx, slope = as_values(f.fn(t, x, v), t.shape), 0.0
@@ -341,8 +345,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             else:
                 fx, fu, fv = f.partials(t, x, v)
                 fx = as_values(fx, t.shape)
-                # F_u k_x + F_v k_v, with v x itself when there is one row
-                slope = (fu + fv) * k[0] if len(k) == 1 else fu * k[0] + fv * k[1]
+                slope = fu * k[0] + fv * k[1]
             delta = None
             if newton:
                 delta = _newton_step(phi - fx, 1.0 - slope, fu, fv, coupling[:, :size, :size])
@@ -376,7 +379,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
                 stack[1, window] = new[:done]
                 reach, sums = history.inblock(stack)
                 reach = w * reach[:, window]
-                over = scale * change[:done] + reach[0] + reach[-1] > tol[:done]
+                over = scale * change[:done] + reach[0] + reach[1] > tol[:done]
                 if over.any():
                     done, sums = int(over.argmax()), None
             phi, passed = new, ok
@@ -390,11 +393,9 @@ def _newton_step(step, denom, fu, fv, coupling):
 
         J = diag(denom) - diag(F_u) coupling_x - diag(F_v) coupling_v,
 
-    which is lower triangular (with one row, v is x: F_u + F_v multiply
-    coupling_x); None when J is not finite or is singular."""
-    slopes = (fu + fv,) if len(coupling) == 1 else (fu, fv)
+    which is lower triangular; None when J is not finite or is singular."""
     jac = np.diag(np.broadcast_to(denom, step.shape))
-    for slope, part in zip(slopes, coupling):
+    for slope, part in zip((fu, fv), coupling):
         jac -= np.broadcast_to(slope, step.shape)[:, None] * part
     if not (np.isfinite(jac).all() and denom.all()):
         return None
@@ -426,10 +427,10 @@ def solve_direct(spec: ProblemSpec, t_end: float, n_steps: int, *,
         raise DomainError("solve_direct requires a direct ProblemSpec")
     alpha, beta, b = spec.alpha, spec.beta, spec.b1
     taus, x, v, fhist, iters = _march(
-        spec, t_end, n_steps,
-        mu_x=alpha, mu_v=alpha - beta if beta > 0.0 else None,
+        spec, t_end, n_steps, mu_x=alpha, mu_v=alpha - beta,
         x_inhom=lambda t: np.full_like(t, b),
-        v_inhom=np.zeros_like, weights=weights,
+        # at beta = 0 Dbeta x is x, whose inhomogeneous term is b
+        v_inhom=lambda t: np.full_like(t, b if beta == 0.0 else 0.0), weights=weights,
     )
     return _solution(spec, t_end, taus, x, v, fhist, fhist, iters)
 

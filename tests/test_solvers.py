@@ -173,6 +173,36 @@ def test_beta_zero_feeds_state_back():
     assert all(np.all(u == v) for u, v in seen)  # the solver calls f on arrays of nodes
 
 
+def test_beta_zero_marches_both_quantities_on_one_history_row(monkeypatch):
+    # example63_forced's problem at beta = 0 stalls, so Newton windows run on
+    # the one weight row that both quantities share
+    config = harness.load_builtin_config("example63_forced")
+    spec = build_problem_spec(config.problem)
+    rows, newton = [], []
+
+    class Spy(BlockedHistory):
+        def __init__(self, a, g):
+            rows.append(len(a))
+            super().__init__(a, g)
+
+    step = solvers._newton_step
+
+    def newton_step(*args):
+        newton.append(args[-1].shape[0])  # the coupling rows
+        return step(*args)
+
+    monkeypatch.setattr(solvers, "BlockedHistory", Spy)
+    monkeypatch.setattr(solvers, "_newton_step", newton_step)
+    sol = solve_direct(dataclasses.replace(spec, beta=0.0), config.t_end, 2048)
+    assert newton and set(newton) == {2}  # x and Dbeta x, broadcast from one row
+    solve_direct(dataclasses.replace(spec, beta=0.2), config.t_end, 2048)
+    assert rows == [1, 2]
+    assert np.array_equal(sol.x.values, sol.dbeta_x.values)
+    iters = sol.corrector_iterations
+    assert (iters == solvers._FIXED_POINT_CAP - 1).any()
+    assert iters.max() < solvers._FIXED_POINT_CAP
+
+
 # --------------------------------------------------------------------------
 # history consistency
 
