@@ -39,13 +39,13 @@ Garrappa does for implicit product-integration rules (Mathematics 6(2):16,
     phi <- phi - (phi - F) / (1 - s),   s = F_u k_x + F_v k_v,
 
 and phi <- F (plain Picard) where that denominator is 1, not finite or 0.
-Each sweep makes one elementwise call of the right-hand side's fused
-`partials`, which returns F, F_u and F_v together.  A right-hand side
-without it is called through `fn`, and s is the secant slope of F at each
-node from the last sweep to this one, (F - F_last) / (phi - phi_last): 0
-in the first sweep, where phi did not move and where F did not change, so
-a source that does not depend on the state takes Picard steps.  Every node
-starts from f at the node before the window.  A node has converged once
+Each sweep makes one elementwise call of the right-hand side's
+`partials`, which returns F, F_u and F_v together: the catalog's own fused
+ones, or, for a right-hand side made without them, F and one-sided
+difference quotients of `fn` in u and in v (two more elementwise calls).
+A source that does not depend on the state has F_u = F_v = 0, so it takes
+Picard steps.  Every node starts from f at the node before the window.  A
+node has converged once
 scale |delta phi| <= 1e-12 (1 + |x|) held in two sweeps in a row (scale =
 |k_x| + |k_v|), or in one sweep that moved no node of the window (every
 delta phi exactly 0: the next sweep would repeat it bit for bit), and the
@@ -69,9 +69,9 @@ sweep and no transform.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
-nodes has stalled; the next attempt (of a right-hand side with partials)
-takes full Newton steps instead, on a window of at most LOWER = 128 nodes,
-solving with its lower-triangular Jacobian of phi - F,
+nodes has stalled; the next attempt takes full Newton steps instead, on a
+window of at most LOWER = 128 nodes, solving with its lower-triangular
+Jacobian of phi - F,
 
     J = diag(1 - F_u k_x - F_v k_v) - diag(F_u) w_x L_x - diag(F_v) w_v L_v,
 
@@ -116,6 +116,7 @@ a quantity, ends it in one StepFailure that names its node.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -143,6 +144,9 @@ __all__ = [
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_CAP = 10
+# the relative step of the difference quotients that stand in for missing
+# partials: about sqrt(float epsilon), which balances truncation and rounding
+_DIFFERENCE_STEP = 2.0 ** -26
 
 
 class ProblemKind(Enum):
@@ -165,14 +169,28 @@ class RightHandSide:
     partials: an elementwise call that returns (f, df/du, df/dv) at once,
     sharing their common factors, with f equal to fn's value bit for bit
     (a scalar partial is broadcast).  Each Newton sweep of the corrector
-    makes one such call.  Without partials the sweeps call fn and take the
-    secant slope of f between sweeps as the diagonal of the Jacobian, and a
-    stalled window gets no full Newton steps.
+    makes one such call.  Where none is given, the RightHandSide derives it
+    from fn when it is made: f, and one-sided difference quotients of fn in
+    u and in v, so that it costs three calls of fn.
     """
 
     fn: Callable[[float, float, float], float]
     singular_at_zero: bool = False
     partials: Callable[[float, float, float], tuple[float, float, float]] | None = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "partials",
+                           self.partials or functools.partial(_difference_partials, self.fn))
+
+
+def _difference_partials(fn, tau, u, v):
+    """(f, df/du, df/dv) of fn at (tau, u, v), the partials by one-sided
+    difference quotients with the step _DIFFERENCE_STEP (1 + |u|) in u, and
+    likewise in v, each divided by the step as rounded into the argument."""
+    f = fn(tau, u, v)
+    u1 = u + _DIFFERENCE_STEP * (1.0 + np.abs(u))
+    v1 = v + _DIFFERENCE_STEP * (1.0 + np.abs(v))
+    return f, (fn(tau, u1, v) - f) / (u1 - u), (fn(tau, u, v1) - f) / (v1 - v)
 
 
 @dataclass(frozen=True)
@@ -264,10 +282,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
                 stop, base, k, phi0 = 2, z[:, 1:2], w * (1.0 + c[:, 1:2]), f_lead
             else:
                 stop, base, k, phi0 = end, z[:, m:end] + w * known[:, m - start:], w, fhist[m - 1]
-            newton = stalled and f.partials is not None
-            if newton:  # a window of at most LOWER nodes
+            if stalled:  # full Newton steps, on a window of at most LOWER nodes
                 stop = min(stop, m + LOWER)
-            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
+            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, stalled,
                                              values, m - start)
             stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
             if not done:  # the window's first node
@@ -321,7 +338,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     scale = abs(k[0, 0]) + abs(k[1, 0])
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
-    sums = last = None
+    sums = None
     if newton:  # the strictly lower part of d(x, Dbeta x)/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -336,16 +353,9 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             z = base[:, :size] + w * inner + k * phi
             x, v = z
             t = tau[:size]
-            if f.partials is None:  # the secant slope of F from the last sweep to this one
-                fx, slope = as_values(f.fn(t, x, v), t.shape), 0.0
-                if last is not None and not np.array_equal(fx, last[1][:size]):
-                    dphi = phi - last[0][:size]
-                    slope = np.where(dphi != 0.0, (fx - last[1][:size]) / dphi, 0.0)
-                last = phi, fx
-            else:
-                fx, fu, fv = f.partials(t, x, v)
-                fx = as_values(fx, t.shape)
-                slope = fu * k[0] + fv * k[1]
+            fx, fu, fv = f.partials(t, x, v)
+            fx = as_values(fx, t.shape)
+            slope = fu * k[0] + fv * k[1]
             delta = None
             if newton:
                 delta = _newton_step(phi - fx, 1.0 - slope, fu, fv, coupling[:, :size, :size])

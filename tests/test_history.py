@@ -269,7 +269,8 @@ def test_a_whole_block_fixed_point_commits_its_own_in_block_sums(monkeypatch):
 def test_the_first_sweep_of_a_whole_block_makes_no_in_block_call(monkeypatch):
     # every node starts at phi0, so the first sweep's in-block sums are
     # phi0 * prefix; the sweeps after it sum their iterates by FFT.  f records
-    # how many in-block calls came before each of its calls (one a sweep)
+    # how many in-block calls came before each of its calls, three a sweep:
+    # the value, then the difference quotients in u and in v
     rows = tuple(trapezoid_coefficients(mu, BLOCK)[0] for mu in (1.6, 0.3))
     history = BlockedHistory(rows, np.zeros(BLOCK))
     tau = np.linspace(0.0, 1.0, BLOCK + 1)[1:]
@@ -285,7 +286,7 @@ def test_the_first_sweep_of_a_whole_block_makes_no_in_block_call(monkeypatch):
     sweeps = solvers._sweep(solvers.RightHandSide(fn), tau, base, w, history, w, 1.0, False,
                             np.zeros(BLOCK), 0)[1]
     assert sweeps > 2
-    assert before[:2] == [0, 1]
+    assert before[::3][:2] == [0, 1]
     # the x the first sweep hands f: the direct sums of the constant start
     want = np.array([1.0 + 1e-3 * math.fsum(rows[0][1:i + 1]) + 1e-3 for i in range(BLOCK)])
     assert np.all(np.abs(firsts[0] - want) <= 1e-15 * want)
@@ -301,11 +302,13 @@ def test_only_a_newton_attempt_builds_the_dense_block(monkeypatch):
     # the builtin stalls, so its attempts after a stall take Newton steps
     iters = solve_direct(spec, config.t_end, 512).corrector_iterations
     assert builds and (iters == solvers._FIXED_POINT_CAP - 1).any()
-    # its rhs without partials stalls as well, and takes no Newton step
+    # its rhs without partials stalls as well, and takes Newton steps on the
+    # difference quotients of fn
     builds.clear()
     plain = dataclasses.replace(spec, rhs=solvers.RightHandSide(spec.rhs.fn, True))
     iters = solve_direct(plain, config.t_end, 512).corrector_iterations
-    assert not builds and (iters == solvers._FIXED_POINT_CAP - 1).any()
+    assert builds and (iters == solvers._FIXED_POINT_CAP - 1).any()
+    builds.clear()
     # example46 never stalls
     _builtin_solution("example46")
     assert not builds

@@ -43,7 +43,8 @@ with tempfile.TemporaryDirectory() as tmp:
     for ident in catalog.builtin_config_ids():
         codes[ident] = cli.main(["study" if ident in studies else "solve", ident,
                                  "--out-dir", tmp])
-    # a stiff right-hand side without partials: the corrector's own sweeps
+    # a stiff right-hand side without partials: the corrector's own sweeps,
+    # on the difference quotients of its fn
     stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
     solve_direct(ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff), 2.0, 128)
 loaded = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))

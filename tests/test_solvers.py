@@ -170,7 +170,15 @@ def test_beta_zero_feeds_state_back():
     sol = solve_direct(spec, 1.0, 4099)
     assert np.max(np.abs(sol.x.values - 1.0 - sol.x.taus ** 2)) > 0.1  # the state fed back
     assert np.array_equal(sol.dbeta_x.values, sol.x.values)
-    assert all(np.all(u == v) for u, v in seen)  # the solver calls f on arrays of nodes
+    # f at node 0, then three calls a sweep: the value, and the difference
+    # quotients in u and in v, each of which moves exactly one argument
+    (lead_u, lead_v), calls = seen[0], seen[1:]
+    assert np.all(lead_u == lead_v) and len(calls) % 3 == 0
+    for (u, v), (u_moved, v_kept), (u_kept, v_moved) in zip(calls[::3], calls[1::3],
+                                                             calls[2::3]):
+        assert np.all(u == v)
+        assert np.all(u_moved != u) and np.array_equal(v_kept, v)
+        assert np.array_equal(u_kept, u) and np.all(v_moved != v)
 
 
 def test_beta_zero_marches_both_quantities_on_one_history_row(monkeypatch):
@@ -318,9 +326,9 @@ def test_open_first_subinterval_rule_converges_to_the_power_rule(kind, beta):
     assert all(math.log2(errs[i] / errs[i + 1]) >= 0.5 for i in range(2))  # 1 - g = 0.6
 
 
-def test_secant_sweeps_solve_a_stiff_rhs_without_partials():
+def test_difference_quotients_solve_a_stiff_rhs_without_partials():
     # strong derivative coupling near v = 0: plain Picard sweeps stall here,
-    # and the secant slope of F between sweeps gives the diagonal Newton step
+    # and the difference quotients of fn give the diagonal Newton step
     stiff = RightHandSide(lambda t, u, v: 5.0 * signed_power(v, 1.0 / 3.0) + 1.0)
     spec = ProblemSpec(ProblemKind.DIRECT, 0.6, 0.4, 0.0, stiff)
     sol = solve_direct(spec, 2.0, 128)
@@ -337,6 +345,26 @@ def test_a_rhs_without_partials_matches_the_solve_with_them():
     ref = solve_direct(spec, config.t_end, 2048)
     sol = solve_direct(plain, config.t_end, 2048)
     assert sol.corrector_iterations.max() < solvers._FIXED_POINT_CAP
+    assert np.max(np.abs(sol.x.values - ref.x.values)) < 1e-13
+    # the Newton windows after a stall make it commit no more nodes at the
+    # sweep cap than the catalog rhs does
+    capped = solvers._FIXED_POINT_CAP - 1
+    assert (np.count_nonzero(sol.corrector_iterations == capped)
+            <= np.count_nonzero(ref.corrector_iterations == capped))
+
+
+@pytest.mark.parametrize("k", [19, 20, 22])
+def test_a_rhs_without_partials_solves_node_1_on_fine_grids(k):
+    # node 1 of a singular rhs depends on h alone, so 1024 steps of
+    # h = t_end / 2^k probe it.  Where the iterates of Dbeta x cross the cusp
+    # of example63_forced's |v|^(1/3) at v = 0, a slope taken from the
+    # iterates alone can make them cycle
+    config = harness.load_builtin_config("example63_forced")
+    spec = build_problem_spec(config.problem)
+    plain = dataclasses.replace(spec, rhs=RightHandSide(spec.rhs.fn, True))
+    t_end = 1024 * config.t_end / 2 ** k
+    sol = solve_direct(plain, t_end, 1024)
+    ref = solve_direct(spec, t_end, 1024)
     assert np.max(np.abs(sol.x.values - ref.x.values)) < 1e-13
 
 
@@ -440,14 +468,22 @@ def test_fused_partials_match_central_differences(case):
     np.testing.assert_allclose(fv, dv, rtol=1e-6, atol=1e-12)
 
 
+# right-hand sides made without partials, whose difference quotient in u or
+# in v steps out of fn's domain at u = 0 or v = 0
+_DERIVED = {"sqrt_of_minus_u": lambda t, u, v: 0.5 + np.sqrt(-u),
+            "sqrt_of_minus_v": lambda t, u, v: 0.5 + np.sqrt(-v)}
+
+
 # (x, v) where a partial is not finite: u = 0, or v = 0 for the product
 @pytest.mark.parametrize("case, x, v", [("exp_decay_power", 0.0, 0.5),
                                         ("damped_regular", 0.0, 0.5),
                                         ("damped_regular", 0.5, 0.0),
-                                        ("damped_singular", 0.5, 0.0)])
+                                        ("damped_singular", 0.5, 0.0),
+                                        ("sqrt_of_minus_u", 0.0, 0.5),
+                                        ("sqrt_of_minus_v", 0.5, 0.0)])
 @pytest.mark.parametrize("newton", [False, True])
 def test_a_sweep_at_a_nonfinite_partial_takes_the_picard_step(case, x, v, newton):
-    rhs = _fused(case)
+    rhs = RightHandSide(_DERIVED[case]) if case in _DERIVED else _fused(case)
     with np.errstate(divide="ignore", invalid="ignore"):
         _, fu, fv = rhs.partials(1.0, x, v)
     assert not (np.isfinite(fu) and np.isfinite(fv))
