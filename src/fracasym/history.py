@@ -36,8 +36,7 @@ the size of its own terms; the prefix sums are exact to about an ulp.
 
 The strictly lower Toeplitz matrix of the weights is kept dense only for
 LOWER = 128 unknowns, as `lower`, built on first use: the Jacobian of a
-full Newton step is built from it, and np.linalg.solve, cubic in the
-window length, takes windows of at most that many nodes.
+full Newton step, on windows of at most that many nodes, is built from it.
 """
 
 from __future__ import annotations

@@ -76,13 +76,26 @@ Jacobian of phi - F,
     J = diag(1 - F_u k_x - F_v k_v) - diag(F_u) w_x L_x - diag(F_v) w_v L_v,
 
 and the diagonal step in any sweep where J is not finite or is singular.
-np.linalg.solve is cubic in the window length, hence the shorter window;
-J is built from the dense LOWER-node Toeplitz block `BlockedHistory.lower`,
-which the first Newton attempt of a solve builds, and solved in reverse
-node order, where it is upper triangular, so that no row exchange mixes
-the rounding of later, unconverged nodes into the step of an earlier one.
-For the same reason a Newton attempt sums the window by the causal product
-with that dense block, not by FFT, whose rounding reaches every node.
+A diagonal attempt right after a Newton attempt that stalls with fewer
+than LOWER nodes committed has done less than one Newton window would,
+so every later attempt of its block takes Newton steps; each block
+starts with diagonal sweeps again.  J is built from the dense LOWER-node
+Toeplitz block `BlockedHistory.lower`, which the first Newton attempt of a
+solve builds, and solved by forward substitution over diagonal blocks of
+_SUBSTITUTION_BLOCK = 32 nodes, each by LU in reverse node order, where
+it is upper triangular: LU exchanges no rows, which would mix the rounding
+of later, unconverged nodes into the step of an earlier one, and costs a
+cube of 32 rather than of the window's length.  For the same reason a
+Newton attempt sums the window by the causal product with that dense
+block, not by FFT, whose rounding reaches every node.
+
+The quantities of a window's first node depend on its own iterate alone,
+so once phi - F has taken both signs there, the last iterates of each sign
+bracket a root, and a step of that node from a finite F that leaves the
+bracket takes its midpoint instead, as `bounds.bihari_inverse` does (where
+F is not finite the node is cut, as any node whose iterate is not
+finite); not a step that passes the stop rule, since there the rounding
+of the in-block sums, which reaches the first node too, blurs the signs.
 Every node records the sweeps of the window attempt that committed it,
 fewer than _FIXED_POINT_CAP.  A window whose first node does not converge
 raises StepFailure for that node: its iterate was not finite, or the
@@ -144,6 +157,9 @@ __all__ = [
 
 _FIXED_POINT_TOL = 1e-12
 _FIXED_POINT_CAP = 10
+# the diagonal blocks of a Newton step's forward substitution: LU is cubic
+# in the block's length, the products with the nodes before it quadratic
+_SUBSTITUTION_BLOCK = 32
 # the relative step of the difference quotients that stand in for missing
 # partials: about sqrt(float epsilon), which balances truncation and rounding
 _DIFFERENCE_STEP = 2.0 ** -26
@@ -235,6 +251,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
     """Shared windowed corrector recurrence; returns (taus, x, v, fhist, iters).
 
     weights(mu, n) gives trapezoid_coefficients(mu, n), which it is when None.
+    An attempt takes full Newton steps after a stalled attempt, and for the
+    rest of a block once a diagonal attempt right after a Newton one
+    stalled with fewer than LOWER nodes committed (the block is latched).
     """
     n = int(n_steps)
     if n < 2:
@@ -259,7 +278,9 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
     fhist = np.zeros(n + 1)
     iters = np.zeros(n + 1, dtype=int)
     history = BlockedHistory(a, fhist[1:])
-    stalled = False  # the last window attempt reached the sweep cap and committed part
+    # the last window attempt reached the sweep cap and committed part; it
+    # took Newton steps
+    stalled = newton = False
 
     # f at the lead node from its inhomogeneous terms: node 0's value, or node 1's start
     t = taus[lead:lead + 1]
@@ -277,16 +298,21 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
         # in-block sums of the committed f-values (none yet)
         known = outside + c[:, start:end] * fhist[lead]
         m = start
+        latched = False  # every attempt of the block takes Newton steps from now on
         while m < end:  # one window attempt, from the first node not committed
             if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
                 stop, base, k, phi0 = 2, z[:, 1:2], w * (1.0 + c[:, 1:2]), f_lead
             else:
                 stop, base, k, phi0 = end, z[:, m:end] + w * known[:, m - start:], w, fhist[m - 1]
-            if stalled:  # full Newton steps, on a window of at most LOWER nodes
+            after_newton, newton = newton, stalled or latched
+            if newton:  # full Newton steps, on a window of at most LOWER nodes
                 stop = min(stop, m + LOWER)
-            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, stalled,
+            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
                                              values, m - start)
             stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
+            # diagonal sweeps did less than the Newton window before them would
+            # have: Newton windows finish the block
+            latched = latched or (after_newton and not newton and stalled and done < LOWER)
             if not done:  # the window's first node
                 if not phi.size:
                     raise StepFailure(m, taus[m], "rhs value or corrector step not finite")
@@ -325,8 +351,11 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     per distinct order) broadcast; w and k are columns, the same at every
     node.
     values holds the f-values of the window's block, 0 from the window on,
-    which starts at values[offset].  A node has converged once it passed the
-    stop rule in two sweeps in a row, or in a sweep that moved no node.
+    which starts at values[offset].  A step of the first node from a finite
+    F that leaves the bracket of a root which the signs of phi - F there
+    have shown, and that the stop rule would not pass, takes the bracket's
+    midpoint.  A node has converged once it passed the stop rule in two
+    sweeps in a row, or in a sweep that moved no node.
     Returns (number of leading nodes that converged, sweeps made, iterate,
     in-block sums of values with the converged iterates written in); the
     nodes from the first one whose iterate is not finite are cut.  The sums
@@ -339,6 +368,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     phi = np.full(tau.size, phi0)
     passed = np.zeros(phi.size, dtype=bool)
     sums = None
+    below = above = None  # the first node's last iterates with phi - F < 0 and > 0
     if newton:  # the strictly lower part of d(x, Dbeta x)/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -360,6 +390,20 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
             if newton:
                 delta = _newton_step(phi - fx, 1.0 - slope, fu, fv, coupling[:, :size, :size])
             new = _diagonal_step(phi, fx, slope) if delta is None else phi - delta
+            # the first node's quantities depend on its own iterate alone, so
+            # once phi - F has taken both signs there they bracket a root: a
+            # step from a finite F that leaves the bracket takes its midpoint,
+            # unless the stop rule passes it (there the rounding of in-block
+            # sums that reaches the first node blurs the signs)
+            residual = phi[0] - fx[0]
+            if residual < 0.0:
+                below = phi[0]
+            elif residual > 0.0:
+                above = phi[0]
+            if (below is not None and above is not None and np.isfinite(residual)
+                    and not min(below, above) <= new[0] <= max(below, above)
+                    and not scale * abs(new[0] - phi[0]) <= _FIXED_POINT_TOL * (1.0 + abs(x[0]))):
+                new = np.r_[0.5 * (below + above), new[1:]]
             finite = np.isfinite(new)
             if not finite.all():  # the nodes from the first bad one on start over
                 size = int(finite.argmin())
@@ -403,15 +447,25 @@ def _newton_step(step, denom, fu, fv, coupling):
 
         J = diag(denom) - diag(F_u) coupling_x - diag(F_v) coupling_v,
 
-    which is lower triangular; None when J is not finite or is singular."""
-    jac = np.diag(np.broadcast_to(denom, step.shape))
-    for slope, part in zip((fu, fv), coupling):
-        jac -= np.broadcast_to(slope, step.shape)[:, None] * part
+    which is lower triangular; None when J is not finite or is singular.
+    Forward substitution over diagonal blocks of _SUBSTITUTION_BLOCK nodes:
+    each block takes the steps of the nodes before it through J's strictly
+    lower part and is solved by LU in reverse node order, where it is upper
+    triangular, so that LU finds no pivot to swap and each node's step
+    depends on the steps of the nodes before it alone."""
+    size = step.size
+    jac = np.broadcast_to(fu, step.shape)[:, None] * coupling[0]
+    jac += np.broadcast_to(fv, step.shape)[:, None] * coupling[1]
+    np.negative(jac, out=jac)
+    jac.flat[::size + 1] += denom  # the diagonal
     if not (np.isfinite(jac).all() and denom.all()):
         return None
-    # in reverse node order J is upper triangular: LU finds no pivot to swap,
-    # so each node's step depends on the steps of the nodes before it alone
-    return np.linalg.solve(jac[::-1, ::-1], step[::-1])[::-1]
+    delta = np.empty(size)
+    for lo in range(0, size, _SUBSTITUTION_BLOCK):
+        hi = min(lo + _SUBSTITUTION_BLOCK, size)
+        rhs = step[lo:hi] - jac[lo:hi, :lo] @ delta[:lo]
+        delta[lo:hi] = np.linalg.solve(jac[lo:hi, lo:hi][::-1, ::-1], rhs[::-1])[::-1]
+    return delta
 
 
 def _diagonal_step(phi, fx, slope):

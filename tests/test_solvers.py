@@ -8,9 +8,9 @@ from scipy.special import zeta
 
 from fracasym import (DomainError, GridFunction, StepFailure, gamma_fn,
                       residual_check, rl_integral, solve_direct, solve_sequential)
-from fracasym.catalog import build_problem_spec, make_rhs, signed_power
+from fracasym.catalog import build_problem_spec, builtin_config_ids, make_rhs, signed_power
 from fracasym import harness, solvers
-from fracasym.history import BlockedHistory
+from fracasym.history import BLOCK, LOWER, BlockedHistory
 from fracasym.solvers import ProblemKind, ProblemSpec, RightHandSide
 
 INV_GAMMA_1_5 = 1.1283791670955126
@@ -353,7 +353,7 @@ def test_a_rhs_without_partials_matches_the_solve_with_them():
             <= np.count_nonzero(ref.corrector_iterations == capped))
 
 
-@pytest.mark.parametrize("k", [19, 20, 22])
+@pytest.mark.parametrize("k", [19, 20, 22, 23, 24])
 def test_a_rhs_without_partials_solves_node_1_on_fine_grids(k):
     # node 1 of a singular rhs depends on h alone, so 1024 steps of
     # h = t_end / 2^k probe it.  Where the iterates of Dbeta x cross the cusp
@@ -366,6 +366,55 @@ def test_a_rhs_without_partials_solves_node_1_on_fine_grids(k):
     sol = solve_direct(plain, t_end, 1024)
     ref = solve_direct(spec, t_end, 1024)
     assert np.max(np.abs(sol.x.values - ref.x.values)) < 1e-13
+
+
+@pytest.mark.parametrize("k", [23, 24])
+@pytest.mark.parametrize("ident", builtin_config_ids())
+def test_node_1_converges_at_the_finest_steps_load_admits(ident, k):
+    # load admits a finest grid of 2^24 steps, and node 1 depends on h alone,
+    # so 1024 steps of h = t_end / 2^k probe it.  There the first step of
+    # example63_forced's node 1 jumps across the root, and the iterates swung
+    # about it until the sweep cap: the bracket that the signs of phi - F
+    # give holds them
+    config = harness.load_builtin_config(ident)
+    spec = build_problem_spec(config.problem)
+    solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
+    sol = solve(spec, 1024 * config.t_end / 2 ** k, 1024)
+    assert sol.corrector_iterations.max() < solvers._FIXED_POINT_CAP
+
+
+def _attempts(monkeypatch, spec, t_end, n):
+    """(block, newton, nodes committed, sweeps, stalled) of every window
+    attempt of the solve of spec on n steps."""
+    sweep, attempts = solvers._sweep, []
+
+    def spy(f, tau, base, w, history, k, phi0, newton, *args):
+        done, sweeps, phi, sums = sweep(f, tau, base, w, history, k, phi0, newton, *args)
+        block = (round(tau[0] * n / t_end) - 1) // BLOCK
+        stalled = sweeps == solvers._FIXED_POINT_CAP - 1 and done < tau.size
+        attempts.append((block, newton, done, sweeps, stalled))
+        return done, sweeps, phi, sums
+
+    monkeypatch.setattr(solvers, "_sweep", spy)
+    solve_direct(spec, t_end, n)
+    return attempts
+
+
+def test_a_block_finishes_on_newton_windows_once_diagonal_sweeps_fall_behind(monkeypatch):
+    # a diagonal attempt right after a Newton attempt that stalls short of a
+    # Newton window's LOWER nodes latches its block onto Newton windows; the
+    # next block starts unlatched
+    config = harness.load_builtin_config("example63_forced")
+    spec = build_problem_spec(config.problem)
+    attempts = _attempts(monkeypatch, spec, config.t_end, 32768)
+    first = [a for a in attempts if a[0] == 0]
+    latch = next(i for i in range(1, len(first)) if first[i - 1][1] and not first[i][1]
+                 and first[i][4] and first[i][2] < LOWER)
+    assert all(newton for _, newton, *_ in first[latch + 1:])
+    assert not next(a for a in attempts if a[0] == 1)[1]
+    # at the builtin's grid no diagonal attempt after a Newton one stalls
+    attempts = _attempts(monkeypatch, spec, config.t_end, config.grid["n_steps"])
+    assert (len(attempts), sum(a[3] for a in attempts)) == (5, 29)
 
 
 # an infinite slope at the root, and a jump with no root at all
@@ -393,6 +442,23 @@ def test_a_picard_step_lands_on_f():
                                           1.0, False, np.zeros(n), 0)
     assert (done, sweeps) == (n, 2)
     assert np.array_equal(phi, f.fn(tau, 0.0, 0.0))
+
+
+@pytest.mark.parametrize("newton", [False, True])
+def test_a_first_node_whose_f_is_not_finite_in_its_bracket_is_cut(newton):
+    # F = 3 - 2u with its partials declared 0: the Picard steps from 0 reach 3,
+    # then -3, which leaves the bracket [0, 3] that the signs of phi - F show,
+    # so the node takes the midpoint 1.5.  F is nan there: the node is cut,
+    # where another midpoint would not move it and so pass the stop rule
+    def partials(t, u, v):
+        return np.where(np.abs(u - 1.5) < 0.3, np.nan, 3.0 - 2.0 * u), 0.0, 0.0
+
+    rhs = RightHandSide(lambda t, u, v: partials(t, u, v)[0], partials=partials)
+    w = np.ones((2, 1))  # x = v = phi
+    history = BlockedHistory((np.zeros(2), np.zeros(2)), np.zeros(2))
+    done, sweeps, phi, _ = solvers._sweep(rhs, np.array([1.0]), np.zeros((2, 1)), w, history,
+                                          w, 0.0, newton, np.zeros(1), 0)
+    assert (done, sweeps, phi.size) == (0, 3, 0)
 
 
 def test_nonfinite_rhs_reports_location():
@@ -518,3 +584,30 @@ def test_a_newton_step_at_a_node_depends_on_the_nodes_before_it_alone():
         want[i] = (step[i] - jac[i, :i].dot(want[:i])) / jac[i, i]
     assert got[0] == step[0] / denom[0]
     np.testing.assert_allclose(got[:16], want[:16], rtol=1e-12, atol=0.0)
+
+
+def _jacobian(size, seed):
+    """step, denom, F_u, F_v and the coupling of a random window."""
+    rng = np.random.default_rng(seed)
+    coupling = np.tril(rng.uniform(0.0, 1.0, (2, size, size)), -1) / size
+    return (rng.normal(size=size), rng.uniform(1.0, 2.0, size),
+            *rng.uniform(-2.0, 2.0, (2, size)), coupling)
+
+
+# one block of the substitution, a block and one node, two and four blocks
+@pytest.mark.parametrize("size", [1, 31, 32, 33, 127, 128])
+def test_a_blocked_newton_step_matches_a_dense_solve(size):
+    step, denom, fu, fv, coupling = _jacobian(size, size)
+    jac = np.diag(denom) - fu[:, None] * coupling[0] - fv[:, None] * coupling[1]
+    want = np.linalg.solve(jac, step)
+    got = solvers._newton_step(step, denom, fu, fv, coupling)
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+# a zero on the diagonal, and an entry of J that is not finite
+@pytest.mark.parametrize("name, value", [("denom", 0.0), ("fu", np.inf), ("fv", np.nan)])
+def test_a_newton_step_on_a_singular_or_nonfinite_jacobian_is_none(name, value):
+    args = dict(zip(("step", "denom", "fu", "fv", "coupling"), _jacobian(65, 0)))
+    args[name][40] = value
+    with np.errstate(invalid="ignore"):  # inf times the zeros of the coupling
+        assert solvers._newton_step(**args) is None
