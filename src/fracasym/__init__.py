@@ -7,12 +7,11 @@ power-type asymptotics numerically.  A CLI harness (`fracasym`) drives
 reproducible, config-described experiment runs.
 """
 
-from .asymptotics import (SlopeEstimate, TailEstimate, boundedness_verdict,
-                          improper_tail, integrable_limit_check, lhopital_lemma_term,
-                          lhopital_residual, power_slope)
-from .bounds import (BoundReport, ComparisonFunction, LipschitzClassFunction,
+from .asymptotics import (SlopeEstimate, boundedness_verdict, integrable_limit_check,
+                          lhopital_lemma_term, lhopital_residual, power_slope)
+from .bounds import (BoundReport, ComparisonFunction, LipschitzClassFunction, TailEstimate,
                      bihari_bound, bihari_inverse, bihari_transform,
-                     convolution_holder_constant, growth_envelope_constants,
+                     convolution_holder_constant, growth_envelope_constants, improper_tail,
                      linear_class_bound, lipschitz_growth_constant, lq_bihari_bound,
                      singular_convolution_constant, uniform_bound_constant)
 from .errors import (ClassViolation, ConfigError, DomainError, FracasymError,

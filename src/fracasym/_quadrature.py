@@ -8,7 +8,7 @@ end.  Each node's distance to its end, 2 / (1 + e^(pi sinh |t|)), is
 computed directly, not as a difference 1 - |x|, so the nodes reach within
 1e-275 of an end and a power s^p there is integrated to about 1e-13 down to
 p = -0.96.  Below that, a caller that knows the power takes it out by a
-substitution (as `asymptotics.improper_tail` does).  The package's integrands
+substitution (as `bounds.improper_tail` does).  The package's integrands
 are Python closures, so a scalar loop costs little beside the calls.
 """
 

@@ -2,23 +2,19 @@
 
 A finite-horizon computation cannot certify a limit, so everything here
 reports falsifiable surrogates: trailing-window spreads, extrapolated tail
-values, residuals of limit identities at the final node, and
-convergence/divergence verdicts for improper integrals backed by analytic
-tail tags.  `improper_tail` takes its doubling pieces, and their quadrature,
-from `bounds.dyadic_pieces`.
+values, and residuals of limit identities at the final node.  The improper
+integrals of the hypotheses, with their verdicts, are `bounds.improper_tail`.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from . import bounds
-from .bounds import BoundReport, dyadic_pieces
+from .bounds import BoundReport
 from .errors import DomainError
 from .fracops import rl_integral
 from .gamma import gamma_fn
@@ -31,9 +27,6 @@ __all__ = [
     "power_slope",
     "lhopital_residual",
     "lhopital_lemma_term",
-    "TailIntegrand",
-    "TailEstimate",
-    "improper_tail",
     "integrable_limit_check",
     "BoundednessVerdict",
     "boundedness_verdict",
@@ -126,92 +119,6 @@ def _signed_lhopital_residual(sol: Solution) -> float:
     x_tail = sol.x.values[-1] / t_end ** alpha
     d_tail = sol.dalpha_x.values[-1] / gamma_fn(1.0 + alpha)
     return float(x_tail - d_tail)
-
-
-@dataclass(frozen=True)
-class TailIntegrand:
-    """An integrand with a declared analytic tail class, so that improper
-    integrals can be given honest convergence verdicts.
-
-    The integrand is fn(s) = s^p factor(s) with p = tail_exponent and a
-    factor that is smooth and nonzero at 0, so p rules the integrand at 0,
-    and at infinity too for a power tail.  The catalog's factors are
-    numpy-elementwise, so that a check samples its weight on a whole grid
-    in one call.
-    """
-
-    ident: str
-    factor: Callable[[float], float]
-    tail_class: str  # "exponential" | "power" | "unknown"
-    tail_exponent: float = 0.0
-
-    def fn(self, s):
-        if self.tail_exponent == 0.0:
-            return self.factor(s)
-        return s ** self.tail_exponent * self.factor(s)
-
-
-class TailEstimate(NamedTuple):
-    finite_estimate: float
-    verdict: str  # "converges" | "diverges" | "inconclusive"
-
-
-def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
-                  split: float = 1.0) -> TailEstimate:
-    """Estimate int_split^inf s^weight_power * f(s) ds with a verdict.
-
-    The verdict combines the integrand's analytic tail tag with the numeric
-    behavior: exponential tails always converge, power tails follow the
-    p-integral rule, a tagged integrand from split = 0 follows the same
-    rule at 0, and untagged integrands are never certified convergent
-    unless their dyadic increments both shrink below tolerance and decay
-    geometrically.  An integrand that overflows a float, or a piece whose
-    upper end does, raises DomainError.
-    """
-    if split < 0:
-        raise DomainError(f"split must be >= 0, got {split}")
-
-    def f(s: float) -> float:
-        return s ** weight_power * integrand.fn(s)
-
-    p_total = integrand.tail_exponent + weight_power
-    if integrand.tail_class == "power" and p_total >= -1.0:  # at infinity
-        return TailEstimate(math.inf, "diverges")
-    if integrand.tail_class != "unknown" and split == 0.0 and p_total <= -1.0:  # at 0
-        return TailEstimate(math.inf, "diverges")
-
-    if split == 0.0 and p_total > -1.0:
-        # s = v^(1/q) with q = 1 + p_total takes the power out of the piece [0, 1]:
-        # int_0^1 s^p_total factor(s) ds = (1/q) int_0^1 factor(v^(1/q)) dv.  No
-        # float lies near enough to 0 for the plain rule when p_total < -0.96.
-        # bounds.quad is looked up on each call, so a wrapper set on it sees this one
-        q = 1.0 + p_total
-        head = bounds.quad(lambda v: integrand.factor(v ** (1.0 / q)), 0.0, 1.0) / q
-        pieces = chain([(1.0, head)], dyadic_pieces(f, 1.0))
-    else:
-        pieces = dyadic_pieces(f, split)
-    total = 0.0
-    increments = []
-    for hi, piece in islice(pieces, 64):
-        total += piece
-        increments.append(abs(piece))
-        if increments[-1] < 1e-10:
-            break
-
-    if integrand.tail_class == "exponential":
-        # one more piece dominates the geometric remainder
-        return TailEstimate(total + abs(next(pieces)[1]), "converges")
-    if integrand.tail_class == "power":
-        tail = hi ** (p_total + 1.0) / (-1.0 - p_total)
-        return TailEstimate(total + tail, "converges")
-
-    # untagged integrand: demand clear geometric decay of the increments
-    if len(increments) >= 3 and increments[-1] < 1e-10:
-        ratios = [increments[i + 1] / increments[i]
-                  for i in range(len(increments) - 1) if increments[i] > 0]
-        if ratios and max(ratios[-4:]) <= 0.9:
-            return TailEstimate(total, "converges")
-    return TailEstimate(total, "inconclusive")
 
 
 def integrable_limit_check(fgrid: GridFunction, alpha: float,

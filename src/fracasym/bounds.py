@@ -3,8 +3,10 @@
 Everything here evaluates explicit bound formulas of Bihari/Gronwall type:
 the reciprocal-integral transform of a comparison function and its inverse,
 the nonlinear and linear integral-inequality bounds, the Hoelder constant
-for weakly singular convolutions, and the problem-level envelope constants
-for the two problem shapes.
+for weakly singular convolutions, the problem-level envelope constants
+for the two problem shapes, and the improper integrals their hypotheses
+rest on, with convergence verdicts backed by an integrand's analytic tail
+tag (`improper_tail`).
 
 Conventions used throughout:
 
@@ -18,18 +20,17 @@ Conventions used throughout:
 * Class memberships (comparison functions, Lipschitz-majorant pairs) are
   falsified on sampling lattices, never proven, by each public bound once
   per call: no check is cached, so a class argument need not be hashable.
-* Every improper integral, here and in asymptotics, is cut into the
-  doubling pieces of `dyadic_pieces`, [lo, max(1, 2 lo)] and then [hi, 2 hi];
-  an integrand that overflows a float on a piece raises DomainError naming
-  that piece.
+* Every improper integral is cut into the doubling pieces of
+  `dyadic_pieces`, [lo, max(1, 2 lo)] and then [hi, 2 hi]; an integrand
+  that overflows a float on a piece raises DomainError naming that piece.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Callable, Iterator
+from itertools import chain, islice
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,6 @@ from ._quadrature import quad
 from .errors import ClassViolation, DomainError, HypothesisViolation
 from .gamma import gamma_fn
 from .grid import GridFunction, as_values
-from .solvers import ProblemKind, ProblemSpec
 
 __all__ = [
     "ComparisonFunction",
@@ -56,6 +56,9 @@ __all__ = [
     "uniform_bound_constant",
     "reciprocal_tail_verdict",
     "dyadic_pieces",
+    "TailIntegrand",
+    "TailEstimate",
+    "improper_tail",
 ]
 
 @dataclass(frozen=True)
@@ -443,6 +446,90 @@ def reciprocal_tail_verdict(fn: Callable[[float], float]) -> str:
     return "inconclusive"
 
 
+@dataclass(frozen=True)
+class TailIntegrand:
+    """An integrand with a declared analytic tail class, so that improper
+    integrals can be given honest convergence verdicts.
+
+    The integrand is fn(s) = s^p factor(s) with p = tail_exponent and a
+    factor that is smooth and nonzero at 0, so p rules the integrand at 0,
+    and at infinity too for a power tail.  The catalog's factors are
+    numpy-elementwise, so that a check samples its weight on a whole grid
+    in one call.
+    """
+
+    ident: str
+    factor: Callable[[float], float]
+    tail_class: str  # "exponential" | "power" | "unknown"
+    tail_exponent: float = 0.0
+
+    def fn(self, s):
+        if self.tail_exponent == 0.0:
+            return self.factor(s)
+        return s ** self.tail_exponent * self.factor(s)
+
+
+class TailEstimate(NamedTuple):
+    finite_estimate: float
+    verdict: str  # "converges" | "diverges" | "inconclusive"
+
+
+def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
+                  split: float = 1.0) -> TailEstimate:
+    """Estimate int_split^inf s^weight_power * f(s) ds with a verdict.
+
+    The verdict combines the integrand's analytic tail tag with the numeric
+    behavior: exponential tails always converge, power tails follow the
+    p-integral rule, and a tagged integrand from split = 0 follows the same
+    rule at 0.  An untagged integrand converges once two pieces in a row
+    after the first are each at most 1e-12 (1 + |total|), within 64 pieces
+    after the first, and is inconclusive otherwise.  An integrand that
+    overflows a float, or a piece whose upper end does, raises DomainError.
+    """
+    if split < 0:
+        raise DomainError(f"split must be >= 0, got {split}")
+
+    def f(s: float) -> float:
+        return s ** weight_power * integrand.fn(s)
+
+    p_total = integrand.tail_exponent + weight_power
+    if integrand.tail_class == "power" and p_total >= -1.0:  # at infinity
+        return TailEstimate(math.inf, "diverges")
+    if integrand.tail_class != "unknown" and split == 0.0 and p_total <= -1.0:  # at 0
+        return TailEstimate(math.inf, "diverges")
+
+    if split == 0.0 and p_total > -1.0:
+        # s = v^(1/q) with q = 1 + p_total takes the power out of the piece [0, 1]:
+        # int_0^1 s^p_total factor(s) ds = (1/q) int_0^1 factor(v^(1/q)) dv.  No
+        # float lies near enough to 0 for the plain rule when p_total < -0.96
+        q = 1.0 + p_total
+        head = quad(lambda v: integrand.factor(v ** (1.0 / q)), 0.0, 1.0) / q
+        pieces = chain([(1.0, head)], dyadic_pieces(f, 1.0))
+    else:
+        pieces = dyadic_pieces(f, split)
+
+    if integrand.tail_class not in ("exponential", "power"):
+        _, total = next(pieces)
+        settled = 0
+        for _, piece in islice(pieces, 64):
+            total += piece
+            settled = settled + 1 if abs(piece) <= 1e-12 * (1.0 + abs(total)) else 0
+            if settled == 2:
+                return TailEstimate(total, "converges")
+        return TailEstimate(total, "inconclusive")
+
+    total = 0.0
+    for hi, piece in islice(pieces, 64):
+        total += piece
+        if abs(piece) < 1e-10:
+            break
+    if integrand.tail_class == "exponential":
+        # one more piece dominates the geometric remainder
+        return TailEstimate(total + abs(next(pieces)[1]), "converges")
+    tail = hi ** (p_total + 1.0) / (-1.0 - p_total)
+    return TailEstimate(total + tail, "converges")
+
+
 def _require_divergent_transform(phi: ComparisonFunction) -> None:
     verdict = reciprocal_tail_verdict(phi)
     if verdict != "diverges":
@@ -491,23 +578,6 @@ def growth_envelope_constants(b1: float, b2: float, alpha: float,
     )
 
 
-def _improper_integral(fn: Callable[[float], float], what: str) -> float:
-    """Integral of fn over [0, inf) by horizon doubling; raises
-    HypothesisViolation when the pieces past 1 do not settle."""
-    pieces = dyadic_pieces(fn, 0.0)
-    _, total = next(pieces)
-    settled = 0
-    for _, piece in islice(pieces, 64):
-        total += piece
-        if abs(piece) <= 1e-12 * (1.0 + abs(total)):
-            settled += 1
-            if settled >= 2:
-                return total
-        else:
-            settled = 0
-    raise HypothesisViolation(f"{what} did not settle under horizon doubling")
-
-
 def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
                               F1: LipschitzClassFunction,
                               F2: LipschitzClassFunction) -> BoundReport:
@@ -519,7 +589,9 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
         C3 = max(1/Gamma(alpha+1), 1/Gamma(alpha-beta+1)),  C2 = |b2| C3.
 
     The weight in the exponential integral is s^alpha (the linear-class
-    bound applied with gamma = alpha).
+    bound applied with gamma = alpha).  Both integrals are untagged
+    `improper_tail`s from 0; one that does not converge raises
+    HypothesisViolation.
     """
     if not 0 < beta < alpha < 1:
         raise DomainError(f"need 0 < beta < alpha < 1, got beta={beta}, alpha={alpha}")
@@ -528,11 +600,16 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
     c3 = max(1.0 / gamma_fn(alpha + 1.0), 1.0 / gamma_fn(alpha - beta + 1.0))
     c2 = abs(b2) * c3
     ab = abs(b1)
-    i_f = _improper_integral(lambda s: F1(s, ab) + F2(s, ab),
-                             "integral of the majorant-class sources")
-    i_n = _improper_integral(
-        lambda s: s ** alpha * (F1.majorant_at(s) + F2.majorant_at(s)),
-        "weighted integral of the Lipschitz majorants")
+
+    def integral(what: str, fn: Callable[[float], float]) -> float:
+        est = improper_tail(TailIntegrand(what, fn, "unknown"), split=0.0)
+        if est.verdict != "converges":
+            raise HypothesisViolation(f"{what} did not settle under horizon doubling")
+        return est.finite_estimate
+
+    i_f = integral("integral of the majorant-class sources", lambda s: F1(s, ab) + F2(s, ab))
+    i_n = integral("weighted integral of the Lipschitz majorants",
+                   lambda s: s ** alpha * (F1.majorant_at(s) + F2.majorant_at(s)))
     c = (c2 + c3 * i_f) * math.exp(c3 * i_n)
     return BoundReport(
         constants={"C": c, "C2": c2, "C3": c3, "alpha": alpha, "beta": beta,
@@ -540,26 +617,17 @@ def lipschitz_growth_constant(b1: float, b2: float, alpha: float, beta: float,
     )
 
 
-def _beta_ratio(a: float, b: float) -> float:
-    """Gamma(b+1) Gamma(a) / Gamma(a+b+1); needs a > 0 and b > -1."""
-    if a <= 0 or b <= -1:
-        raise DomainError(f"beta-ratio needs a > 0 and b > -1, got a={a}, b={b}")
-    return gamma_fn(b + 1.0) * gamma_fn(a) / gamma_fn(a + b + 1.0)
-
-
 def singular_convolution_constant(alpha: float, beta: float, q: float,
                                   tau0: float) -> float:
     """The L^q operator constant for the pair of weakly singular
     convolution kernels of the direct problem:
 
-        K1 = max( B(1+p(alpha-1), p g)^(1/p) / Gamma(alpha),
-                  B(1+p(alpha-beta-1), p g)^(1/p)
-                        / (Gamma(alpha-beta) tau0^beta) )
+        K1 = max( H(alpha) / Gamma(alpha),
+                  H(alpha-beta) / (Gamma(alpha-beta) tau0^beta) )
 
-    with B the beta-ratio above, g = 1/q - alpha, and p conjugate to q.
-    Requires q > 1/(alpha - beta) and tau0 > 0; that precondition makes both
-    beta-ratio arguments positive (for the first one it is equivalent to
-    q * alpha > 1).
+    with H(upsilon) = convolution_holder_constant(upsilon, 1/q - alpha, q).
+    Requires q > 1/(alpha - beta) and tau0 > 0, which with alpha < 1 meets
+    H's conditions at both orders.
     """
     if not 0 <= beta < alpha < 1:
         raise DomainError(f"need 0 <= beta < alpha < 1, got beta={beta}, alpha={alpha}")
@@ -568,21 +636,21 @@ def singular_convolution_constant(alpha: float, beta: float, q: float,
             f"need q > 1/(alpha-beta) = {1.0 / (alpha - beta):.6g}, got q={q}")
     if tau0 <= 0:
         raise DomainError(f"tau0 must be positive, got {tau0}")
-    p = q / (q - 1.0)
     g = 1.0 / q - alpha
-    t1 = _beta_ratio(1.0 + p * (alpha - 1.0), p * g) ** (1.0 / p) / gamma_fn(alpha)
-    t2 = (_beta_ratio(1.0 + p * (alpha - beta - 1.0), p * g) ** (1.0 / p)
+    t1 = convolution_holder_constant(alpha, g, q) / gamma_fn(alpha)
+    t2 = (convolution_holder_constant(alpha - beta, g, q)
           / (gamma_fn(alpha - beta) * tau0 ** beta))
     return max(t1, t2)
 
 
-def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
+def uniform_bound_constant(alpha: float, beta: float, b1: float, h: GridFunction,
                            phi1: ComparisonFunction, phi2: ComparisonFunction,
                            tau0: float, q: float,
                            variant: str = "corrected") -> BoundReport:
     """Uniform bound C with |x(tau)| <= C and |Dbeta x(tau)| <= C (the
-    derivative bound holding for tau >= tau0) for the direct problem whose
-    source satisfies |f| <= tau^(1/q - alpha) h(tau) phi1(|x|) phi2(|Dbeta x|).
+    derivative bound holding for tau >= tau0) for the direct problem of
+    orders alpha, beta and initial value b1 whose source satisfies
+    |f| <= tau^(1/q - alpha) h(tau) phi1(|x|) phi2(|Dbeta x|).
 
     Hypotheses checked here: q > 1/(alpha-beta) (domain error) and
     divergence of the reciprocal integral of phi1^q(s^(1/q)) phi2^q(s^(1/q))
@@ -593,22 +661,20 @@ def uniform_bound_constant(spec: ProblemSpec, h: GridFunction,
     bound is K1^q, which is what the q-th-power substitution produces;
     variant='literal' keeps the un-powered K1.
     """
-    if spec.kind is not ProblemKind.DIRECT:
-        raise DomainError("uniform_bound_constant applies to direct problems")
     _check_variant(variant)  # before the shortcut for a zero weight
     phi1.validate()
     phi2.validate()
     _check_nonnegative(h, "h")
-    k1 = singular_convolution_constant(spec.alpha, spec.beta, q, tau0)
+    k1 = singular_convolution_constant(alpha, beta, q, tau0)
     comp = _composite_power_nonlinearity(phi1, phi2, q)
     _require_divergent_transform(comp)
 
     hq_total = h.with_values(h.values ** q).integral_to(h.t_end)
     if hq_total == 0.0:
-        c = abs(spec.b1)
+        c = abs(b1)
     else:
         k2 = k1 ** q if variant == "corrected" else k1
-        c = _lq_root(abs(spec.b1), k2, q, comp, hq_total, variant)
+        c = _lq_root(abs(b1), k2, q, comp, hq_total, variant)
     curve = GridFunction(h.t_end, np.full(h.values.size, c)) if math.isfinite(c) else None
     return BoundReport(constants={"C": c, "K1": k1, "q": q, "tau0": tau0,
                                   "hq_integral": hq_total}, curve=curve)

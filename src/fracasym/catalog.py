@@ -14,8 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from .asymptotics import TailIntegrand
-from .bounds import ComparisonFunction
+from .bounds import ComparisonFunction, TailIntegrand
 from .errors import ConfigError, DomainError
 from .gamma import gamma_fn
 from .solvers import ProblemKind, ProblemSpec, RightHandSide

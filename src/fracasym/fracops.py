@@ -152,8 +152,6 @@ def _iterated_integral(g: GridFunction, mu: float) -> GridFunction:
     """J^mu for mu in (0, 2], chaining an order-1 step when mu > 1."""
     if mu <= 1.0:
         return rl_integral(g, mu)
-    if mu > 2.0:
-        raise DomainError(f"composite order limited to (0, 2], got {mu}")
     return rl_integral(rl_integral(g, mu - 1.0), 1.0)
 
 

@@ -27,9 +27,9 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import bounds, catalog
-from .asymptotics import (boundedness_verdict, improper_tail, lhopital_lemma_term,
-                          lhopital_residual, power_slope, slope_window_start)
-from .bounds import growth_envelope_constants, uniform_bound_constant
+from .asymptotics import (boundedness_verdict, lhopital_lemma_term, lhopital_residual,
+                          power_slope, slope_window_start)
+from .bounds import growth_envelope_constants, improper_tail, uniform_bound_constant
 from .errors import ConfigError, DomainError, HypothesisViolation
 from .fracops import trapezoid_table
 from .grid import GridFunction, as_values
@@ -311,8 +311,9 @@ def _boundedness(check, ctx):
     sol, tol, weight = ctx.sol, check["tolerance"], check["weight"]
     hgrid = _weight_grid(weight, sol)
     tau0 = sol.x.step if check["tau0"] == "step" else check["tau0"]
-    bound = uniform_bound_constant(sol.spec, hgrid, check["phi1"], check["phi2"], tau0,
-                                   q=check["q"], variant=check["variant"])
+    bound = uniform_bound_constant(sol.spec.alpha, sol.spec.beta, sol.spec.b1, hgrid,
+                                   check["phi1"], check["phi2"], tau0, q=check["q"],
+                                   variant=check["variant"])
     verdict = boundedness_verdict(sol, bound, tolerance=tol)
     c = bound.constants["C"]
     ratio = max(verdict.sup_x, verdict.sup_dbeta) / c if c > 0 else math.inf

@@ -97,7 +97,7 @@ F is not finite the node is cut, as any node whose iterate is not
 finite); not a step that passes the stop rule, since there the rounding
 of the in-block sums, which reaches the first node too, blurs the signs.
 Every node records the sweeps of the window attempt that committed it,
-fewer than _FIXED_POINT_CAP.  A window whose first node does not converge
+at most _FIXED_POINT_CAP.  A window whose first node does not converge
 raises StepFailure for that node: its iterate was not finite, or the
 sweeps reached the cap.
 
@@ -156,7 +156,7 @@ __all__ = [
 ]
 
 _FIXED_POINT_TOL = 1e-12
-_FIXED_POINT_CAP = 10
+_FIXED_POINT_CAP = 9  # the sweeps of one window attempt
 # the diagonal blocks of a Newton step's forward substitution: LU is cubic
 # in the block's length, the products with the nodes before it quadratic
 _SUBSTITUTION_BLOCK = 32
@@ -309,7 +309,7 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
                 stop = min(stop, m + LOWER)
             done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
                                              values, m - start)
-            stalled = sweeps == _FIXED_POINT_CAP - 1 and done < stop - m
+            stalled = sweeps == _FIXED_POINT_CAP and done < stop - m
             # diagonal sweeps did less than the Newton window before them would
             # have: Newton windows finish the block
             latched = latched or (after_newton and not newton and stalled and done < LOWER)
@@ -372,7 +372,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
     if newton:  # the strictly lower part of d(x, Dbeta x)/d phi
         coupling = w[:, :, None] * history.lower[:, :phi.size, :phi.size]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        for sweep in range(1, _FIXED_POINT_CAP):
+        for sweep in range(1, _FIXED_POINT_CAP + 1):
             size = phi.size
             if newton:
                 inner = history.lower[:, :size, :size] @ phi
@@ -421,7 +421,7 @@ def _sweep(f: RightHandSide, tau, base, w, history: BlockedHistory, k, phi0: flo
                 # the whole block at a fixed point: the last changes are 0 and
                 # its in-block sums are this sweep's own
                 sums = inner
-            elif done and (done == size or sweep == _FIXED_POINT_CAP - 1):
+            elif done and (done == size or sweep == _FIXED_POINT_CAP):
                 # and the last changes of the nodes up to it, through the
                 # in-block sums (w a[i-j] >= 0), move its x, Dbeta x by no
                 # more; the same transform sums values with the new iterates

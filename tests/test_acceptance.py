@@ -259,8 +259,8 @@ def test_acceptance_5_boundedness():
     h = GridFunction(200.0, np.exp(-sol.x.taus))
     p1 = make_phi("power", {"exponent": 0.6})
     p2 = make_phi("power", {"exponent": 1.0 / 3.0})
-    rep = uniform_bound_constant(spec, h, p1, p2, tau0=sol.x.step, q=4.0,
-                                 variant="corrected")
+    rep = uniform_bound_constant(spec.alpha, spec.beta, spec.b1, h, p1, p2,
+                                 tau0=sol.x.step, q=4.0, variant="corrected")
     bd = boundedness_verdict(sol, rep)
 
     div = improper_tail(make_integrand("power", {"exponent": -14.0 / 15.0}),

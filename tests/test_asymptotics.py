@@ -7,7 +7,7 @@ from fracasym import (BoundReport, ConfigError, DomainError, GridFunction,
                       boundedness_verdict, gamma_fn, improper_tail,
                       integrable_limit_check, lhopital_residual, power_slope,
                       solve_direct, solve_sequential)
-from fracasym.asymptotics import TailIntegrand
+from fracasym.bounds import TailIntegrand
 from fracasym.catalog import make_integrand, make_rhs
 from fracasym.solvers import ProblemKind, ProblemSpec, Solution
 
@@ -153,6 +153,21 @@ def test_tail_unknown_class_shrinking():
     assert est.finite_estimate == pytest.approx(1.0, rel=1e-6)
 
 
+@pytest.mark.parametrize("split", [0.0, 1.0])
+def test_tail_unknown_zero_integrand_converges_to_zero(split):
+    est = improper_tail(TailIntegrand("zero", lambda s: 0.0, "unknown"), split=split)
+    assert est == (0.0, "converges")
+
+
+def test_tail_unknown_class_settles_below_the_piece_tolerance():
+    # two pieces in a row at most 1e-12 (1 + |total|): the total of
+    # 1/(1+s^2) is not cut off at a piece of 1e-10
+    unk = TailIntegrand("lorentz", lambda s: 1.0 / (1.0 + s * s), "unknown")
+    est = improper_tail(unk, split=0.0)
+    assert est.verdict == "converges"
+    assert abs(est.finite_estimate - math.pi / 2) < 1e-11
+
+
 def test_tail_unknown_class_nonshrinking_is_inconclusive():
     unk = TailIntegrand("custom", lambda s: 1.0 / math.sqrt(1.0 + s), "unknown")
     est = improper_tail(unk, split=1.0)
@@ -166,6 +181,13 @@ def test_tail_unknown_integrand_name():
 
 # --------------------------------------------------------------------------
 # averaged-integral limit
+
+@pytest.mark.parametrize("tau", [0.0, 0.4 / 64])  # 0.4 / 64 rounds to node 0
+def test_limit_check_input_checks(tau):
+    g = GridFunction(1.0, np.ones(65))
+    with pytest.raises(DomainError, match="limit check requires tau > 0"):
+        integrable_limit_check(g, 0.5, [tau], 1.0)
+
 
 def test_limit_check_zero_function():
     f = GridFunction.from_callable(lambda t: np.zeros_like(t), 100.0, 512)

@@ -1,6 +1,8 @@
+import ast
 import math
 import re
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +10,7 @@ import pytest
 from fracasym import (ClassViolation, DomainError, GridFunction,
                       HypothesisViolation, bihari_bound, bihari_inverse,
                       bihari_transform, convolution_holder_constant, gamma_fn,
-                      growth_envelope_constants, linear_class_bound,
+                      growth_envelope_constants, improper_tail, linear_class_bound,
                       lipschitz_growth_constant, lq_bihari_bound,
                       singular_convolution_constant, uniform_bound_constant)
 from fracasym import bounds, catalog
@@ -536,12 +538,10 @@ def test_conjugate_exponent_equivalence():
 
 
 def test_uniform_bound_zero_weight():
-    spec = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
-                       make_rhs("zero", None, 2 / 3, "direct"))
     h = const_grid(0.0, t_end=10.0)
     p1 = make_phi("power", {"exponent": 0.6})
     p2 = make_phi("power", {"exponent": 1 / 3})
-    rep = uniform_bound_constant(spec, h, p1, p2, tau0=0.1, q=4.0)
+    rep = uniform_bound_constant(2 / 3, 1 / 3, 1.0, h, p1, p2, tau0=0.1, q=4.0)
     assert rep.constants["C"] == 1.0
 
 
@@ -550,17 +550,15 @@ def test_uniform_bound_rejects_bad_variant_for_a_zero_weight():
     phi = make_phi("constant", {"value": 1.0})
     for value in (0.0, 1.0):
         with pytest.raises(DomainError, match="variant must be 'corrected' or 'literal'"):
-            uniform_bound_constant(_DIRECT, const_grid(value), phi, phi, tau0=1.0, q=8.0,
-                                   variant="loose")
+            uniform_bound_constant(2 / 3, 1 / 3, 1.0, const_grid(value), phi, phi,
+                                   tau0=1.0, q=8.0, variant="loose")
 
 
 def test_uniform_bound_finite_for_damped_weight():
-    spec = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
-                       make_rhs("zero", None, 2 / 3, "direct"))
     h = GridFunction.from_callable(lambda t: np.exp(-t), 200.0, 2048)
     p1 = make_phi("power", {"exponent": 0.6})
     p2 = make_phi("power", {"exponent": 1 / 3})
-    rep = uniform_bound_constant(spec, h, p1, p2, tau0=h.step, q=4.0)
+    rep = uniform_bound_constant(2 / 3, 1 / 3, 1.0, h, p1, p2, tau0=h.step, q=4.0)
     assert math.isfinite(rep.constants["C"])
     assert rep.constants["C"] >= 1.0
     assert rep.curve is not None
@@ -568,24 +566,20 @@ def test_uniform_bound_finite_for_damped_weight():
 
 def test_uniform_bound_is_the_lq_bound_of_its_constants():
     # example63_forced's boundedness check on its weight grid
-    spec = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
-                       make_rhs("zero", None, 2 / 3, "direct"))
     taus = np.linspace(0.0, 50.0, 2049)
     h = GridFunction(50.0, make_integrand("exp_decay", {"rate": 1.0}).fn(taus))
     p1 = make_phi("power_plus_one", {"exponent": 0.6})
     p2 = make_phi("power_plus_one", {"exponent": 1 / 3})
-    rep = uniform_bound_constant(spec, h, p1, p2, tau0=h.step, q=4.0)
+    rep = uniform_bound_constant(2 / 3, 1 / 3, 1.0, h, p1, p2, tau0=h.step, q=4.0)
     k2 = rep.constants["K1"] ** 4.0
     assert rep.constants["C"] == lq_bihari_bound(1.0, k2, 4.0, h, p1, p2, h.t_end)
 
 
 def test_uniform_bound_divergence_hypothesis():
-    spec = ProblemSpec(ProblemKind.DIRECT, 0.9, 0.2, 1.0,
-                       make_rhs("zero", None, 0.9, "direct"))
     h = GridFunction.from_callable(lambda t: np.exp(-t), 20.0, 256)
     linear = make_phi("power", {"exponent": 1.0})
     with pytest.raises(HypothesisViolation):
-        uniform_bound_constant(spec, h, linear, linear, tau0=0.1, q=2.0)
+        uniform_bound_constant(0.9, 0.2, 1.0, h, linear, linear, tau0=0.1, q=2.0)
 
 
 def test_reciprocal_tail_verdicts():
@@ -643,10 +637,6 @@ def _decay_majorant(tau):
     return np.exp(-tau)
 
 
-_DIRECT = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
-                      make_rhs("zero", None, 2 / 3, "direct"))
-
-
 # each bound on a phi and an F, returning its constants
 @pytest.mark.parametrize("bound", [
     lambda phi, F: bihari_bound(1.0, 0.5, 1.0, 0.5, const_grid(1.0), phi, 1.5),
@@ -654,8 +644,8 @@ _DIRECT = ProblemSpec(ProblemKind.DIRECT, 2 / 3, 1 / 3, 1.0,
                                              1.0).constants,
     lambda phi, F: lq_bihari_bound(1.0, 1.0, 2.0, const_grid(1.0), phi, phi, 1.5),
     lambda phi, F: uniform_bound_constant(
-        _DIRECT, GridFunction.from_callable(lambda t: np.exp(-t), 20.0, 256), phi, phi,
-        tau0=0.1, q=4.0).constants,
+        2 / 3, 1 / 3, 1.0, GridFunction.from_callable(lambda t: np.exp(-t), 20.0, 256),
+        phi, phi, tau0=0.1, q=4.0).constants,
     lambda phi, F: linear_class_bound(1.0, 1.0, 1.0, 1.0, 0.5, F, F, const_grid(1.0), 1.5),
     lambda phi, F: lipschitz_growth_constant(1.0, 1.0, 0.6, 0.3, F, F).constants,
 ], ids=["bihari_bound", "growth_envelope_constants", "lq_bihari_bound",
@@ -670,3 +660,67 @@ def test_bounds_take_unhashable_class_arguments(bound):
     plain_phi = ComparisonFunction(_quarter_power, name="s^(1/4)")
     plain_F = LipschitzClassFunction(_decay, _decay_majorant)
     assert bound(phi, F) == bound(plain_phi, plain_F)
+
+
+# --------------------------------------------------------------------------
+# input checks and layering
+
+_PHI = ComparisonFunction(lambda s: s, xi0=1.0)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: ComparisonFunction(lambda s: s, xi0=0.0), DomainError, "xi0 must be positive"),
+    (lambda: bihari_transform(ComparisonFunction(lambda s: -1.0), 2.0), ClassViolation,
+     "phi: non-positive value -1.0 at s="),
+    (lambda: bihari_inverse(_PHI, -1.0), DomainError, "transform inverse needs y >= 0"),
+    (lambda: linear_class_bound(1.0, 1.0, 1.0, 1.0, -0.5, zero_lip(), zero_lip(),
+                                const_grid(1.0), 1.0), DomainError, "gamma must be >= 0"),
+    (lambda: lq_bihari_bound(1.0, 1.0, 1.0, const_grid(1.0), _PHI, _PHI, 1.0), DomainError,
+     "q must exceed 1"),
+    (lambda: lq_bihari_bound(1.0, -1.0, 2.0, const_grid(1.0), _PHI, _PHI, 1.0), DomainError,
+     "k1 and k2 must be non-negative"),
+    (lambda: growth_envelope_constants(1.0, 1.0, 1.0, const_grid(1.0), _PHI, 1.0),
+     DomainError, r"alpha must lie in \(0, 1\)"),
+    (lambda: lipschitz_growth_constant(1.0, 1.0, 0.5, 0.5, zero_lip(), zero_lip()),
+     DomainError, "need 0 < beta < alpha < 1"),
+    (lambda: singular_convolution_constant(0.5, 0.5, 4.0, 1.0), DomainError,
+     "need 0 <= beta < alpha < 1"),
+    (lambda: singular_convolution_constant(2 / 3, 1 / 3, 4.0, 0.0), DomainError,
+     "tau0 must be positive"),
+    (lambda: improper_tail(make_integrand("exp_decay"), split=-1.0), DomainError,
+     "split must be >= 0"),
+], ids=["xi0", "transform-phi", "inverse-y", "linear-gamma", "lq-q", "lq-k", "envelope-alpha",
+        "lipschitz-orders", "singular-orders", "singular-tau0", "tail-split"])
+def test_bound_input_checks(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+@pytest.mark.parametrize("gamma, expected", [(0.5, 0.0), (0.0, 2.0)])
+def test_linear_class_bound_at_tau_zero(gamma, expected):
+    F = zero_lip()
+    assert linear_class_bound(2.0, 1.0, 1.0, 1.0, gamma, F, F, const_grid(1.0), 0.0) == expected
+
+
+def _package_imports(path: Path) -> set[str]:
+    """The package modules that a source file imports, relatively or not."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module in (".", "fracasym"):  # from the package, its modules by name
+                found.update(f"{module.rstrip('.')}.{alias.name}" for alias in node.names)
+            else:
+                found.add(module)
+    return {name.removeprefix("fracasym").strip(".").split(".")[0]
+            for name in found if name.startswith((".", "fracasym"))}
+
+
+def test_the_bound_layer_imports_no_solver_and_owns_the_improper_integrals():
+    src = Path(bounds.__file__).parent
+    assert _package_imports(src / "bounds.py") <= {"_quadrature", "errors", "gamma", "grid"}
+    names = {alias.name for node in ast.walk(ast.parse((src / "asymptotics.py").read_text()))
+             if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert not names & {"quad", "dyadic_pieces", "improper_tail", "TailIntegrand"}

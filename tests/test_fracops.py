@@ -42,13 +42,19 @@ def test_power_rule_half_order():
         GAMMA_1_5, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, alpha, beta, tau, message", [
+    ("integral", 0.5, 1.0, 0.0, "tau must be positive"),
+    ("integral", 0.5, 0.0, 1.0, "beta must be positive"),
+    ("integral", -0.5, 1.0, 1.0, "alpha must be non-negative"),
+])
+def test_power_rule_input_checks(kind, alpha, beta, tau, message):
+    with pytest.raises(DomainError, match=message):
+        exact_power_rule(kind, alpha, beta, tau)
+
+
 def test_power_rule_domain_errors():
     with pytest.raises(DomainError):
         exact_power_rule("caputo", 0.7, 0.5, 1.0)  # beta - alpha <= 0
-    with pytest.raises(DomainError):
-        exact_power_rule("integral", 0.5, 0.0, 1.0)  # beta must be positive
-    with pytest.raises(DomainError):
-        exact_power_rule("integral", 0.5, 1.0, 0.0)  # tau must be positive
     with pytest.raises(DomainError):
         exact_power_rule("derivative", 0.5, 1.0, 1.0)  # unknown kind
 

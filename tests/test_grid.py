@@ -64,6 +64,16 @@ def test_index_and_value_lookup():
         g.index_at(11.0)
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: GridFunction.from_callable(lambda t: t, 1.0, 0), "n_steps must be >= 1"),
+    (lambda: GridFunction(1.0, [0.0, 1.0]).value_at(-0.5), r"tau=-0.5 outside grid \[0, 1.0\]"),
+    (lambda: GridFunction(1.0, [0.0, 1.0]).value_at(1.5), r"tau=1.5 outside grid \[0, 1.0\]"),
+], ids=["from-callable-steps", "value-below", "value-above"])
+def test_grid_input_checks(call, message):
+    with pytest.raises(DomainError, match=message):
+        call()
+
+
 @pytest.mark.parametrize("tau", [-1.0, -1e-9, 20.0, 10.0 * (1 + 1e-9)])
 def test_integral_to_rejects_times_outside_the_grid(tau):
     g = GridFunction(10.0, np.ones(101))

@@ -14,7 +14,7 @@ import fracasym
 from fracasym import (BoundReport, ComparisonFunction, ConfigError, GridFunction,
                       RightHandSide, StepFailure, solve_direct, solve_sequential)
 from fracasym import bounds, catalog, cli, harness
-from fracasym.asymptotics import TailIntegrand
+from fracasym.bounds import TailIntegrand
 
 
 def _builtin_json(ident):
@@ -83,6 +83,18 @@ def test_regression_requires_producing_check():
     doc = make_config(checks=[{"name": "regression", "key": "sup_x",
                                "tolerance": 1e-6}])
     with pytest.raises(ConfigError, match="sup_x"):
+        harness.load_config(doc)
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda doc: doc["problem"]["rhs"].update(params=[1.0]),
+     r"problem\.rhs\.params must be an object"),
+    (lambda doc: doc.update(checks=[["closed_form"]]), r"checks\[0\] must be an object"),
+], ids=["params", "check"])
+def test_config_input_checks(edit, message):
+    doc = make_config()
+    edit(doc)
+    with pytest.raises(ConfigError, match=message):
         harness.load_config(doc)
 
 

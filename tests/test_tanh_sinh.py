@@ -13,7 +13,7 @@ import warnings
 import pytest
 
 from fracasym import _quadrature, bounds, harness
-from fracasym.asymptotics import improper_tail
+from fracasym.bounds import improper_tail
 from fracasym.catalog import make_integrand
 
 
