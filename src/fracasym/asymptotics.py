@@ -71,11 +71,10 @@ def power_slope(sol: Solution, window_fraction: float = 0.25) -> SlopeEstimate:
     raw = float(ratios[-1])
     spread = float(np.max(ratios) - np.min(ratios))
 
-    full = grid.values[1:] / taus[1:] ** alpha
-    i2 = n - 1  # index into full[] for tau = T
-    i1 = grid.index_at(grid.t_end / 2.0) - 1
-    i0 = grid.index_at(grid.t_end / 4.0) - 1
-    s0, s1, s2 = float(full[i0]), float(full[i1]), float(full[i2])
+    # the ratios at T/4, T/2 and T by numpy's array power, as the window's: a
+    # Python float power differs from it in the last bit for some values
+    nodes = np.array([grid.index_at(grid.t_end / 4.0), grid.index_at(grid.t_end / 2.0), n])
+    s0, s1, s2 = (grid.values[nodes] / taus[nodes] ** alpha).tolist()
     denom = s2 - 2.0 * s1 + s0
     if abs(denom) < 1e-14 * (abs(s2) + abs(s1) + abs(s0) + 1e-300):
         accelerated = raw

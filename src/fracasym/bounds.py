@@ -452,8 +452,10 @@ class TailIntegrand:
     integrals can be given honest convergence verdicts.
 
     The integrand is fn(s) = s^p factor(s) with p = tail_exponent and a
-    factor that is smooth and nonzero at 0, so p rules the integrand at 0,
-    and at infinity too for a power tail.  The catalog's factors are
+    factor that is smooth and nonzero at 0, so p rules the integrand at 0
+    for every class.  A power tail's factor also tends to a nonzero limit at
+    infinity, so p rules there too, and the factor's value at the last
+    piece's end scales the remainder past it.  The catalog's factors are
     numpy-elementwise, so that a check samples its weight on a whole grid
     in one call.
     """
@@ -478,13 +480,16 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
                   split: float = 1.0) -> TailEstimate:
     """Estimate int_split^inf s^weight_power * f(s) ds with a verdict.
 
-    The verdict combines the integrand's analytic tail tag with the numeric
-    behavior: exponential tails always converge, power tails follow the
-    p-integral rule, and a tagged integrand from split = 0 follows the same
-    rule at 0.  An untagged integrand converges once two pieces in a row
-    after the first are each at most 1e-12 (1 + |total|), within 64 pieces
-    after the first, and is inconclusive otherwise.  An integrand that
-    overflows a float, or a piece whose upper end does, raises DomainError.
+    From split = 0 the declared power rules at 0 for every class: a total
+    power p <= -1 diverges.  A power tail diverges when p >= -1.  Otherwise
+    the pieces are summed until two in a row after the first are each at
+    most 1e-12 (1 + |total|), within 64 pieces after the first, and the tag
+    decides what follows the sum: a power tail adds the remainder
+    factor(hi) hi^(p+1) / (-1-p) past the last piece's end hi, as its
+    factor tends to a nonzero limit; an exponential tail converges with the
+    sum; an untagged sum converges if it settled and is inconclusive
+    otherwise.  An integrand that overflows a float, or a piece whose upper
+    end does, raises DomainError.
     """
     if split < 0:
         raise DomainError(f"split must be >= 0, got {split}")
@@ -493,12 +498,11 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
         return s ** weight_power * integrand.fn(s)
 
     p_total = integrand.tail_exponent + weight_power
-    if integrand.tail_class == "power" and p_total >= -1.0:  # at infinity
-        return TailEstimate(math.inf, "diverges")
-    if integrand.tail_class != "unknown" and split == 0.0 and p_total <= -1.0:  # at 0
+    if ((integrand.tail_class == "power" and p_total >= -1.0)  # at infinity
+            or (split == 0.0 and p_total <= -1.0)):  # at 0
         return TailEstimate(math.inf, "diverges")
 
-    if split == 0.0 and p_total > -1.0:
+    if split == 0.0:
         # s = v^(1/q) with q = 1 + p_total takes the power out of the piece [0, 1]:
         # int_0^1 s^p_total factor(s) ds = (1/q) int_0^1 factor(v^(1/q)) dv.  No
         # float lies near enough to 0 for the plain rule when p_total < -0.96
@@ -508,26 +512,18 @@ def improper_tail(integrand: TailIntegrand, weight_power: float = 0.0,
     else:
         pieces = dyadic_pieces(f, split)
 
-    if integrand.tail_class not in ("exponential", "power"):
-        _, total = next(pieces)
-        settled = 0
-        for _, piece in islice(pieces, 64):
-            total += piece
-            settled = settled + 1 if abs(piece) <= 1e-12 * (1.0 + abs(total)) else 0
-            if settled == 2:
-                return TailEstimate(total, "converges")
-        return TailEstimate(total, "inconclusive")
-
-    total = 0.0
+    hi, total = next(pieces)
+    settled = 0
     for hi, piece in islice(pieces, 64):
         total += piece
-        if abs(piece) < 1e-10:
+        settled = settled + 1 if abs(piece) <= 1e-12 * (1.0 + abs(total)) else 0
+        if settled == 2:
             break
-    if integrand.tail_class == "exponential":
-        # one more piece dominates the geometric remainder
-        return TailEstimate(total + abs(next(pieces)[1]), "converges")
-    tail = hi ** (p_total + 1.0) / (-1.0 - p_total)
-    return TailEstimate(total + tail, "converges")
+    if integrand.tail_class == "power":
+        total += integrand.factor(hi) * hi ** (p_total + 1.0) / (-1.0 - p_total)
+    if settled == 2 or integrand.tail_class in ("exponential", "power"):
+        return TailEstimate(total, "converges")
+    return TailEstimate(total, "inconclusive")
 
 
 def _require_divergent_transform(phi: ComparisonFunction) -> None:

@@ -102,17 +102,18 @@ class GridFunction:
         """Integral of the piecewise-linear interpolant over [0, tau]."""
         if not 0.0 <= tau <= self.t_end * (1 + 1e-12):
             raise DomainError(f"tau={tau} outside grid [0, {self.t_end}]")
-        cum = self.cumulative_integral()
         h = self.step
-        k = int(tau / h)
-        if k >= self.n_steps:
-            return float(cum[-1])
+        k = min(int(tau / h), self.n_steps)
+        v = self.values
+        # a sequential cumsum, not a pairwise np.sum: the k whole cells add up
+        # bit for bit as in cumulative_integral
+        whole = np.cumsum(0.5 * h * (v[1:k + 1] + v[:k]))[-1] if k else 0.0
+        if k == self.n_steps:
+            return float(whole)
         frac = tau - k * h
         # exact trapezoid over the partial cell
-        v0 = self.values[k]
-        v1 = self.values[k + 1]
-        vt = v0 + (v1 - v0) * frac / h
-        return float(cum[k] + 0.5 * frac * (v0 + vt))
+        vt = v[k] + (v[k + 1] - v[k]) * frac / h
+        return float(whole + 0.5 * frac * (v[k] + vt))
 
 
 def as_order(alpha) -> float:

@@ -130,6 +130,29 @@ def test_tail_from_zero_diverges_at_zero(name, params, weight_power):
     assert est == (math.inf, "diverges")
 
 
+@pytest.mark.parametrize("tail_exponent", [-1.0, -1.5])
+def test_tail_untagged_declared_power_diverges_at_zero(tail_exponent):
+    # the declared power rules at 0 whatever the tag: no piece [0, 1] is integrated
+    unk = TailIntegrand("u", lambda s: np.exp(-s), "unknown", tail_exponent)
+    assert improper_tail(unk, split=0.0) == (math.inf, "diverges")
+
+
+def test_tail_small_exponential_is_summed_to_its_settle_rule():
+    # every piece lies below 1e-10, and the sum still runs until it settles
+    est = improper_tail(TailIntegrand("e", lambda s: 1e-11 * np.exp(-s), "exponential"),
+                        split=1.0)
+    assert est.verdict == "converges"
+    assert abs(est.finite_estimate - 1e-11 / math.e) < 2e-18
+
+
+def test_tail_power_remainder_carries_the_factor():
+    # int_1^inf 5 s^-1.05 ds = 5 / 0.05; the pieces never settle, so the
+    # remainder past 2^65 is a tenth of the total
+    est = improper_tail(TailIntegrand("p", lambda s: 5.0, "power", -1.05), split=1.0)
+    assert est.verdict == "converges"
+    assert est.finite_estimate == pytest.approx(100.0, rel=1e-13)
+
+
 def test_tail_power_exp_from_zero():
     est = improper_tail(make_integrand("power_exp", {"exponent": -0.5}), split=0.0)
     assert est.verdict == "converges"

@@ -868,6 +868,20 @@ def test_cli_pin_writes_the_measured_values(tmp_path, capsys):
         harness.load_expectations("example63_forced"))
 
 
+def test_cli_pin_defaults_to_the_expectations_directory_beside_the_cli(
+        tmp_path, capsys, monkeypatch):
+    package_pins = Path(cli.__file__).parent / "expectations"
+    before = {path.name: path.read_bytes() for path in package_pins.iterdir()}
+    monkeypatch.setattr(cli, "__file__", str(tmp_path / "cli.py"))
+    monkeypatch.chdir(tmp_path)
+    assert cli.main(["pin", "zero_rhs"]) == 0
+    path = tmp_path / "expectations" / "zero_rhs.json"
+    assert capsys.readouterr().out == f"pinned expectations written to {path}\n"
+    assert json.loads(path.read_text())["grid"] == {"n_steps": 512, "t_end": 50.0}
+    assert [p.name for p in tmp_path.iterdir()] == ["expectations"]  # no CSV, no report
+    assert {path.name: path.read_bytes() for path in package_pins.iterdir()} == before
+
+
 def test_cli_reports_a_solver_failure_as_one_line(tmp_path, capsys, monkeypatch):
     def failing(*args, **kwargs):
         raise StepFailure(7, 0.5, "corrector diverged")

@@ -8,6 +8,10 @@ CLI of that tree
 
 * `fracasym solve ID` for each builtin without an `order` check, at its
   configured grid and at `--n-steps 32768`;
+* `fracasym pin ID` for each of those builtins at the same two grids,
+  writing the pin file to the run's directory: its JSON holds every
+  measured value at full precision, where reports print 9 significant
+  digits (`pin` refuses a study's `order` check);
 * `fracasym study ID` for each builtin with one, at its configured grid and
   at `--n-steps 8192`: with the builtins' three levels the finest grid is
   then 32768 steps, 32 blocks of 1024 nodes whose history squares reach
@@ -15,27 +19,33 @@ CLI of that tree
 * `fracasym catalog`, the listing of builtins and catalog entries,
 
 and writes, for each run, OUT/<command>_<ID>[_n<N>]/ holding `exit_code`,
-`stdout`, `stderr` and the files the run wrote (CSV and report), with every
-`timing` line dropped from stdout and the report.  Two trees give the same
-outputs when `diff -r` of their OUT directories is empty: run it on a change
-and on its base to check that the change keeps the builtins byte for byte.
+`stdout`, `stderr` and the files the run wrote (CSV and report, or pin
+JSON), with every `timing` line dropped from stdout and the report, and the
+run's temporary directory named TMP in stdout and stderr.  Two trees give
+the same outputs when `diff -r` of their OUT directories is empty: run it on
+a change and on its base to check that the change keeps the builtins byte
+for byte.
 
 With `--compare BASE`, it writes nothing and prints one line for each CSV of
 BASE whose copy in OUT differs: each column's largest difference relative
 to the largest finite magnitude of the column in BASE (nan where a value
-turned nan, or the copy is missing or of another shape), so that a change
-that moves outputs on purpose shows by how much.
+turned nan, or the copy is missing or of another shape), and then one line
+for each differing pin JSON: each key's |new - old| / |old| (0 where equal,
+nan where the key is missing on one side), so that a change that moves
+outputs on purpose shows by how much.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import subprocess
 import sys
 import tempfile
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -60,6 +70,9 @@ def _runs(configs: Path):
         yield f"{command}_{ident}", [command, ident]
         n = N_STEPS[command]
         yield f"{command}_{ident}_n{n}", [command, ident, "--n-steps", str(n)]
+        if command == "solve":
+            yield f"pin_{ident}", ["pin", ident]
+            yield f"pin_{ident}_n{n}", ["pin", ident, "--n-steps", str(n)]
 
 
 def _csv_differences(base: Path, out: Path):
@@ -83,6 +96,37 @@ def _csv_differences(base: Path, out: Path):
         yield path.relative_to(base), list(zip(names, diff / np.where(top > 0.0, top, 1.0)))
 
 
+def _leaves(obj: dict, prefix: str = ""):
+    """(dotted key, value) of every leaf of a JSON object."""
+    for key, value in obj.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", value
+
+
+def _json_differences(base: Path, out: Path):
+    """(pin JSON path relative to base, [(key, |new - old| / |old|)]) for each
+    JSON that differs, over the keys of base and then those only in the
+    copy; 0 where the values are equal, nan where one side lacks the key or
+    the copy is missing."""
+    for path in sorted(base.rglob("*.json")):
+        other = out / path.relative_to(base)
+        if other.exists() and other.read_bytes() == path.read_bytes():
+            continue
+        old = dict(_leaves(json.loads(path.read_text())))
+        new = dict(_leaves(json.loads(other.read_text()))) if other.exists() else {}
+
+        def move(key):
+            if key not in old or key not in new:
+                return math.nan
+            if new[key] == old[key]:
+                return 0.0
+            return abs(new[key] - old[key]) / abs(old[key]) if old[key] else math.inf
+
+        yield path.relative_to(base), [(key, move(key)) for key in {**old, **new}]
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     tree = parser.add_mutually_exclusive_group(required=True)
@@ -93,7 +137,8 @@ def main(argv=None) -> int:
                         "exist; with --compare, the one to compare with BASE")
     args = parser.parse_args(argv)
     if args.compare:
-        for path, columns in _csv_differences(args.compare, args.out):
+        for path, columns in chain(_csv_differences(args.compare, args.out),
+                                   _json_differences(args.compare, args.out)):
             print(f"{path}: " + ", ".join(f"{name} {rel:.2g}" for name, rel in columns))
         return 0
     src = (args.src / "src").resolve()
@@ -103,6 +148,8 @@ def main(argv=None) -> int:
         dest = args.out / name
         with tempfile.TemporaryDirectory() as tmp:
             out_dir = [] if cli_args == ["catalog"] else ["--out-dir", tmp]
+            if cli_args[0] == "pin":
+                out_dir += ["--expectations-dir", tmp]
             run = subprocess.run(
                 [sys.executable, "-m", "fracasym.cli", *cli_args, *out_dir],
                 cwd=tmp, env=env, capture_output=True, text=True)
@@ -113,8 +160,8 @@ def main(argv=None) -> int:
                 else:
                     shutil.copyfile(path, dest / path.name)
         (dest / "exit_code").write_text(f"{run.returncode}\n")
-        (dest / "stdout").write_text(_untimed(run.stdout))
-        (dest / "stderr").write_text(run.stderr)
+        (dest / "stdout").write_text(_untimed(run.stdout).replace(tmp, "TMP"))
+        (dest / "stderr").write_text(run.stderr.replace(tmp, "TMP"))
         print(f"{name}: exit {run.returncode}")
     return 0
 
