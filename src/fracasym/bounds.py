@@ -432,14 +432,17 @@ def reciprocal_tail_verdict(fn: Callable[[float], float]) -> str:
     """Classify int^inf ds / fn(s): 'diverges', 'converges' or 'inconclusive'.
 
     Works on the 9 dyadic pieces of the reciprocal integrand on [2^35, 2^44];
-    the piece ratio of a power-law tail s^p is 2^(1-p), so ratios >= 1 pin
-    divergence and ratios bounded below 1 pin convergence.
+    the piece ratio of a reciprocal s^r is 2^(1-r), so ratios >= 1 pin
+    divergence and ratios bounded below 1 pin convergence.  Ratios down to
+    1 - 1e-6 read as 1, about ten times the 1e-7 agreement of `quad`, so
+    s^r with 1 < r <= 1 + 1.4e-6 still reads "diverges"; ratios above 0.95
+    (r < 1.074) read "inconclusive".
     """
     pieces = [val for _, val in islice(dyadic_pieces(lambda s: 1.0 / fn(s), 2.0 ** 35), 9)]
     ratios = [pieces[i + 1] / pieces[i] for i in range(len(pieces) - 1) if pieces[i] > 0]
     if not ratios:
         return "converges"  # reciprocal integrand vanished identically
-    if min(ratios) >= 1.0 - 1e-3:
+    if min(ratios) >= 1.0 - 1e-6:
         return "diverges"
     if max(ratios) <= 0.95:
         return "converges"

@@ -50,7 +50,7 @@ def _signed_power_slope(u, p: float):
 # right-hand sides
 
 def _rhs_zero() -> RightHandSide:
-    return RightHandSide(lambda tau, u, v: 0.0, partials=lambda tau, u, v: (0.0, 0.0, 0.0))
+    return RightHandSide(lambda tau, u, v: 0.0, state_independent=True)
 
 
 def _rhs_exp_decay_power(rate: float = 1.0, exponent: float = 0.5) -> RightHandSide:
@@ -110,7 +110,7 @@ def _rhs_manufactured_power(mu: float, alpha: float, kind: str) -> RightHandSide
         def fn(tau, u, v):
             return scale * tau ** expo
 
-    return RightHandSide(fn, partials=lambda tau, u, v: (fn(tau, u, v), 0.0, 0.0))
+    return RightHandSide(fn, state_independent=True)
 
 
 # name -> (factory, text `fracasym catalog` lists)

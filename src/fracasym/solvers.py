@@ -43,14 +43,12 @@ Each sweep makes one elementwise call of the right-hand side's
 `partials`, which returns F, F_u and F_v together: the catalog's own fused
 ones, or, for a right-hand side made without them, F and one-sided
 difference quotients of `fn` in u and in v (two more elementwise calls).
-A source that does not depend on the state has F_u = F_v = 0, so it takes
-Picard steps.  Every node starts from f at the node before the window.  A
-node has converged once
-scale |delta phi| <= 1e-12 (1 + |x|) held in two sweeps in a row (scale =
-|k_x| + |k_v|), or in one sweep that moved no node of the window (every
-delta phi exactly 0: the next sweep would repeat it bit for bit), and the
-last sweep's changes of the nodes up to it move its x and Dbeta x by no
-more, in-block sums included:
+Every node starts from f at the node before the window.  A node has
+converged once scale |delta phi| <= 1e-12 (1 + |x|) held in two sweeps in
+a row (scale = |k_x| + |k_v|), or in one sweep that moved no node of the
+window (every delta phi exactly 0: the next sweep would repeat it bit for
+bit), and the last sweep's changes of the nodes up to it move its x and
+Dbeta x by no more, in-block sums included:
 
     scale |delta phi_i| + sum_{j<i} (w_x a_x[i-j] + w_v a_v[i-j]) |delta phi_j|
         <= 1e-12 (1 + |x_i|).
@@ -61,11 +59,15 @@ last changes and the block's f-values with the new iterates in one stacked
 `inblock` call, so a diagonal window attempt makes one in-block transform
 per sweep after the first and one more for the check and the commit
 together.  A diagonal attempt whose window is its whole block and whose
-last sweep moved no node (as for a source that does not depend on the
-state) makes no such call: its changes are 0, and the block's in-block
-sums are that sweep's own.  Such a block costs two sweeps and one one-row
-in-block transform, or, when the source equals the start (zero_rhs), one
-sweep and no transform.
+last sweep moved no node makes no such call: its changes are 0, and the
+block's in-block sums are that sweep's own.
+
+A right-hand side declared state_independent depends on tau alone, so its
+Volterra form is an explicit quadrature and its blocks skip the window
+attempts: one elementwise call of `fn` on the block's nodes gives its
+f-values, and one one-row in-block transform their in-block sums, with no
+sweep (each node records one).  Its first value that is not finite fails
+with the StepFailure of a window whose first node's f is not finite.
 
 Where a partial is large, diagonal Newton advances about one node a sweep.
 A window attempt that reaches the sweep cap and commits only part of its
@@ -104,15 +106,16 @@ sweeps reached the cap.
 The history from before the block comes from `history.BlockedHistory`,
 in dyadic square blocks, each added by one FFT once its last f-value
 exists, so a solve costs O(N log^2 N).  `_march` is one loop over the
-blocks, and in each block one loop over window attempts, each from the
-first node not yet committed.  It keeps, for the nodes of the block, what
-their quantities hold besides their inhomogeneous terms and their own
-f-values: the out-of-block sums, f at the lead node times its weight c, and
-the in-block sums of the committed f-values (none before the block's first
-commit), which it forms anew after each commit from the transform that
-commit yields at every node of the block.  Once the block is done, w
-times the sum of these and the block's f-values is added in place to the
-inhomogeneous terms, which become x and Dbeta x at all its nodes.
+blocks, and in each block of a state-dependent source one loop over
+window attempts, each from the first node not yet committed.  It keeps,
+for the nodes of the block, what their quantities hold besides their
+inhomogeneous terms and their own f-values: the out-of-block sums, f at
+the lead node times its weight c, and the in-block sums of the committed
+f-values (none before the block's first commit), which it forms anew
+after each commit from the transform that commit yields at every node of
+the block.  Once the block is done, w times the sum of these and the
+block's f-values is added in place to the inhomogeneous terms, which
+become x and Dbeta x at all its nodes.
 
 The first subinterval of every convolution weights f at one lead node:
 node 0, or node 1 (an open, right-endpoint rule) for a right-hand side
@@ -122,9 +125,11 @@ same elementwise call on a one-node slice that every sweep makes: node 0's
 f-value, or node 1's start.  Node 1 is then solved alone, by the first
 window attempt of the first block: a one-node window whose weight
 k = w (1 + c_1) holds the open rule's weight.  Every later window knows f
-at the lead node.  The whole march runs under np.errstate(all="ignore"),
-so no numpy warning escapes a solve: a value that is not finite, of f or of
-a quantity, ends it in one StepFailure that names its node.
+at the lead node.  A state-independent source fills node 1 with the rest
+of its block, and takes f at the lead node from that fill.  The whole
+march runs under np.errstate(all="ignore"), so no numpy warning escapes a
+solve: a value that is not finite, of f or of a quantity, ends it in one
+StepFailure that names its node.
 """
 
 from __future__ import annotations
@@ -188,11 +193,17 @@ class RightHandSide:
     makes one such call.  Where none is given, the RightHandSide derives it
     from fn when it is made: f, and one-sided difference quotients of fn in
     u and in v, so that it costs three calls of fn.
+
+    state_independent: f depends on tau alone, so x = b + J^mu f is an
+    explicit quadrature: the solver makes one call of fn on each block's
+    nodes and no corrector sweep, and never calls partials, so such a
+    source needs none.
     """
 
     fn: Callable[[float, float, float], float]
     singular_at_zero: bool = False
     partials: Callable[[float, float, float], tuple[float, float, float]] | None = None
+    state_independent: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "partials",
@@ -293,38 +304,49 @@ def _march(spec: ProblemSpec, t_end: float, n_steps: int, mu_x: float, mu_v: flo
         end = min(start + BLOCK, n + 1)
         values = fhist[start:end]  # the block's f-values, 0 from the first uncommitted node on
         outside = history.block(start - 1)
-        # everything in the block's quantities but their inhomogeneous terms and
-        # their own f-values: the out-of-block sums, f[lead] through c and the
-        # in-block sums of the committed f-values (none yet)
-        known = outside + c[:, start:end] * fhist[lead]
-        m = start
-        latched = False  # every attempt of the block takes Newton steps from now on
-        while m < end:  # one window attempt, from the first node not committed
-            if m == lead:  # node 1 alone: the open rule's first-subinterval weight folds onto f[1]
-                stop, base, k, phi0 = 2, z[:, 1:2], w * (1.0 + c[:, 1:2]), f_lead
-            else:
-                stop, base, k, phi0 = end, z[:, m:end] + w * known[:, m - start:], w, fhist[m - 1]
-            after_newton, newton = newton, stalled or latched
-            if newton:  # full Newton steps, on a window of at most LOWER nodes
-                stop = min(stop, m + LOWER)
-            done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0, newton,
-                                             values, m - start)
-            stalled = sweeps == _FIXED_POINT_CAP and done < stop - m
-            # diagonal sweeps did less than the Newton window before them would
-            # have: Newton windows finish the block
-            latched = latched or (after_newton and not newton and stalled and done < LOWER)
-            if not done:  # the window's first node
-                if not phi.size:
-                    raise StepFailure(m, taus[m], "rhs value or corrector step not finite")
-                raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
-            fhist[m:m + done] = phi[:done]
-            iters[m:m + done] = sweeps
-            m += done
-            # the in-block sums of the block's f-values, unless the last sweep's
-            # transform already gave them
-            if sums is None:
-                sums = history.inblock(values)
-            known = outside + c[:, start:end] * fhist[lead] + sums
+        if f.state_independent:  # no corrector: f at the block's nodes is its f-values
+            t = taus[start:end]
+            values[:] = as_values(f.fn(t, z[0, start:end], z[1, start:end]), t.shape)
+            if not np.isfinite(values).all():  # the block's first bad node fails
+                node = start + int(np.isfinite(values).argmin())
+                raise StepFailure(node, taus[node], "rhs value or corrector step not finite")
+            iters[start:end] = 1
+            # f[lead] after the fill: node 1 of a singular source is in the block
+            known = outside + c[:, start:end] * fhist[lead] + history.inblock(values)
+        else:
+            # everything in the block's quantities but their inhomogeneous terms
+            # and their own f-values: the out-of-block sums, f[lead] through c
+            # and the in-block sums of the committed f-values (none yet)
+            known = outside + c[:, start:end] * fhist[lead]
+            m = start
+            latched = False  # every attempt of the block takes Newton steps from now on
+            while m < end:  # one window attempt, from the first node not committed
+                if m == lead:  # node 1 alone: the open rule's first weight folds onto f[1]
+                    stop, base, k, phi0 = 2, z[:, 1:2], w * (1.0 + c[:, 1:2]), f_lead
+                else:
+                    stop, base, k, phi0 = (end, z[:, m:end] + w * known[:, m - start:], w,
+                                           fhist[m - 1])
+                after_newton, newton = newton, stalled or latched
+                if newton:  # full Newton steps, on a window of at most LOWER nodes
+                    stop = min(stop, m + LOWER)
+                done, sweeps, phi, sums = _sweep(f, taus[m:stop], base, w, history, k, phi0,
+                                                 newton, values, m - start)
+                stalled = sweeps == _FIXED_POINT_CAP and done < stop - m
+                # diagonal sweeps did less than the Newton window before them
+                # would have: Newton windows finish the block
+                latched = latched or (after_newton and not newton and stalled and done < LOWER)
+                if not done:  # the window's first node
+                    if not phi.size:
+                        raise StepFailure(m, taus[m], "rhs value or corrector step not finite")
+                    raise StepFailure(m, taus[m], f"corrector did not converge in {sweeps} sweeps")
+                fhist[m:m + done] = phi[:done]
+                iters[m:m + done] = sweeps
+                m += done
+                # the in-block sums of the block's f-values, unless the last
+                # sweep's transform already gave them
+                if sums is None:
+                    sums = history.inblock(values)
+                known = outside + c[:, start:end] * fhist[lead] + sums
         # the block's quantities, from the in-block sums of all its f-values
         z[:, start:end] += w * (known + values)
         if not np.isfinite(z[:, start:end]).all():  # the block's first bad node fails

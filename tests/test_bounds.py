@@ -601,8 +601,10 @@ def test_reciprocal_tail_verdict_integrates_only_the_pieces_it_reads(monkeypatch
 
 def test_reciprocal_tail_verdict_between_its_thresholds_is_inconclusive():
     # the piece of 1/(s log s) on [2^k, 2^(k+1)] is log((k+1)/k), so the
-    # ratios of the pieces from 2^35 on lie between 0.95 and 0.999
-    assert reciprocal_tail_verdict(lambda s: s * math.log(s)) == "inconclusive"
+    # ratios of the pieces from 2^35 on lie between 0.95 and 0.999; those of
+    # 1/s^r are 2^(1-r): 0.99931 and 0.99903 for these two convergent powers
+    for fn in (lambda s: s * math.log(s), lambda s: s ** 1.001, lambda s: s ** 1.0014):
+        assert reciprocal_tail_verdict(fn) == "inconclusive"
 
 
 def test_reciprocal_tail_verdict_of_a_vanishing_reciprocal_converges():

@@ -190,14 +190,14 @@ def test_newton_on_the_window_jacobian_unsticks_stalled_windows():
 @pytest.mark.parametrize("n", [BLOCK, 2 * BLOCK, 4 * BLOCK])
 def test_a_grid_of_2k_steps_fills_whole_blocks(monkeypatch, n):
     # the history is indexed by the unknowns f[1..n], so n = 2^k of them fill
-    # n / BLOCK blocks: one window per block, and a square for every block but
-    # the first
+    # n / BLOCK blocks: one window per block (example46 never stalls), and a
+    # square for every block but the first
     sweep, add_block = solvers._sweep, BlockedHistory._add_block
     windows, squares = [], []
     monkeypatch.setattr(solvers, "_sweep", lambda *args: windows.append(args) or sweep(*args))
     monkeypatch.setattr(BlockedHistory, "_add_block",
                         lambda self, m: squares.append(m) or add_block(self, m))
-    _builtin_solution("manufactured_tau2", n)
+    _builtin_solution("example46", n)
     assert (len(windows), len(squares)) == (n // BLOCK, n // BLOCK - 1)
 
 
@@ -213,15 +213,30 @@ def _count_inblock(monkeypatch):
 @pytest.mark.parametrize("ident, sweeps", [("manufactured_tau2", 2),
                                            ("manufactured_tau2_seq", 2), ("zero_rhs", 1)])
 def test_a_state_independent_block_ends_at_its_fixed_point(monkeypatch, ident, sweeps, n):
-    # the source does not depend on the state, so the first sweep moves each
-    # iterate onto its f-value (zero_rhs starts on it) and the next one moves
-    # no node: that sweep ends the block, and its own in-block sums give the
-    # block's sums without a stacked check.  The first sweep takes them from
-    # the prefix sums, so only a second sweep makes a (1-d) in-block call
+    # a source declared state-independent makes no corrector sweep: each block
+    # is one call of fn on its nodes and one (1-d) in-block transform of the
+    # f-values it gives.  The same fn undeclared is swept to that fixed point
+    # in `sweeps` sweeps a node (zero_rhs starts on it)
+    sweep, windows, fn_calls = solvers._sweep, [], []
+    monkeypatch.setattr(solvers, "_sweep", lambda *args: windows.append(args) or sweep(*args))
     calls = _count_inblock(monkeypatch)
-    iters = _builtin_solution(ident, n).corrector_iterations
-    assert np.all(iters[1:] == sweeps)
-    assert calls == [1] * ((sweeps - 1) * -(-n // BLOCK))
+    config = harness.load_builtin_config(ident)
+    spec = catalog.build_problem_spec(config.problem)
+    assert spec.rhs.state_independent
+    fn = spec.rhs.fn
+    counted = dataclasses.replace(spec.rhs,
+                                  fn=lambda t, u, v: fn_calls.append(t.size) or fn(t, u, v))
+    solve = solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential
+    iters = solve(dataclasses.replace(spec, rhs=counted), config.t_end, n).corrector_iterations
+    blocks = -(-n // BLOCK)
+    assert not windows
+    assert np.all(iters[1:] == 1)
+    assert calls == [1] * blocks
+    # the lead node, then each block's nodes
+    assert fn_calls == [1] + [min(BLOCK, n - BLOCK * i) for i in range(blocks)]
+    plain = dataclasses.replace(spec, rhs=solvers.RightHandSide(fn))
+    assert np.all(solve(plain, config.t_end, n).corrector_iterations[1:] == sweeps)
+    assert len(windows) == blocks
 
 
 def test_newton_and_partial_windows_keep_the_stacked_check(monkeypatch):

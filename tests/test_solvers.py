@@ -476,6 +476,62 @@ def test_nonfinite_rhs_at_the_lead_node_names_node_0():
     assert str(excinfo.value) == "step 0 (tau=0): rhs returned non-finite value nan"
 
 
+# --------------------------------------------------------------------------
+# state-independent sources: one call of fn a block, no corrector sweep
+
+def _solve(spec, t_end, n):
+    return (solve_direct if spec.kind is ProblemKind.DIRECT else solve_sequential)(spec, t_end, n)
+
+
+def _swept(spec):
+    """spec with its source undeclared: the same fn through the corrector sweeps."""
+    rhs = dataclasses.replace(spec.rhs, state_independent=False)
+    return dataclasses.replace(spec, rhs=rhs)
+
+
+def _assert_same_solution(spec, t_end, n):
+    assert spec.rhs.state_independent
+    got, want = _solve(spec, t_end, n), _solve(_swept(spec), t_end, n)
+    for name in ("x", "dbeta_x", "dalpha_x"):
+        assert np.array_equal(getattr(got, name).values, getattr(want, name).values), name
+    assert np.array_equal(got.rhs_history, want.rhs_history)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4099])
+@pytest.mark.parametrize("ident", ["manufactured_tau2", "manufactured_tau2_seq", "zero_rhs"])
+def test_a_state_independent_source_solves_as_its_sweeps_do(ident, n):
+    config = harness.load_builtin_config(ident)
+    _assert_same_solution(build_problem_spec(config.problem), config.t_end, n)
+
+
+@pytest.mark.parametrize("n", [100, 1000, 4099])
+@pytest.mark.parametrize("kind, beta", [(ProblemKind.DIRECT, 0.0), (ProblemKind.DIRECT, 0.3),
+                                        (ProblemKind.SEQUENTIAL, 0.3)])
+def test_a_singular_state_independent_source_solves_as_its_sweeps_do(kind, beta, n):
+    # node 1 is the lead node: its f-value enters through the first
+    # subinterval's weight of every node of the block it is filled in
+    rhs = RightHandSide(lambda t, u, v: 1.5 * t ** -0.5, singular_at_zero=True,
+                        state_independent=True)
+    _assert_same_solution(ProblemSpec(kind, 0.6, beta, 1.0, rhs, b2=1.0), 20.0, n)
+
+
+@pytest.mark.parametrize("bad", [7, 1500, 4099])
+def test_a_state_independent_source_fails_at_its_nonfinite_node_as_its_sweeps_do(bad):
+    # one interior node in the first block, one in the second, and the last node
+    n, t_end = 4099, 1.0
+    tau = np.linspace(0.0, t_end, n + 1)[bad]
+    rhs = RightHandSide(lambda t, u, v: np.where(t == tau, np.nan, 1.0 + t),
+                        state_independent=True)
+    spec = ProblemSpec(ProblemKind.DIRECT, 0.5, 0.25, 1.0, rhs)
+    failures = []
+    for case in (spec, _swept(spec)):
+        with pytest.raises(StepFailure) as excinfo:
+            _solve(case, t_end, n)
+        failures.append((excinfo.value.node, str(excinfo.value)))
+    message = f"step {bad} (tau={tau:.6g}): rhs value or corrector step not finite"
+    assert failures == [(bad, message)] * 2
+
+
 def test_signed_power():
     assert signed_power(8.0, 1 / 3) == pytest.approx(2.0)
     assert signed_power(-8.0, 1 / 3) == pytest.approx(-2.0)
